@@ -10,10 +10,12 @@ workloads.py and BENCHMARK.json).  Every workload is a closed loop: one
 client in this process submits items back to back, with HF_THREADS unset
 and BLAS threads capped at the number of usable cores.
 
---trace 0 times the set-up in this process and in two fresh ones, then
-repeats whole passes over the workload's items while another pass still
-fits in --seconds (always at least one), and reports the end-to-end
-metrics.  --trace 1 runs one traced pass and reports the per-layer metrics
+--trace 0 repeats whole passes over the workload's items while another
+pass still fits in --seconds (always at least one; at 30 s every workload
+makes one pass), and reports the end-to-end metrics.  Set-up is timed in
+this process and in fresh processes started between items, spread over the
+measured time, so that a slow minute of the machine does not hit every
+sample.  --trace 1 runs one traced pass and reports the per-layer metrics
 (see tracing.py); --seconds does not apply.
 The last line of standard output is the result JSON; the lines before it
 are a readable record.  Per-run details (machine record, items, sample
@@ -30,6 +32,7 @@ Two more commands:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -42,10 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUP_SAMPLES = 3  # set-ups per untraced run, for a median set-up time
-# Declared end-to-end metrics.  slowest_item_s is recorded and printed but not
-# declared: one 13-20 s item spreads too much from run to run on a shared VM.
-END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
+SETUP_SAMPLES = 9  # set-ups per untraced run (this process and 8 fresh ones)
+END_TO_END = ("setup_s", "wall_s", "slowest_item_s", "peak_rss_mb")
 CHILD_TIMEOUT_S = 170
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 perf = time.perf_counter
@@ -114,20 +115,19 @@ def _setup(workload: str, seed: int):
     return workloads.build(workload, seed)
 
 
-def _setup_samples(args) -> list:
-    """Set-up time of fresh processes (import included), one per sample."""
+def _setup_sample(args) -> float:
+    """Set-up time of a fresh process, import included."""
     cmd = [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
            "--setup-only"]
-    samples = []
-    for _ in range(SETUP_SAMPLES - 1):
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                              timeout=CHILD_TIMEOUT_S, check=True)
-        samples.append(float(proc.stdout.split()[-1]))
-    return samples
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT_S, check=True)
+    return float(proc.stdout.split()[-1])
 
 
 def _run_item(item, tracer=None):
-    """Run and check one item; returns (seconds, error or None)."""
+    """Run and check one item; returns (seconds, error or None).  Garbage
+    left by earlier items is collected first, outside the timed region."""
+    gc.collect()
     t = perf()
     try:
         observed = item.run() if tracer is None else tracer.item(item.name, item.run)
@@ -137,10 +137,15 @@ def _run_item(item, tracer=None):
     return perf() - t, error
 
 
-def _run_pass(items, tracer=None):
-    t = perf()
-    rows = [(item.name, *_run_item(item, tracer)) for item in items]
-    return perf() - t, rows
+def _run_pass(items, tracer=None, between=None):
+    """One pass; returns (summed item seconds, rows).  `between` runs after
+    each item, outside the item times."""
+    rows = []
+    for item in items:
+        rows.append((item.name, *_run_item(item, tracer)))
+        if between is not None:
+            between()
+    return sum(secs for _, secs, _ in rows), rows
 
 
 def run_once(args) -> int:
@@ -169,12 +174,20 @@ def run_once(args) -> int:
             tracer.uninstall()
         metrics = tracer.metrics()
     else:
-        setups += _setup_samples(args)
         start = perf()
+
+        def sample_setup():
+            # fresh-process set-ups fall due evenly over --seconds
+            due = 1 + (SETUP_SAMPLES - 1) * min((perf() - start) / args.seconds, 1.0)
+            while len(setups) < int(due):
+                setups.append(_setup_sample(args))
+
         while True:
-            passes.append(_run_pass(items))
+            passes.append(_run_pass(items, between=sample_setup))
             if perf() - start + passes[-1][0] > args.seconds:
                 break
+        while len(setups) < SETUP_SAMPLES:
+            setups.append(_setup_sample(args))
         per_item = {}
         for _, rows in passes:
             for name, secs, _ in rows:

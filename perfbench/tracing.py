@@ -44,7 +44,6 @@ class Boundary:
 
 BOUNDARIES = (
     Boundary("catalog.verify", "hadforge.catalog", "verify"),
-    Boundary("analyze.defect", "hadforge.analyze", "defect"),
     Boundary("analyze.defect_exact", "hadforge.analyze", "_defect_exact", False, _evidence),
     Boundary("analyze.assemble", "hadforge.analyze", "_exact_rows"),
     Boundary("analyze.float_screen", "hadforge.analyze", "_defect_float"),
@@ -64,7 +63,6 @@ BOUNDARIES = (
     Boundary("matrices.dephase", "hadforge.matrices", "dephase"),
     Boundary("matrices.min_root", "hadforge.matrices", "butson_min_root"),
     Boundary("matrices.unitary", "hadforge.matrices", "is_unitary"),
-    Boundary("matrices.equivalence_search", "hadforge.matrices", "equivalence_search_small"),
     Boundary("mub.set", "hadforge.mub", "complete_mub_set"),
     Boundary("mub.mu_pair", "hadforge.mub", "is_mu_pair"),
 )

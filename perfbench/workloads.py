@@ -32,8 +32,15 @@ SMALLEST = {
     "invariants": "MUB7",
 }
 
-# Every root order the workloads reach is below this (S91 builds at 364).
-_WARM_ROOTS = 400
+# The largest cyclotomic orders each workload's items reach (recorded by
+# wrapping cyclotomic_polynomial over whole passes).  Warming an order warms
+# all of its divisors.
+_ROOTS = {
+    "catalog-exact": (60, 140),
+    "deficient": (12, 14, 15, 16, 18, 20),
+    "search": (44, 60),
+    "invariants": (308, 364),
+}
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,11 @@ class Item:
 
 def build(name: str, seed: int) -> List[Item]:
     """Untimed inputs of workload `name` for `seed`, plus a warm-up that
-    fills lazy state (the cyclotomic-polynomial cache, first-call imports)
-    with inputs far smaller than any item."""
+    fills lazy state (the cyclotomic-polynomial cache for the orders the
+    items reach, first-call imports) with inputs smaller than any item."""
     if name not in WORKLOADS:
         raise ValueError(f"unknown workload {name!r}")
-    for r in range(1, _WARM_ROOTS):
+    for r in _ROOTS[name]:
         cyclotomic.cyclotomic_polynomial(r)
     items = _BUILDERS[name](random.Random(seed))
     _WARMUPS[name]()
@@ -71,7 +78,12 @@ def _catalog_exact(rng: random.Random) -> List[Item]:
 
 
 def _warm_catalog() -> None:
-    catalog.verify("S9")
+    # the steps of catalog.verify on F3, smaller than the smallest entry (d = 6)
+    catalog.entry("S6")
+    F3 = mub.fourier(3)
+    matrices.is_unitary(F3)
+    matrices.butson_min_root(F3)
+    analyze.defect(F3, mode="exact")
 
 
 # ----------------------------------------------------------------------
