@@ -59,7 +59,6 @@ BOUNDARIES = (
     Boundary("exactrank.lift", "hadforge._exactrank", "_lift_vectors"),
     Boundary("exactrank.verify", "hadforge._exactrank", "_verify_null_vectors"),
     Boundary("construct.build", "hadforge.construct", "theorem1_build"),
-    Boundary("construct.product", "hadforge.construct", "exact_product_equals"),
     Boundary("matrices.dephase", "hadforge.matrices", "dephase"),
     Boundary("matrices.min_root", "hadforge.matrices", "butson_min_root"),
     Boundary("matrices.unitary", "hadforge.matrices", "is_unitary"),
@@ -97,7 +96,6 @@ PER_LAYER = (
     ("analyze.examine_p50_ms", "ms", "p50", "analyze.examine"),
     ("analyze.examine_p95_ms", "ms", "p95", "analyze.examine"),
     ("analyze.exact_per_examined", "ratio", "exact_ratio", "analyze.examine"),
-    ("construct.product_s", "s", "self", "construct.product"),
     ("matrices.unitary_s", "s", "self", "matrices.unitary"),
     ("mub.set_s", "s", "self", "mub.set"),
     ("mub.mu_pair_s", "s", "self", "mub.mu_pair"),
