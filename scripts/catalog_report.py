@@ -17,12 +17,11 @@ from hadforge import catalog
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("names", nargs="*", help="subset of entries (default: all)")
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--json", help="also write the machine-readable report here")
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    report = catalog.verify_all(args.names or None, workers=args.workers)
+    report = catalog.verify_all(args.names or None)
     print(catalog.format_report(report))
     print(f"total: {time.monotonic() - t0:.1f}s")
 

@@ -19,13 +19,11 @@ def main() -> int:
     ap.add_argument("q", type=int, help="prime block size")
     ap.add_argument("--budget", type=int, default=None)
     ap.add_argument("--time-limit", type=float, default=None)
-    ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
     t0 = time.monotonic()
     res = assignment_search(
-        args.p, args.q, budget=args.budget, time_limit=args.time_limit,
-        workers=args.workers,
+        args.p, args.q, budget=args.budget, time_limit=args.time_limit
     )
     elapsed = time.monotonic() - t0
 

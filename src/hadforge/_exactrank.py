@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger
+from .cyclotomic import vanishes
 
 SparseRow = List[Tuple[int, List[Tuple[int, int]]]]
 
@@ -371,32 +371,24 @@ def _verify_null_vectors(rows, vectors, free: List[int], r: int) -> bool:
     Z[omega_r], *and* that the family is linearly independent: vector #idx
     must be algebraically nonzero at its own free column and zero at every
     other free column (echelon structure)."""
+    # entries hold phi(r) power-basis coefficients, a basis of Z[omega_r],
+    # so an entry is zero exactly when all of its coefficients are
     for idx, w in enumerate(vectors):
-        # entries are power-basis coefficient lists; embed as length-r vectors
-        w_cyc = []
-        for coeffs in w:
-            z = CyclotomicInteger(r)
-            for j, c in enumerate(coeffs):
-                z.coeffs[j % r] += c
-            w_cyc.append(z)
-        for jdx, f in enumerate(free):
-            if jdx == idx:
-                if w_cyc[f].is_zero():
-                    return False
-            elif not w_cyc[f].is_zero():
-                return False
-        for row in rows:
-            acc = CyclotomicInteger(r)
-            for col, terms in row:
-                z = w_cyc[col]
-                if not any(z.coeffs):
-                    continue
-                for e, c in terms:
-                    if c:
-                        shifted = z.shifted(e % r)
-                        if c != 1:
-                            shifted = shifted * c
-                        acc = acc + shifted
-            if not acc.is_zero():
-                return False
+        if [any(w[f]) for f in free] != [jdx == idx for jdx in range(len(free))]:
+            return False
+    terms = [(i, col, e % r, c) for i, row in enumerate(rows) for col, ts in row for e, c in ts]
+    if not terms or not vectors:
+        return True
+    row_of, col_of, exp_of, coeff_of = (np.array(x) for x in zip(*terms))
+    # (M . w)_i = sum over terms c * omega^e * w[col]: the term adds
+    # c * w[col][k] to coefficient (e + k) mod r of row i
+    W = np.zeros((len(vectors[0]), r), dtype=object)
+    targets = (row_of[:, None], (exp_of[:, None] + np.arange(r)) % r)
+    for w in vectors:
+        for x, coeffs in enumerate(w):
+            W[x, : len(coeffs)] = coeffs
+        acc = np.zeros((len(rows), r), dtype=object)
+        np.add.at(acc, targets, coeff_of[:, None] * W[col_of])
+        if not vanishes(acc, r).all():
+            return False
     return True

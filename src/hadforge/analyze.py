@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,9 +25,11 @@ from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
     Matrix,
+    NotHadamardFormError,
     butson_min_root,
     dephase,
     is_dephased,
+    is_unitary,
     to_complex,
 )
 from .mub import complete_mub_set
@@ -154,10 +154,13 @@ def defect(H: Matrix, mode: str = "auto") -> DefectReport:
 
     mode "auto" certifies exactly for exponent-form input and falls back to
     the float SVD (with the gap guard) for complex input; "float"/"exact"
-    force a path.  Exact mode on complex input raises.
+    force a path.  Exact mode on complex input raises, and so does a
+    non-unitary H (NotHadamardFormError), whose defect means nothing.
     """
     if mode not in ("auto", "float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not is_unitary(H):
+        raise NotHadamardFormError("matrix is not unitary, so it has no defect")
     if isinstance(H, ExponentMatrix):
         Hd = H if is_dephased(H) else dephase(H)[0]
         _, reduced = butson_min_root(Hd)
@@ -330,7 +333,7 @@ def _examine(a: BlockAssignment, cache: dict):
             rep = _defect_exact(reduced)  # cheap full-rank certificate
     except IndeterminateRankError:
         rep = _defect_exact(reduced)
-    return a, root, fp, rep
+    return root, fp, rep
 
 
 def assignment_search(
@@ -338,7 +341,6 @@ def assignment_search(
     q: int,
     budget: Optional[int] = None,
     time_limit: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> SearchResult:
     """Enumerate valid block assignments, analyze each, and report every
     isolated equivalence-invariant class.
@@ -346,10 +348,8 @@ def assignment_search(
     Classes are keyed by (Haagerup fingerprint, defect); `budget` caps the
     number of assignments examined and `time_limit` (seconds) caps wall
     time — hitting either flags the result as partial.  Output order is the
-    canonical enumeration order, independent of worker scheduling.
+    canonical enumeration order.
     """
-    if workers is None:
-        workers = int(os.environ.get("HF_THREADS", "0")) or 1
     deadline = time.monotonic() + time_limit if time_limit else None
     cache: dict = {}
     gen = _candidate_assignments(p, q)
@@ -358,40 +358,18 @@ def assignment_search(
     seen: set = set()
     examined = 0
     partial = False
-
-    def handle(res) -> None:
-        nonlocal examined
-        a, root, fp, rep = res
+    for a in gen:
+        root, fp, rep = _examine(a, cache)
         examined += 1
         key = (fp, rep.defect)
-        if key in seen:
-            return
-        seen.add(key)
-        classes.append(key)
-        if rep.defect == 0:
-            findings.append(SearchFinding(a, rep, root, fp))
-
-    def out_of_budget() -> bool:
-        return (budget is not None and examined >= budget) or (
+        if key not in seen:
+            seen.add(key)
+            classes.append(key)
+            if rep.defect == 0:
+                findings.append(SearchFinding(a, rep, root, fp))
+        if (budget is not None and examined >= budget) or (
             deadline is not None and time.monotonic() > deadline
-        )
-
-    if workers <= 1:
-        for a in gen:
-            handle(_examine(a, cache))
-            if out_of_budget():
-                partial = next(gen, None) is not None
-                break
-    else:
-        batch = max(2 * workers, 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while True:
-                chunk = list(itertools.islice(gen, batch))
-                if not chunk:
-                    break
-                for res in pool.map(lambda a: _examine(a, cache), chunk):
-                    handle(res)
-                if out_of_budget():
-                    partial = next(gen, None) is not None
-                    break
+        ):
+            partial = next(gen, None) is not None
+            break
     return SearchResult(findings, classes, examined, partial)

@@ -10,7 +10,6 @@ agreement — and reports machine-readable evidence.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from importlib.resources import files
@@ -151,24 +150,13 @@ def verify(name: str, defect_mode: str = "auto") -> dict:
     }
 
 
-def verify_all(
-    subset: Optional[List[str]] = None, workers: Optional[int] = None
-) -> dict:
-    """Verify every entry (or a subset); entries are independent, so they
-    are dispatched to a thread pool sized by `workers` or HF_THREADS."""
+def verify_all(subset: Optional[List[str]] = None) -> dict:
+    """Verify every entry (or a subset), in order."""
     todo = list(subset) if subset is not None else names()
     unknown = [n for n in todo if n not in _raw()["entries"]]
     if unknown:
         raise KeyError(f"no catalog entry named {unknown[0]!r}")
-    if workers is None:
-        workers = int(os.environ.get("HF_THREADS", "0")) or 1
-    if workers <= 1:
-        reports = [verify(n) for n in todo]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(verify, todo))
+    reports = [verify(n) for n in todo]
     return {"entries": reports, "all_pass": all(r["pass"] for r in reports)}
 
 

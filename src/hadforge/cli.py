@@ -20,10 +20,11 @@ from .analyze import (
     haagerup_set,
     inequivalent_by_invariants,
 )
-from .construct import BlockAssignment, theorem1_build
+from .construct import BlockAssignment, MUPreconditionError, theorem1_build
 from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
+    NotHadamardFormError,
     butson_min_root,
     dephase,
     is_butson,
@@ -56,7 +57,7 @@ def _emit(obj, path: Optional[str]) -> None:
 def _read_matrix(path: str):
     try:
         return load_matrix(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"cannot read matrix from {path!r}: {exc}")
 
 
@@ -205,7 +206,7 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
     # verify
     try:
-        report = cat.verify_all(args.names or None, workers=args.workers)
+        report = cat.verify_all(args.names or None)
     except KeyError as exc:
         raise SystemExit(str(exc))
     if args.json:
@@ -217,11 +218,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_search(args) -> int:
     res = assignment_search(
-        args.p,
-        args.q,
-        budget=args.budget,
-        time_limit=args.time_limit,
-        workers=args.workers,
+        args.p, args.q, budget=args.budget, time_limit=args.time_limit
     )
     out = {
         "p": args.p,
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", help="entry names (show/verify)")
     p.add_argument("--matrix", action="store_true", help="include the grid (show)")
     p.add_argument("--json", help="write the machine-readable report (verify)")
-    p.add_argument("--workers", type=int, help="thread count (default HF_THREADS)")
     out_opt(p)
     p.set_defaults(func=_cmd_catalog)
 
@@ -325,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--budget", type=int, help="max assignments to examine")
     p.add_argument("--time-limit", type=float, help="wall-time cap in seconds")
-    p.add_argument("--workers", type=int)
     out_opt(p)
     p.set_defaults(func=_cmd_search)
 
@@ -342,6 +337,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (MUPreconditionError, NotHadamardFormError) as exc:
+        print(f"hadforge: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(f"hadforge: {exc.code}", file=sys.stderr)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, field
-from math import gcd, sqrt
+from math import lcm, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, RootExponent
+from .cyclotomic import CyclotomicInteger, RootExponent, vanishes
 from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
@@ -48,13 +48,6 @@ class MUPreconditionError(ValueError):
 
 class MonomializationError(RuntimeError):
     """A block inner product is not sqrt(q) times a root of unity."""
-
-
-def _lcm(*xs: int) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +262,7 @@ def _build_exact(a: BlockAssignment, cache: Optional[Dict] = None) -> ExponentMa
     p, q = a.p, a.q
     d = p * q
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
-    R = _lcm(p, 4 * q, *roots)
+    R = lcm(p, 4 * q, *roots)
     if cache is None:
         cache = {}
     grid = [[0] * d for _ in range(d)]
@@ -297,7 +290,7 @@ def _fill_block(grid, i, j, Ki, Lj, q, R, phase, cache) -> None:
             for t in range(q):
                 grid[i * q + s][j * q + t] = (phase - Ki.exp[t][s] * lift) % R
         return
-    rz = _lcm(Ki.r, Lj.r)
+    rz = lcm(Ki.r, Lj.r)
     la, lb = rz // Ki.r, rz // Lj.r
     for s in range(q):
         for t in range(q):
@@ -350,53 +343,39 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     """Certify B1^dagger B2 = H algebraically (no floating comparison).
 
     Scaled form: with U1 = sqrt(q) B1 and U2 = sqrt(pq) B2 (both cyclotomic-
-    integer matrices), the claim is U1^dagger U2 = sqrt(q) * [omega^E], checked
-    entrywise with sqrt(q) carried as a Gauss sum.
+    integer matrices), the claim is U1^dagger U2 = sqrt(q) * [omega^E].  Block
+    (m, n) of the left side is omega_p^{mn} K_m^dagger L_n with an identity
+    basis carried as sqrt(q) I; sqrt(q) is a Gauss sum, and each block is
+    checked with one `vanishes` call.
     """
     p, q = a.p, a.q
     if a.M is not None:
         raise ValueError("exact factor comparison needs canonical phases")
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
-    R = _lcm(p, 4 * q, H.r, *roots)
-    He = H.rescaled(R)
-    rootq = sqrt_as_cyclotomic(q).rescaled(R)
-
-    def u1_entry(row: int, col: int) -> Optional[Tuple[int, CyclotomicInteger]]:
-        m, s = divmod(row, q)
-        mc, t = divmod(col, q)
-        if m != mc:
-            return None
-        b = a.K[m]
-        if isinstance(b, IdentityBasis):
-            return (0, rootq) if s == t else None
-        z = CyclotomicInteger(R)
-        z.coeffs[b.exp[s][t] * (R // b.r) % R] = 1
-        return (0, z)
-
-    for x in range(p * q):
-        mx, sx = divmod(x, q)
-        for y in range(p * q):
-            ny, ty = divmod(y, q)
-            acc = CyclotomicInteger(R)
-            Lb = a.L[ny]
-            for k in range(q):
-                row = mx * q + k
-                u1 = u1_entry(row, x)
-                if u1 is None:
-                    continue
-                _, v1 = u1
-                # U2[row, y] = omega_p^{mx*ny} * L_{ny}[k, ty] (times sqrt q if identity)
-                ph = (mx * ny) % p * (R // p)
-                if isinstance(Lb, IdentityBasis):
-                    if k != ty:
-                        continue
-                    v2 = rootq.shifted(ph)
-                else:
-                    v2 = CyclotomicInteger(R)
-                    v2.coeffs[(ph + Lb.exp[k][ty] * (R // Lb.r)) % R] = 1
-                acc = acc + v1.conj() * v2
-            expect = rootq.shifted(He.exp[x][y])
-            if not (acc - expect).is_zero():
+    R = lcm(p, 4 * q, H.r, *roots)
+    E = H.rescaled(R).to_array()
+    g = np.array(sqrt_as_cyclotomic(q).rescaled(R).coeffs)
+    ks = np.arange(R)
+    rootq = g[(ks[None, :] - ks[:, None]) % R]  # row e: sqrt(q) * omega^e
+    cells = np.arange(q * q).reshape(q, q)
+    for m, Km in enumerate(a.K):
+        for n, Ln in enumerate(a.L):
+            ph = (m * n) % p * (R // p)
+            if isinstance(Km, IdentityBasis) and isinstance(Ln, IdentityBasis):
+                acc = np.zeros((q, q, R), dtype=np.int64)
+                acc[np.arange(q), np.arange(q), ph] = q
+            elif isinstance(Km, IdentityBasis):
+                acc = rootq[(ph + Ln.rescaled(R).to_array()) % R]
+            elif isinstance(Ln, IdentityBasis):
+                acc = rootq[(ph - Km.rescaled(R).to_array().T) % R]
+            else:
+                # entry (s, t) = sum_k omega^(ph + L[k, t] - K[k, s])
+                Ke, Le = Km.rescaled(R).to_array(), Ln.rescaled(R).to_array()
+                e = (ph + Le[:, None, :] - Ke[:, :, None]) % R
+                acc = np.bincount((cells * R + e).ravel(), minlength=q * q * R)
+            expect = rootq[E[m * q : (m + 1) * q, n * q : (n + 1) * q]]
+            diff = acc.reshape(q * q, R) - expect.reshape(q * q, R)
+            if not vanishes(diff, R).all():
                 return False
     return True
 

@@ -7,11 +7,12 @@ Two carriers:
   must be lifted to a common order first (`rescale`).
 * :class:`CyclotomicInteger` — an integer combination of all r-th roots,
   stored as an *unreduced* length-r coefficient vector.  Multiplication is a
-  cyclic convolution; the only subtle operation is the exact zero test, which
-  reduces modulo the cyclotomic polynomial Phi_r.
+  cyclic convolution.
 
-Coefficients are Python ints throughout, so intermediate swell during
-polynomial remainders is harmless.
+Every exact zero test in the package goes through :func:`vanishes`, which
+reduces many unreduced coefficient rows modulo the cyclotomic polynomial
+Phi_r with one integer matrix product.  Coefficients of a
+:class:`CyclotomicInteger` are Python ints, so they never overflow.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import List, Tuple
+
+import numpy as np
 
 
 class OrderMismatchError(ValueError):
@@ -107,11 +110,54 @@ def _poly_exact_div(num: List[int], den: List[int]) -> List[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduction_matrix(r: int) -> np.ndarray:
+    """Red(r), of shape r x phi(r): row k holds the coefficients of
+    x^k mod Phi_r, so an unreduced coefficient row c reduces to c @ Red(r).
+    Read-only, because every caller shares the cached array."""
+    phi = cyclotomic_polynomial(r)
+    deg = len(phi) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(r):
+        rows.append(row)
+        top = row[-1]
+        # x * row, with x^deg replaced by -(Phi_r - x^deg) since Phi_r is monic
+        row = [a - top * c for a, c in zip([0] + row[:-1], phi)]
+    red = np.array(rows, dtype=np.int64)
+    red.setflags(write=False)
+    return red
+
+
+def vanishes(C, r: int) -> np.ndarray:
+    """Exact zero test in Z[omega_r] for each row of C.
+
+    C holds unreduced coefficient rows (shape n x r): an integer ndarray or
+    nested lists of Python ints of any size.  Row i is zero exactly when its
+    row of C @ Red(r) is.  The product runs in int64 when no sum can
+    overflow it, that is when max|C| * r * max|Red(r)| < 2^63, and in
+    Python ints otherwise.
+    """
+    try:
+        C = np.asarray(C, dtype=np.int64)
+    except OverflowError:
+        C = np.asarray(C, dtype=object)
+    if C.shape[0] == 0:
+        return np.ones(0, dtype=bool)
+    red = _reduction_matrix(r)
+    bound = max(-int(C.min()), int(C.max())) * r * int(np.abs(red).max())
+    if bound < 2**63:  # so C is int64: had it overflowed, max|C| alone is >= 2^63
+        reduced = C @ red
+    else:
+        reduced = C.astype(object) @ red.astype(object)
+    return ~reduced.any(axis=1)
+
+
 class CyclotomicInteger:
     """Sum_{k<r} coeffs[k] * omega_r^k with integer coefficients.
 
-    The vector is kept unreduced (length exactly r); `is_zero` is the only
-    operation that consults Phi_r.
+    The vector is kept unreduced (length exactly r); the exact zero test
+    `is_zero` reduces it modulo Phi_r through `vanishes`.
     """
 
     __slots__ = ("r", "coeffs")
@@ -157,7 +203,7 @@ class CyclotomicInteger:
     def _check(self, other: "CyclotomicInteger") -> None:
         if self.r != other.r:
             raise OrderMismatchError(
-                f"orders differ: {self.r} vs {other.r}; lift_to_common first"
+                f"orders differ: {self.r} vs {other.r}; rescale both to a common order first"
             )
 
     def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
@@ -212,14 +258,8 @@ class CyclotomicInteger:
 
     # --- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        """Exact zero test: remainder of the coefficient polynomial under
-        division by Phi_r vanishes (Phi_r is monic, so the remainder stays
-        integral)."""
-        if not any(self.coeffs):
-            return True
-        phi = cyclotomic_polynomial(self.r)
-        rem = _poly_rem_monic(self.coeffs, phi)
-        return not any(rem)
+        """Exact zero test: the coefficient polynomial vanishes modulo Phi_r."""
+        return bool(vanishes([self.coeffs], self.r)[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicInteger):
@@ -243,41 +283,3 @@ class CyclotomicInteger:
     def __repr__(self) -> str:
         terms = [f"{a}*w{self.r}^{k}" for k, a in enumerate(self.coeffs) if a]
         return "CyclotomicInteger(" + (" + ".join(terms) or "0") + ")"
-
-
-def _poly_rem_monic(coeffs: List[int], divisor: Tuple[int, ...]) -> List[int]:
-    """Remainder of coeffs (low-first) modulo a monic integer polynomial."""
-    rem = list(coeffs)
-    deg = len(divisor) - 1
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            base = i - deg
-            for j in range(deg):
-                rem[base + j] -= c * divisor[j]
-    return rem[:deg] if len(rem) >= deg else rem + [0] * (deg - len(rem))
-
-
-def lift_to_common(
-    a: CyclotomicInteger, b: CyclotomicInteger
-) -> Tuple[CyclotomicInteger, CyclotomicInteger]:
-    """Embed both operands in the cyclotomic ring of the lcm order."""
-    if a.r == b.r:
-        return a, b
-    r = a.r * b.r // gcd(a.r, b.r)
-    return a.rescaled(r), b.rescaled(r)
-
-
-def cyc_add(a: CyclotomicInteger, b: CyclotomicInteger) -> CyclotomicInteger:
-    a, b = lift_to_common(a, b)
-    return a + b
-
-
-def cyc_mul(a: CyclotomicInteger, b: CyclotomicInteger) -> CyclotomicInteger:
-    a, b = lift_to_common(a, b)
-    return a * b
-
-
-def cyc_conj(a: CyclotomicInteger) -> CyclotomicInteger:
-    return a.conj()

@@ -11,29 +11,27 @@ from __future__ import annotations
 
 import cmath
 import json
+import operator
 import random
 from dataclasses import dataclass, field
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, _poly_rem_monic, cyclotomic_polynomial
+from .cyclotomic import vanishes
 
 UNITARY_TOL = 1e-9  # scaled by d in the float unitarity test
 ENTRY_TOL = 1e-9
 
 
 class NotHadamardFormError(ValueError):
-    """Entries are not unimodular (times 1/sqrt(d)) within tolerance."""
+    """Not a complex Hadamard matrix: entries are not unimodular (times
+    1/sqrt(d)) within tolerance, or rows are not orthogonal."""
 
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -45,13 +43,18 @@ class ExponentMatrix:
     exp: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.exp) != self.d or any(len(row) != self.d for row in self.exp):
-            raise ValueError("exponent grid shape does not match order")
-        object.__setattr__(
-            self,
-            "exp",
-            tuple(tuple(e % self.r for e in row) for row in self.exp),
-        )
+        try:
+            d, r = operator.index(self.d), operator.index(self.r)
+            if r < 1:
+                raise ValueError(f"root order must be positive, got {r}")
+            if len(self.exp) != d or any(len(row) != d for row in self.exp):
+                raise ValueError("exponent grid shape does not match order")
+            exp = tuple(tuple(operator.index(e) % r for e in row) for row in self.exp)
+        except TypeError:
+            raise ValueError("order, root order and exponents must be integers") from None
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "exp", exp)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], r: int) -> "ExponentMatrix":
@@ -74,7 +77,7 @@ class ExponentMatrix:
             return NotImplemented
         if self.d != other.d:
             return False
-        r = _lcm(self.r, other.r)
+        r = lcm(self.r, other.r)
         return self.rescaled(r).exp == other.rescaled(r).exp
 
     def __hash__(self):
@@ -150,7 +153,7 @@ def apply_equivalence(H: Matrix, m: EquivalenceMove) -> Matrix:
     if isinstance(H, ExponentMatrix):
         if not m.exact:
             raise ValueError("float move applied to exact matrix")
-        r = _lcm(H.r, m.r)
+        r = lcm(H.r, m.r)
         He = H.rescaled(r)
         lift = r // m.r
         rp = [p * lift for p in m.row_phases]
@@ -187,7 +190,7 @@ def compose_moves(first: EquivalenceMove, second: EquivalenceMove) -> Equivalenc
     row_perm = tuple(first.row_perm[second.row_perm[i]] for i in range(d))
     col_perm = tuple(first.col_perm[second.col_perm[j]] for j in range(d))
     if first.exact:
-        r = _lcm(first.r, second.r)
+        r = lcm(first.r, second.r)
         l1, l2 = r // first.r, r // second.r
         rp = tuple(
             (second.row_phases[i] * l2 + first.row_phases[second.row_perm[i]] * l1) % r
@@ -289,34 +292,21 @@ def is_dephased(H: Matrix, tol: float = ENTRY_TOL) -> bool:
 def is_unitary(H: Matrix) -> bool:
     """Exact Gram test for exponent matrices, float test otherwise.
 
-    Exact mode: for every row pair the unscaled inner product
-    sum_k omega^{e_ik - e_jk} must be algebraically zero (off-diagonal) or d
-    (diagonal); zero tests reduce modulo the cyclotomic polynomial of the
-    root order.
+    Exact mode: for every row pair i < j the unscaled inner product
+    sum_k omega^{e_ik - e_jk} must be algebraically zero; its coefficient
+    vector counts the exponent differences.  All d(d-1)/2 count vectors go
+    through one `vanishes` call.  Diagonal entries are d by construction.
     """
     if isinstance(H, ComplexMatrix):
         G = H.entries @ H.entries.conj().T
         return bool(np.max(np.abs(G - np.eye(H.d))) <= UNITARY_TOL * H.d)
     d, r = H.d, H.r
-    phi = cyclotomic_polynomial(r)
-    for i in range(d):
-        for j in range(i, d):
-            counts = [0] * r
-            for k in range(d):
-                counts[(H.exp[i][k] - H.exp[j][k]) % r] += 1
-            if i == j:
-                continue  # each term is omega^0 iff rows equal; diagonal is d by construction
-            if any(_poly_rem_monic(counts, phi)):
-                return False
-    return True
-
-
-def gram_entry(H: ExponentMatrix, i: int, j: int) -> CyclotomicInteger:
-    """Unscaled row inner product <row_i, row_j> * d as a cyclotomic integer."""
-    counts = [0] * H.r
-    for k in range(H.d):
-        counts[(H.exp[i][k] - H.exp[j][k]) % H.r] += 1
-    return CyclotomicInteger(H.r, counts)
+    E = H.to_array()
+    i, j = np.triu_indices(d, 1)
+    diffs = (E[i] - E[j]) % r
+    pairs = np.arange(len(i))[:, None]
+    counts = np.bincount((pairs * r + diffs).ravel(), minlength=len(i) * r)
+    return bool(vanishes(counts.reshape(len(i), r), r).all())
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +385,7 @@ def equivalence_search_small(
         raise DimensionMismatchError("orders differ")
     if A.d > _SEARCH_LIMIT:
         raise ValueError(f"search restricted to d <= {_SEARCH_LIMIT}")
-    rr = _lcm(A.r, B.r)
+    rr = lcm(A.r, B.r)
     Ae, Be = A.rescaled(rr), B.rescaled(rr)
     key_a, move_a = _canonical_form(Ae)
     key_b, move_b = _canonical_form(Be)
@@ -412,7 +402,7 @@ def equivalence_search_small(
 
 def tensor(A: ExponentMatrix, B: ExponentMatrix) -> ExponentMatrix:
     """Kronecker product in exponent form (root orders lifted to the lcm)."""
-    r = _lcm(A.r, B.r)
+    r = lcm(A.r, B.r)
     la, lb = r // A.r, r // B.r
     d = A.d * B.d
     rows = []
@@ -448,7 +438,7 @@ def matrix_to_json(H: Matrix, raw: bool = False) -> dict:
 def matrix_from_json(obj: dict) -> Matrix:
     if "exponents" in obj:
         return ExponentMatrix(
-            int(obj["d"]), int(obj["root"]), tuple(tuple(r) for r in obj["exponents"])
+            obj["d"], obj["root"], tuple(tuple(r) for r in obj["exponents"])
         )
     if "re" in obj and "im" in obj:
         return ComplexMatrix(

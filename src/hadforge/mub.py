@@ -11,9 +11,13 @@ recipes are pinned to.  q = 2 appends diag(1, i) F as the third basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .cyclotomic import CyclotomicInteger
+import numpy as np
+
+from ._exactrank import _is_prime
+from .cyclotomic import vanishes
 from .matrices import ExponentMatrix, is_unitary
 
 _FIXED_DIAGONALS: Dict[int, Tuple[int, ...]] = {
@@ -28,17 +32,6 @@ class NotPrimeError(ValueError):
 
 class MubConstructionError(RuntimeError):
     """The generated set failed its own MU verification (must never fire)."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def fourier(d: int) -> ExponentMatrix:
@@ -185,16 +178,13 @@ def is_mu_pair(
     if isinstance(A, IdentityBasis) or isinstance(B, IdentityBasis):
         return not (isinstance(A, IdentityBasis) and isinstance(B, IdentityBasis))
     q = A.d
-    from .matrices import _lcm
-
-    r = _lcm(A.r, B.r)
-    Ae, Be = A.rescaled(r), B.rescaled(r)
-    target = CyclotomicInteger.from_integer(q, r)
-    for i in range(q):
-        for j in range(q):
-            z = CyclotomicInteger(r)
-            for k in range(q):
-                z.coeffs[(Be.exp[k][j] - Ae.exp[k][i]) % r] += 1
-            if not (z * z.conj() - target).is_zero():
-                return False
-    return True
+    r = lcm(A.r, B.r)
+    Ae, Be = A.rescaled(r).to_array(), B.rescaled(r).to_array()
+    # z_ij = sum_k omega^(B[k, j] - A[k, i]); row n = i * q + j holds its
+    # exponents, and z * conj(z) is the sum over all pairs of them
+    z = (Be[:, None, :] - Ae[:, :, None]).transpose(1, 2, 0).reshape(q * q, q)
+    zz = (z[:, :, None] - z[:, None, :]) % r
+    rows = np.arange(q * q)[:, None, None]
+    counts = np.bincount((rows * r + zz).ravel(), minlength=q * q * r).reshape(q * q, r)
+    counts[:, 0] -= q
+    return bool(vanishes(counts, r).all())

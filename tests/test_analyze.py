@@ -303,12 +303,3 @@ class TestSearch:
         assert [f.fingerprint for f in res.findings] == [fingerprint(S9)]
         f = res.findings[0]
         assert f.report.defect == 0 and f.butson_root == 6
-
-    def test_threaded_run_matches_sequential(self):
-        seq = assignment_search(2, 5)
-        par = assignment_search(2, 5, workers=2)
-        assert seq.examined == par.examined
-        assert seq.classes == par.classes
-        assert [f.fingerprint for f in seq.findings] == [
-            f.fingerprint for f in par.findings
-        ]

@@ -62,6 +62,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", '{"p":3}')
         assert code == 2 and "hadforge:" in err
 
+    def test_basis_on_both_sides_is_usage_error(self, capsys):
+        spec = '{"p":2,"q":3,"K":["I","H1"],"L":["F","H1"]}'
+        code, out, err = run(capsys, "gen", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge:") and "both sides" in err
+
     def test_float_mode(self, capsys):
         code, out = jrun(capsys, "gen", S9_JSON, "--mode", "float")
         assert code == 0 and "re" in out and "im" in out
@@ -149,6 +155,29 @@ class TestDefect:
     def test_exact_mode_on_float_input(self, capsys, f4_float):
         code, _, err = run(capsys, "defect", f4_float, "--mode", "exact")
         assert code == 2
+
+    def test_non_unitary_grid_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "twin_rows.json"
+        path.write_text('{"d":3,"root":3,"exponents":[[0,0,0],[0,1,2],[0,1,2]]}')
+        code, out, err = run(capsys, "defect", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge:") and "not unitary" in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            '{"d":2,"root":0,"exponents":[[0,0],[0,1]]}',
+            '{"d":2,"root":2.5,"exponents":[[0,0],[0,1]]}',
+            '{"d":2,"root":4,"exponents":[[0,0],[0,1.5]]}',
+        ],
+        ids=["root-0", "fractional-root", "fractional-exponent"],
+    )
+    def test_malformed_grid_is_usage_error(self, capsys, tmp_path, grid):
+        path = tmp_path / "bad.json"
+        path.write_text(grid)
+        code, out, err = run(capsys, "defect", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge: cannot read matrix")
 
     def test_indeterminate_exit(self, capsys, f4_float, monkeypatch):
         def murky_svd(M, compute_uv=True):

@@ -1,6 +1,7 @@
 import cmath
+import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -13,7 +14,10 @@ from hadforge.cyclotomic import (
     cyclotomic_polynomial,
     root_inverse,
     root_mul,
+    vanishes,
 )
+from hadforge.matrices import ExponentMatrix, apply_equivalence, is_unitary, random_move, tensor
+from hadforge.mub import complete_mub_set, fourier, is_mu_pair
 
 small_r = st.integers(min_value=1, max_value=24)
 coeff = st.integers(min_value=-9, max_value=9)
@@ -25,6 +29,24 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def poly_rem_monic(coeffs, divisor):
+    """Reference zero test: remainder of coeffs (low-first) modulo a monic
+    integer polynomial, one element at a time in Python ints."""
+    rem = list(coeffs)
+    deg = len(divisor) - 1
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            for j in range(deg):
+                rem[i - deg + j] -= c * divisor[j]
+    return rem[:deg]
+
+
+def reference_is_zero(coeffs, r):
+    return not any(poly_rem_monic(coeffs, cyclotomic_polynomial(r)))
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -132,3 +154,99 @@ class TestCyclotomicInteger:
     def test_hash_is_refused(self):
         with pytest.raises(TypeError):
             hash(CyclotomicInteger.one(3))
+
+
+# ----------------------------------------------------------------------
+# the batched zero test against the per-element reference
+# ----------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 400),
+    seed=st.integers(0, 2**32),
+    bits=st.sampled_from([3, 30, 70]),  # 70 forces Python-int arithmetic
+)
+def test_vanishes_matches_reference_remainder(r, seed, bits):
+    rng = random.Random(seed)
+    phi = list(cyclotomic_polynomial(r))
+    rows = []
+    for _ in range(6):
+        # a multiple of Phi_r times a power of omega vanishes; one unit
+        # more in a single coefficient does not
+        mult = [rng.randint(-(2**bits), 2**bits) for _ in range(r - len(phi) + 1)]
+        row = poly_mul(mult, phi)
+        k = rng.randrange(r)
+        row = row[k:] + row[:k]
+        if rng.random() < 0.5:
+            row[rng.randrange(r)] += rng.choice((-1, 1))
+        rows.append(row)
+    assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
+
+
+def test_vanishes_does_not_wrap_int64():
+    # the int64 product of this row with Red(6) wraps to zero; the element
+    # is 2^64 in the power basis, so it is not zero
+    row = [2**63 - 1, 0, -1, -1, -(2**63), 2**63 - 1]
+    assert not reference_is_zero(row, 6)
+    assert vanishes([row], 6).tolist() == [False]
+    assert vanishes([[0] * 6, [1] * 6], 6).tolist() == [True, True]
+
+
+def perturbed(M, rng):
+    exp = [list(row) for row in M.exp]
+    exp[rng.randrange(M.d)][rng.randrange(M.d)] += rng.randrange(1, M.r)
+    return ExponentMatrix.from_rows(exp, M.r)
+
+
+@st.composite
+def exponent_grids(draw):
+    """Unitary grids (moved Fourier and tensor matrices), half of them with
+    one entry changed, which almost always breaks unitarity."""
+    base = draw(
+        st.sampled_from(
+            [fourier(n) for n in range(2, 9)]
+            + [tensor(fourier(2), fourier(2)), tensor(fourier(2), fourier(3))]
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    H = apply_equivalence(base, random_move(base.d, base.r * rng.randint(1, 4), rng))
+    return perturbed(H, rng) if draw(st.booleans()) else H
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=exponent_grids())
+def test_is_unitary_matches_per_pair_reference(H):
+    def row_pair_vanishes(i, j):
+        counts = [0] * H.r
+        for k in range(H.d):
+            counts[(H.exp[i][k] - H.exp[j][k]) % H.r] += 1
+        return reference_is_zero(counts, H.r)
+
+    pairs = [(i, j) for i in range(H.d) for j in range(i + 1, H.d)]
+    assert is_unitary(H) == all(row_pair_vanishes(i, j) for i, j in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(0, 2**32),
+    perturb=st.sampled_from(["none", "A", "B"]),
+)
+def test_is_mu_pair_matches_per_pair_reference(q, seed, perturb):
+    rng = random.Random(seed)
+    members = [b for _, b in complete_mub_set(q).hadamard_members()]
+    A, B = rng.choice(members), rng.choice(members)
+    if perturb == "A":
+        A = perturbed(A, rng)
+    elif perturb == "B":
+        B = perturbed(B, rng)
+    r = A.r * B.r
+    Ae, Be = A.rescaled(r), B.rescaled(r)
+
+    def unbiased(i, j):
+        z = CyclotomicInteger(r)
+        for k in range(q):
+            z.coeffs[(Be.exp[k][j] - Ae.exp[k][i]) % r] += 1
+        return reference_is_zero((z * z.conj() - CyclotomicInteger.from_integer(q, r)).coeffs, r)
+
+    assert is_mu_pair(A, B) == all(unbiased(i, j) for i in range(q) for j in range(q))
