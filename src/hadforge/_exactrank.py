@@ -13,6 +13,17 @@ unconditional bounds:
   rational reconstruction, and finally an exact M . w = 0 check back in
   Z[omega_r].  Nothing is trusted until that last algebraic check passes.
 
+Both bounds rest on one elimination kernel over F_l, `_echelon`, behind
+`rank_mod` (echelon form) and `rref_mod` (the unique RREF).  It works on
+column panels of 256: inside a panel it eliminates column by column in int64
+and records the row operations as coefficients on the panel's pivot rows;
+the trailing columns then take those coefficients in float64 dgemms, 64
+columns at a time to bound the temporaries.  A system of at most 256 columns
+is a single panel with no dgemm.  The dgemms are exact because every modulus
+is below 2^25 (`find_embedding_prime` draws from [2^24, 2^25)): the right
+operand is split into a 12-bit low and a 13-bit high limb, so a dot product
+sums at most 256 terms below 2^25 * 2^13, i.e. stays below 2^46 < 2^53.
+
 Rows are sparse: a row is a list of (column, [(exponent, coeff), ...]) pairs,
 each term meaning coeff * omega_r^exponent.
 """
@@ -29,6 +40,14 @@ import numpy as np
 from .cyclotomic import vanishes
 
 SparseRow = List[Tuple[int, List[Tuple[int, int]]]]
+
+# Every modulus is below _MODULUS_BOUND, so that each dgemm of _apply_panel
+# is exact.  A system of at most _PANEL columns is one panel, with no
+# trailing update; _BLOCK trailing columns at a time bound its temporaries.
+_MODULUS_BOUND = 1 << 25
+_PANEL = 256
+_BLOCK = 64
+_LIMB = 12
 
 
 class RankCertificationError(RuntimeError):
@@ -63,10 +82,9 @@ def _factorize(n: int) -> List[int]:
 
 
 def find_embedding_prime(r: int, rng: random.Random) -> Tuple[int, int]:
-    """A prime l = 1 (mod r) below 2^25 and an element g of order r in F_l."""
-    base = 1 << 24
+    """A prime l = 1 (mod r) in [2^24, 2^25) and an element g of order r in F_l."""
     while True:
-        k = rng.randrange(base // r, (2 * base) // r)
+        k = rng.randrange((_MODULUS_BOUND // 2) // r, _MODULUS_BOUND // r)
         l = k * r + 1
         if not _is_prime(l):
             continue
@@ -106,68 +124,117 @@ def evaluate_rows(
     return M
 
 
+def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
+    """Row echelon form of M over F_l by column panels; M is not mutated.
+
+    Pivot rule: leftmost column, first nonzero row.  Inside a panel the
+    elimination runs column by column in int64, and the row operations are
+    recorded as coefficients on the panel's pivot rows, one column per
+    pivot (the block W).  The trailing columns then take W in float64
+    dgemms.  With `reduced`, rows above each pivot are cleared too and R is
+    the unique RREF.  Returns (R, pivot_columns).
+    """
+    if l >= _MODULUS_BOUND:
+        raise ValueError(f"modulus {l} is not below 2^25")
+    R = (M % l).astype(np.int64, copy=False)
+    m, n = R.shape
+    pivots: List[int] = []
+    for c0 in range(0, n, _PANEL):
+        top = len(pivots)
+        if top >= m:
+            break
+        c1 = min(c0 + _PANEL, n)
+        w = c1 - c0
+        first = 0 if reduced else top  # rows above `first` stay as they are
+        trailing = c1 < n
+        if trailing:
+            A = np.zeros((m - first, 2 * w), dtype=np.int64)
+            A[:, :w] = R[first:, c0:c1]
+        else:
+            A = R[first:, c0:]
+        perm = np.arange(m - first)
+        row = top - first
+        t = 0
+        for c in range(w):
+            if row >= A.shape[0]:
+                break
+            nz = np.flatnonzero(A[row:, c])
+            if nz.size == 0:
+                continue
+            sel = row + int(nz[0])
+            if sel != row:
+                A[[row, sel]] = A[[sel, row]]
+                perm[[row, sel]] = perm[[sel, row]]
+            end = w
+            if trailing:
+                # the trailing part of a row is its own original row, unless
+                # it is a pivot row, plus W[row] @ pivot rows: from here on
+                # this row is pivot t, and its own row a term of W
+                A[row, w + t] = 1
+                end = w + t + 1
+            A[row, c:end] = A[row, c:end] * pow(int(A[row, c]), l - 2, l) % l
+            lo = 0 if reduced else row + 1
+            idx = lo + np.flatnonzero(A[lo:, c])
+            idx = idx[idx != row]
+            if idx.size:
+                U = A[idx, c:end]
+                U -= np.outer(U[:, 0], A[row, c:end])
+                U %= l
+                A[idx, c:end] = U
+            pivots.append(c0 + c)
+            row += 1
+            t += 1
+        if trailing and t:
+            R[first:, c0:c1] = A[:, :w]
+            W = A[:, w : w + t].astype(np.float64)
+            del A  # the panel copy is written back; free it before the update
+            _apply_panel(R[first:, c1:], W, perm, top - first, l)
+    return R, pivots
+
+
+def _apply_panel(T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: int, l: int) -> None:
+    """T <- the panel's row operations applied to T, in place.
+
+    Row i of the result is W[i] @ S plus, unless i is a pivot row, row
+    perm[i] of T, where S holds the t = W.shape[1] pivot rows perm[p0:p0+t]
+    of T.  S is split in a 12-bit low and a 13-bit high limb, so each float
+    dgemm sums at most 256 products below 2^25 * 2^13 and stays exact, and
+    the recombined int64 sum stays below 2^46 * 2^12 + 2^45 + 2^25 < 2^63.
+    """
+    t = W.shape[1]
+    for j in range(0, T.shape[1], _BLOCK):
+        B = T[:, j : j + _BLOCK][perm]
+        S = B[p0 : p0 + t]
+        hi = (W @ (S >> _LIMB).astype(np.float64)).astype(np.int64)
+        lo = (W @ (S & ((1 << _LIMB) - 1)).astype(np.float64)).astype(np.int64)
+        B[p0 : p0 + t] = 0
+        hi <<= _LIMB
+        B += hi
+        B += lo
+        B %= l
+        T[:, j : j + _BLOCK] = B
+
+
 def rref_mod(M: np.ndarray, l: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form over F_l with a deterministic pivot rule
     (leftmost column, first nonzero row).  Returns (R, pivot_columns)."""
-    R = M % l
-    m, n = R.shape
-    pivots: List[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        sel = row + int(nz[0])
-        if sel != row:
-            R[[row, sel]] = R[[sel, row]]
-        inv = pow(int(R[row, col]), l - 2, l)
-        R[row] = R[row] * inv % l
-        colvals = R[:, col].copy()
-        colvals[row] = 0
-        mask = np.nonzero(colvals)[0]
-        if mask.size:
-            R[mask] = (R[mask] - np.outer(colvals[mask], R[row])) % l
-        pivots.append(col)
-        row += 1
-    return R, pivots
+    return _echelon(M, l, True)
 
 
 def rank_mod(M: np.ndarray, l: int) -> int:
     """Row echelon rank over F_l (no back-substitution; cheaper than rref)."""
-    R = M % l
-    m, n = R.shape
-    rank = 0
-    for col in range(n):
-        if rank >= m:
-            break
-        nz = np.nonzero(R[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        sel = rank + int(nz[0])
-        if sel != rank:
-            R[[rank, sel]] = R[[sel, rank]]
-        inv = pow(int(R[rank, col]), l - 2, l)
-        R[rank] = R[rank] * inv % l
-        below = R[rank + 1 :, col].copy()
-        mask = np.nonzero(below)[0]
-        if mask.size:
-            R[rank + 1 + mask] = (R[rank + 1 + mask] - np.outer(below[mask], R[rank])) % l
-        rank += 1
-    return rank
+    return len(_echelon(M, l, False)[1])
 
 
 def null_basis_mod(R: np.ndarray, pivots: List[int], l: int) -> np.ndarray:
     """Canonical nullspace basis from an RREF: one vector per free column f,
     with 1 at f and -R[i, f] at pivot column i."""
     n = R.shape[1]
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     N = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        N[idx, f] = 1
-        for i, p in enumerate(pivots):
-            N[idx, p] = (-int(R[i, f])) % l
+    N[np.arange(len(free)), free] = 1
+    N[:, pivots] = (-R[: len(pivots), free].T) % l
     return N
 
 
@@ -229,7 +296,7 @@ def certify_rank(
     rng = random.Random(seed)
     phi = len(_units(r))
 
-    l0, g0 = find_embedding_prime(r, rng) if r > 1 else (999999937, 1)
+    l0, g0 = find_embedding_prime(r, rng)
     M0 = evaluate_rows(rows, n_cols, l0, g0, r)
     rk0 = rank_mod(M0, l0)
     if rk0 == n_cols:
@@ -290,7 +357,8 @@ def _null_vector_certificate(
         if len(primes) >= 2:
             vectors = _lift_vectors(per_prime, n_null, n_cols, phi)
             if vectors is not None:
-                free = [c for c in range(n_cols) if c not in set(pivot_ref)]
+                pivot_set = set(pivot_ref)
+                free = [c for c in range(n_cols) if c not in pivot_set]
                 if _verify_null_vectors(rows, vectors, free, r):
                     return n_null, len(pivot_ref), primes
     raise _RetryNeeded

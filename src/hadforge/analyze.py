@@ -32,7 +32,7 @@ from .matrices import (
     is_unitary,
     to_complex,
 )
-from .mub import complete_mub_set
+from .mub import MubSet, complete_mub_set
 
 # float rank cut: tau = sigma_max * max(m, n) * eps * 64; the verdict is
 # refused when any singular value lands within GAP_FACTOR of the cut
@@ -304,12 +304,12 @@ class SearchResult:
     partial: bool
 
 
-def _candidate_assignments(p: int, q: int):
+def _candidate_assignments(p: int, mub: MubSet):
     """Canonical enumeration with K0 = I and L0 = F pinned: the free slots
     are sorted multisets over {I, H1..H_{q-1}} and {F, H1..H_{q-1}}; a
     Fourier-conjugate label shared by both sides breaks unitarity, so those
     pairs are skipped."""
-    mub = complete_mub_set(q)
+    q = mub.q
     n_h = len(mub.labels) - 2
     choices = list(range(n_h + 1))  # 0 = I or F, j >= 1 = Hj
     for kc in itertools.combinations_with_replacement(choices, p - 1):
@@ -348,11 +348,15 @@ def assignment_search(
     Classes are keyed by (Haagerup fingerprint, defect); `budget` caps the
     number of assignments examined and `time_limit` (seconds) caps wall
     time — hitting either flags the result as partial.  Output order is the
-    canonical enumeration order.
+    canonical enumeration order.  Bad orders raise ValueError before any
+    work: p < 1, or a q that is not prime (NotPrimeError).
     """
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    mub = complete_mub_set(q)
     deadline = time.monotonic() + time_limit if time_limit else None
     cache: dict = {}
-    gen = _candidate_assignments(p, q)
+    gen = _candidate_assignments(p, mub)
     findings: List[SearchFinding] = []
     classes: List[Tuple[str, int]] = []
     seen: set = set()

@@ -104,17 +104,18 @@ def _cmd_butson(args) -> int:
     H = _read_matrix(args.matrix)
     if isinstance(H, ComplexMatrix) and args.exact:
         raise SystemExit("--exact needs an exponent-form matrix")
+    if isinstance(H, ComplexMatrix) and args.root is None:
+        raise SystemExit("float input: supply --root to test a specific type")
+    try:
+        ok = args.root is None or is_butson(H, args.root)
+    except ValueError as exc:
+        raise SystemExit(f"--root: {exc}")
     if isinstance(H, ComplexMatrix):
-        if args.root is None:
-            raise SystemExit("float input: supply --root to test a specific type")
-        ok = is_butson(H, args.root)
         _emit({"is_butson": ok, "root": args.root, "d": H.d}, args.output)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     root, _ = butson_min_root(H)
     out = {"min_root": root, "d": H.d}
-    ok = True
     if args.root is not None:
-        ok = args.root % root == 0
         out["root"] = args.root
         out["is_butson"] = ok
     _emit(out, args.output)
@@ -217,9 +218,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    res = assignment_search(
-        args.p, args.q, budget=args.budget, time_limit=args.time_limit
-    )
+    try:
+        res = assignment_search(
+            args.p, args.q, budget=args.budget, time_limit=args.time_limit
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     out = {
         "p": args.p,
         "q": args.q,

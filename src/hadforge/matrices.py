@@ -333,7 +333,10 @@ def butson_min_root(H: ExponentMatrix) -> Tuple[int, ExponentMatrix]:
 
 
 def is_butson(H: Matrix, r: int) -> bool:
-    """True when every entry is an r-th root of unity (times 1/sqrt(d))."""
+    """True when every entry is an r-th root of unity (times 1/sqrt(d)).
+    Raises ValueError for r < 1, which is no root order."""
+    if r < 1:
+        raise ValueError(f"root order must be at least 1, got {r}")
     if isinstance(H, ExponentMatrix):
         root, _ = butson_min_root(H)
         return r % root == 0

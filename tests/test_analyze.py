@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from hadforge._exactrank import (
     certify_rank,
     find_embedding_prime,
+    null_basis_mod,
+    rank_mod,
     rational_reconstruct,
+    rref_mod,
 )
 from hadforge.analyze import (
     DefectReport,
@@ -280,6 +283,137 @@ class TestExactRank:
     def test_certification_is_deterministic(self):
         rows = sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert certify_rank(rows, 3, 1) == certify_rank(rows, 3, 1)
+
+
+# ----------------------------------------------------------------------
+# panel elimination kernel against the column-at-a-time reference
+# ----------------------------------------------------------------------
+
+def reference_rref_mod(M, l):
+    """Reference RREF over F_l, one column at a time over full rows, with the
+    kernel's pivot rule (leftmost column, first nonzero row)."""
+    R = M % l
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(R[row:, col])[0]
+        if nz.size == 0:
+            continue
+        sel = row + int(nz[0])
+        if sel != row:
+            R[[row, sel]] = R[[sel, row]]
+        inv = pow(int(R[row, col]), l - 2, l)
+        R[row] = R[row] * inv % l
+        colvals = R[:, col].copy()
+        colvals[row] = 0
+        mask = np.nonzero(colvals)[0]
+        if mask.size:
+            R[mask] = (R[mask] - np.outer(colvals[mask], R[row])) % l
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def reference_rank_mod(M, l):
+    """Reference row echelon rank over F_l, one column at a time."""
+    R = M % l
+    m, n = R.shape
+    rank = 0
+    for col in range(n):
+        if rank >= m:
+            break
+        nz = np.nonzero(R[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        sel = rank + int(nz[0])
+        if sel != rank:
+            R[[rank, sel]] = R[[sel, rank]]
+        inv = pow(int(R[rank, col]), l - 2, l)
+        R[rank] = R[rank] * inv % l
+        below = R[rank + 1 :, col].copy()
+        mask = np.nonzero(below)[0]
+        if mask.size:
+            R[rank + 1 + mask] = (R[rank + 1 + mask] - np.outer(below[mask], R[rank])) % l
+        rank += 1
+    return rank
+
+
+def reference_null_basis(R, pivots, l):
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in set(pivots)]
+    N = np.zeros((len(free), n), dtype=np.int64)
+    for idx, f in enumerate(free):
+        N[idx, f] = 1
+        for i, p in enumerate(pivots):
+            N[idx, p] = (-int(R[i, f])) % l
+    return N
+
+
+# the largest primes below 2^25, the kernel's modulus bound
+TOP_PRIMES = (33554393, 33554383)
+
+
+def assert_kernel_matches_reference(M, l):
+    before = M.copy()
+    assert rank_mod(M, l) == reference_rank_mod(M.copy(), l)
+    R, pivots = rref_mod(M, l)
+    R_ref, pivots_ref = reference_rref_mod(M.copy(), l)
+    assert pivots == pivots_ref
+    assert R.dtype == R_ref.dtype and np.array_equal(R, R_ref)
+    assert np.array_equal(M, before)
+    N = null_basis_mod(R, pivots, l)
+    assert np.array_equal(N, reference_null_basis(R, pivots, l))
+    assert not (M @ N.T % l).any()  # at most 600 products below 2^50: no overflow
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.sampled_from(TOP_PRIMES),
+    m=st.one_of(st.integers(1, 12), st.integers(200, 320)),
+    n=st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 511, 512, 513, 600])),
+    deficient=st.booleans(),
+    zero_cols=st.integers(0, 6),
+    dup_rows=st.integers(0, 6),
+)
+@settings(max_examples=30, deadline=None)
+def test_panel_kernel_matches_reference(seed, l, m, n, deficient, zero_cols, dup_rows):
+    rng = np.random.default_rng(seed)
+    if deficient:
+        k = int(rng.integers(0, min(m, n) + 1))
+        B = rng.integers(0, l, (m, k))
+        C = rng.integers(0, l, (k, n))
+        M = (B @ C) % l  # k < 2^13 products below 2^50: no int64 overflow
+    else:
+        M = rng.integers(0, l, (m, n))
+    M[:, rng.integers(0, n, zero_cols)] = 0
+    M[rng.integers(0, m, dup_rows)] = M[rng.integers(0, m)]
+    assert_kernel_matches_reference(M, l)
+
+
+@pytest.mark.parametrize("shape", [(300, 577), (577, 300)])
+def test_panel_kernel_at_the_largest_entries(shape):
+    # every entry l - 1 at the largest allowed prime, then the same with a
+    # zero diagonal (full rank), so the trailing dgemms see maximal operands;
+    # 577 columns leave a last trailing block one column wide
+    l = TOP_PRIMES[0]
+    M = np.full(shape, l - 1, dtype=np.int64)
+    assert_kernel_matches_reference(M, l)
+    np.fill_diagonal(M, 0)
+    assert_kernel_matches_reference(M, l)
+    assert rank_mod(M, l) == min(shape)
+
+
+def test_kernel_refuses_moduli_beyond_its_bound():
+    M = np.eye(3, dtype=np.int64)
+    assert rank_mod(M, TOP_PRIMES[0]) == 3
+    for l in (2**25, 33554467, 999999937):
+        with pytest.raises(ValueError):
+            rank_mod(M, l)
+        with pytest.raises(ValueError):
+            rref_mod(M, l)
 
 
 # ----------------------------------------------------------------------

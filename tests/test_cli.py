@@ -125,6 +125,13 @@ class TestButson:
         code, _, err = run(capsys, "butson", f4_float, "--exact")
         assert code == 2
 
+    @pytest.mark.parametrize("root", ["0", "-4"])
+    def test_root_below_one_is_usage_error(self, capsys, f4, f4_float, root):
+        for path in (f4, f4_float):
+            code, out, err = run(capsys, "butson", path, "--root", root)
+            assert code == 2 and out == ""
+            assert err.startswith("hadforge:") and err.count("\n") == 1
+
 
 class TestHaagerup:
     def test_exact_members(self, capsys, tmp_path):
@@ -233,6 +240,18 @@ def test_search_smallest(capsys):
     assert code == 0
     assert out["examined"] == 3 and out["isolated"] == []
     assert out["partial"] is False
+
+
+def test_search_composite_q_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "2", "4")
+    assert code == 2 and out == ""
+    assert err == "hadforge: 4 is not prime\n"
+
+
+def test_search_p_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "0", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("hadforge:") and err.count("\n") == 1
 
 
 def test_compare(capsys, tmp_path):

@@ -87,6 +87,13 @@ def test_is_butson_divisibility():
     assert is_butson(to_complex(F(4)), 4)
 
 
+@pytest.mark.parametrize("r", [0, -4])
+def test_is_butson_refuses_root_below_one(r):
+    for H in (F(5), to_complex(F(5))):
+        with pytest.raises(ValueError):
+            is_butson(H, r)
+
+
 # --- moves ------------------------------------------------------------
 
 @given(data=st.data())
