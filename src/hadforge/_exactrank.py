@@ -24,8 +24,16 @@ is below 2^25 (`find_embedding_prime` draws from [2^24, 2^25)): the right
 operand is split into a 12-bit low and a 13-bit high limb, so a dot product
 sums at most 256 terms below 2^25 * 2^13, i.e. stays below 2^46 < 2^53.
 
-Rows are sparse: a row is a list of (column, [(exponent, coeff), ...]) pairs,
-each term meaning coeff * omega_r^exponent.
+The elimination delays its reductions mod l.  At each pivot it reduces only
+what it reads: the pivot column before the pivot search (and, for the RREF,
+the entries above the pivot), and the pivot row before scaling it.  The row
+updates themselves are not reduced; the panel is reduced once before it is
+written back.  Every update subtracts a product of two reduced entries, at
+most (l-1)^2 < 2^50, and an entry takes at most one update per pivot of its
+panel, so it stays within 2^25 + 256 * 2^50 < 2^63 in absolute value.
+
+A system is a `System` of flat integer arrays with one element per term:
+term j adds coeff[j] * omega_r^exp[j] to entry (row[j], col[j]).
 """
 
 from __future__ import annotations
@@ -33,13 +41,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .cyclotomic import vanishes
 
-SparseRow = List[Tuple[int, List[Tuple[int, int]]]]
+
+class System(NamedTuple):
+    """A system over Z[omega_r] with n_rows rows, one array element per term."""
+
+    n_rows: int
+    row: np.ndarray
+    col: np.ndarray
+    exp: np.ndarray
+    coeff: np.ndarray
+
 
 # Every modulus is below _MODULUS_BOUND, so that each dgemm of _apply_panel
 # is exact.  A system of at most _PANEL columns is one panel, with no
@@ -48,6 +65,8 @@ _MODULUS_BOUND = 1 << 25
 _PANEL = 256
 _BLOCK = 64
 _LIMB = 12
+# the unreduced panel entries of _echelon must fit in int64
+assert _PANEL * (_MODULUS_BOUND - 1) ** 2 + _MODULUS_BOUND < 2**63
 
 
 class RankCertificationError(RuntimeError):
@@ -107,32 +126,29 @@ def _element_of_order(r: int, l: int, rng: random.Random) -> Optional[int]:
     return None
 
 
-def evaluate_rows(
-    rows: Sequence[SparseRow], n_cols: int, l: int, g: int, r: int
-) -> np.ndarray:
-    """Dense int64 image of the sparse system under omega -> g (mod l)."""
+def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.ndarray:
+    """Dense int64 image of the system under omega -> g (mod l)."""
     pow_table = [1] * r
     for k in range(1, r):
         pow_table[k] = pow_table[k - 1] * g % l
-    M = np.zeros((len(rows), n_cols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for col, terms in row:
-            acc = 0
-            for e, c in terms:
-                acc += c * pow_table[e % r]
-            M[i, col] = (M[i, col] + acc) % l
-    return M
+    terms = system.coeff % l * np.array(pow_table, dtype=np.int64)[system.exp % r] % l
+    cells = system.row * n_cols + system.col
+    M = np.zeros(system.n_rows * n_cols, dtype=np.int64)
+    np.add.at(M, cells, terms)  # below 2^38 terms of a cell: no overflow
+    M[cells] %= l
+    return M.reshape(system.n_rows, n_cols)
 
 
 def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
     """Row echelon form of M over F_l by column panels; M is not mutated.
 
     Pivot rule: leftmost column, first nonzero row.  Inside a panel the
-    elimination runs column by column in int64, and the row operations are
-    recorded as coefficients on the panel's pivot rows, one column per
-    pivot (the block W).  The trailing columns then take W in float64
-    dgemms.  With `reduced`, rows above each pivot are cleared too and R is
-    the unique RREF.  Returns (R, pivot_columns).
+    elimination runs column by column in int64, reducing mod l only the
+    entries it reads, and the row operations are recorded as coefficients
+    on the panel's pivot rows, one column per pivot (the block W).  The
+    trailing columns then take W in float64 dgemms.  With `reduced`, rows
+    above each pivot are cleared too and R is the unique RREF.  Returns
+    (R, pivot_columns).
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
@@ -158,13 +174,15 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
         for c in range(w):
             if row >= A.shape[0]:
                 break
+            lo = 0 if reduced else row  # the rows that column c updates
+            A[lo:, c] %= l
             nz = np.flatnonzero(A[row:, c])
             if nz.size == 0:
                 continue
             sel = row + int(nz[0])
             if sel != row:
-                A[[row, sel]] = A[[sel, row]]
-                perm[[row, sel]] = perm[[sel, row]]
+                A[row], A[sel] = A[sel], A[row].copy()
+                perm[row], perm[sel] = perm[sel], perm[row]
             end = w
             if trailing:
                 # the trailing part of a row is its own original row, unless
@@ -172,18 +190,17 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
                 # this row is pivot t, and its own row a term of W
                 A[row, w + t] = 1
                 end = w + t + 1
-            A[row, c:end] = A[row, c:end] * pow(int(A[row, c]), l - 2, l) % l
-            lo = 0 if reduced else row + 1
+            A[row, c:end] = A[row, c:end] % l * pow(int(A[row, c]), -1, l) % l
             idx = lo + np.flatnonzero(A[lo:, c])
             idx = idx[idx != row]
             if idx.size:
                 U = A[idx, c:end]
                 U -= np.outer(U[:, 0], A[row, c:end])
-                U %= l
                 A[idx, c:end] = U
             pivots.append(c0 + c)
             row += 1
             t += 1
+        A %= l
         if trailing and t:
             R[first:, c0:c1] = A[:, :w]
             W = A[:, w : w + t].astype(np.float64)
@@ -282,13 +299,13 @@ def _units(r: int) -> List[int]:
 
 
 def certify_rank(
-    rows: Sequence[SparseRow],
+    system: System,
     n_cols: int,
     r: int,
     max_primes: int = 8,
     seed: int = 20120521,
 ) -> Tuple[int, dict]:
-    """Exact rank of the sparse system over Q(omega_r), with evidence.
+    """Exact rank of the system over Q(omega_r), with evidence.
 
     Returns (rank, evidence); evidence records the primes used, pivot count,
     and the number of exactly verified null vectors (when rank < n_cols).
@@ -297,7 +314,7 @@ def certify_rank(
     phi = len(_units(r))
 
     l0, g0 = find_embedding_prime(r, rng)
-    M0 = evaluate_rows(rows, n_cols, l0, g0, r)
+    M0 = evaluate_rows(system, n_cols, l0, g0, r)
     rk0 = rank_mod(M0, l0)
     if rk0 == n_cols:
         return n_cols, {"pivot_count": rk0, "primes": [l0], "null_vectors": 0}
@@ -308,7 +325,7 @@ def certify_rank(
         attempts += 1
         try:
             nverified, pivots, primes = _null_vector_certificate(
-                rows, n_cols, r, phi, rng, max_primes
+                system, n_cols, r, phi, rng, max_primes
             )
         except _RetryNeeded:
             continue
@@ -328,7 +345,7 @@ class _RetryNeeded(Exception):
 
 
 def _null_vector_certificate(
-    rows: Sequence[SparseRow],
+    system: System,
     n_cols: int,
     r: int,
     phi: int,
@@ -343,7 +360,7 @@ def _null_vector_certificate(
 
     for _ in range(max_primes):
         l, g = find_embedding_prime(r, rng)
-        coeffs = _null_coeffs_one_prime(rows, n_cols, r, units, l, g)
+        coeffs = _null_coeffs_one_prime(system, n_cols, r, units, l, g)
         if coeffs is None:
             raise _RetryNeeded  # mod-l pivot set unstable at this prime
         pivots, C = coeffs
@@ -359,13 +376,13 @@ def _null_vector_certificate(
             if vectors is not None:
                 pivot_set = set(pivot_ref)
                 free = [c for c in range(n_cols) if c not in pivot_set]
-                if _verify_null_vectors(rows, vectors, free, r):
+                if _verify_null_vectors(system, vectors, free, r):
                     return n_null, len(pivot_ref), primes
     raise _RetryNeeded
 
 
 def _null_coeffs_one_prime(
-    rows, n_cols, r, units, l, g
+    system, n_cols, r, units, l, g
 ) -> Optional[Tuple[Tuple[int, ...], np.ndarray]]:
     """Nullspace entry coefficients (power basis, length phi) mod one prime.
 
@@ -377,7 +394,7 @@ def _null_coeffs_one_prime(
     pivot_ref: Optional[Tuple[int, ...]] = None
     for t in units:
         gt = pow(g, t, l)
-        Mt = evaluate_rows(rows, n_cols, l, gt, r)
+        Mt = evaluate_rows(system, n_cols, l, gt, r)
         R, pivots = rref_mod(Mt, l)
         pv = tuple(pivots)
         if pivot_ref is None:
@@ -434,7 +451,7 @@ def _lift_vectors(
     return vectors
 
 
-def _verify_null_vectors(rows, vectors, free: List[int], r: int) -> bool:
+def _verify_null_vectors(system: System, vectors, free: List[int], r: int) -> bool:
     """Exact check that every reconstructed vector satisfies M . w = 0 in
     Z[omega_r], *and* that the family is linearly independent: vector #idx
     must be algebraically nonzero at its own free column and zero at every
@@ -444,19 +461,17 @@ def _verify_null_vectors(rows, vectors, free: List[int], r: int) -> bool:
     for idx, w in enumerate(vectors):
         if [any(w[f]) for f in free] != [jdx == idx for jdx in range(len(free))]:
             return False
-    terms = [(i, col, e % r, c) for i, row in enumerate(rows) for col, ts in row for e, c in ts]
-    if not terms or not vectors:
+    if not system.row.size or not vectors:
         return True
-    row_of, col_of, exp_of, coeff_of = (np.array(x) for x in zip(*terms))
     # (M . w)_i = sum over terms c * omega^e * w[col]: the term adds
     # c * w[col][k] to coefficient (e + k) mod r of row i
     W = np.zeros((len(vectors[0]), r), dtype=object)
-    targets = (row_of[:, None], (exp_of[:, None] + np.arange(r)) % r)
+    targets = (system.row[:, None], (system.exp[:, None] + np.arange(r)) % r)
     for w in vectors:
         for x, coeffs in enumerate(w):
             W[x, : len(coeffs)] = coeffs
-        acc = np.zeros((len(rows), r), dtype=object)
-        np.add.at(acc, targets, coeff_of[:, None] * W[col_of])
+        acc = np.zeros((system.n_rows, r), dtype=object)
+        np.add.at(acc, targets, system.coeff[:, None] * W[system.col])
         if not vanishes(acc, r).all():
             return False
     return True

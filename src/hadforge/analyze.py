@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._exactrank import certify_rank
+from ._exactrank import System, certify_rank
 from .construct import BlockAssignment, theorem1_build
 from .cyclotomic import RootExponent
 from .matrices import (
@@ -70,44 +70,51 @@ def _float_system(Hc: np.ndarray) -> np.ndarray:
     """First-order unitarity system at a dephased matrix: variables R[i,k]
     (i, k >= 1), one Re and one Im row per row pair (u < v)."""
     d = Hc.shape[0]
-    n = (d - 1) ** 2
-    M = np.zeros((d * (d - 1), n))
-    row = 0
-    for u in range(d):
-        su = slice((u - 1) * (d - 1), u * (d - 1))
-        for v in range(u + 1, d):
-            c = Hc[u] * np.conj(Hc[v])
-            sv = slice((v - 1) * (d - 1), v * (d - 1))
-            if u >= 1:
-                M[row, su] = c[1:].real
-                M[row + 1, su] = c[1:].imag
-            M[row, sv] -= c[1:].real
-            M[row + 1, sv] -= c[1:].imag
-            row += 2
-    return M
+    iu, iv = np.triu_indices(d, 1)
+    c = (Hc[iu] * np.conj(Hc[iv]))[:, 1:]
+    parts = np.stack([c.real, c.imag], axis=1)  # (pair, Re/Im, k)
+    # rows (pair, Re/Im) by columns (i - 1, k) for the variable R[i, k]
+    M = np.zeros((iu.size, 2, d - 1, d - 1))
+    pair = np.arange(iu.size)
+    has_u = iu >= 1
+    M[pair[has_u], :, iu[has_u] - 1] = parts[has_u]
+    M[pair, :, iv - 1] -= parts  # 0.0 - x, not -x: zeros keep their sign
+    return M.reshape(d * (d - 1), (d - 1) ** 2)
 
 
-def _exact_rows(E: Sequence[Sequence[int]], r: int, d: int):
+# coefficients of omega^delta and omega^-delta, by row (plus, minus) and by
+# the side (u, v) of the row pair that the column belongs to
+_EXACT_COEFFS = np.array([[[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
+
+
+def _exact_rows(E: Sequence[Sequence[int]], r: int, d: int) -> System:
     """Same system over Z[omega_r]: the Re/Im split is rescaled to the
     conjugation-symmetric pair omega^delta +/- omega^-delta, which spans the
-    same row space (diagonal scaling by 2 and 2i), so ranks agree."""
-    rows = []
-    for u in range(d):
-        for v in range(u + 1, d):
-            plus, minus = [], []
-            for k in range(1, d):
-                delta = (E[u][k] - E[v][k]) % r
-                nd = (-delta) % r
-                col_v = (v - 1) * (d - 1) + k - 1
-                if u >= 1:
-                    col_u = (u - 1) * (d - 1) + k - 1
-                    plus.append((col_u, [(delta, 1), (nd, 1)]))
-                    minus.append((col_u, [(delta, 1), (nd, -1)]))
-                plus.append((col_v, [(delta, -1), (nd, -1)]))
-                minus.append((col_v, [(delta, -1), (nd, 1)]))
-            rows.append(plus)
-            rows.append(minus)
-    return rows
+    same row space (diagonal scaling by 2 and 2i), so ranks agree.
+
+    Terms run over (pair, plus/minus row, k, side u/v, delta/-delta), with
+    the u side dropped for u = 0, whose R[0, k] are not variables."""
+    E = np.asarray(E, dtype=np.int64)
+    iu, iv = np.triu_indices(d, 1)
+    delta = (E[iu, 1:] - E[iv, 1:]) % r
+    block = np.stack([iu, iv], axis=1) - 1
+    shape = (iu.size, 2, d - 1, 2, 2)
+    keep = np.ones(shape, dtype=bool)
+    keep[iu == 0, :, :, 0] = False
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a, shape)[keep]
+
+    row = 2 * np.arange(iu.size)[:, None] + np.arange(2)
+    col = block[:, None, :] * (d - 1) + np.arange(d - 1)[:, None]
+    exp = np.stack([delta, -delta % r], axis=-1)
+    return System(
+        d * (d - 1),
+        flat(row[:, :, None, None, None]),
+        flat(col[:, None, :, :, None]),
+        flat(exp[:, None, :, None, :]),
+        flat(_EXACT_COEFFS[None, :, None]),
+    )
 
 
 def _defect_float(Hc: np.ndarray) -> DefectReport:
@@ -143,8 +150,7 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
     n = (d - 1) ** 2
     if n == 0:
         return DefectReport(0, 0, 0, "exact", {"root": r})
-    rows = _exact_rows(E.exp, r, d)
-    rank, ev = certify_rank(rows, n, r)
+    rank, ev = certify_rank(_exact_rows(E.exp, r, d), n, r)
     ev["root"] = r
     return DefectReport(n - rank, n, rank, "exact", ev)
 
@@ -347,22 +353,31 @@ def assignment_search(
 
     Classes are keyed by (Haagerup fingerprint, defect); `budget` caps the
     number of assignments examined and `time_limit` (seconds) caps wall
-    time — hitting either flags the result as partial.  Output order is the
-    canonical enumeration order.  Bad orders raise ValueError before any
-    work: p < 1, or a q that is not prime (NotPrimeError).
+    time — stopping short of the end for either flags the result as
+    partial.  Output order is the canonical enumeration order.  Bad input
+    raises ValueError before any work: p < 1, a q that is not prime
+    (NotPrimeError), or a negative budget or time limit.
     """
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be non-negative, got {time_limit}")
     mub = complete_mub_set(q)
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     cache: dict = {}
-    gen = _candidate_assignments(p, mub)
     findings: List[SearchFinding] = []
     classes: List[Tuple[str, int]] = []
     seen: set = set()
     examined = 0
     partial = False
-    for a in gen:
+    for a in _candidate_assignments(p, mub):
+        if (budget is not None and examined >= budget) or (
+            deadline is not None and time.monotonic() >= deadline
+        ):
+            partial = True
+            break
         root, fp, rep = _examine(a, cache)
         examined += 1
         key = (fp, rep.defect)
@@ -371,9 +386,4 @@ def assignment_search(
             classes.append(key)
             if rep.defect == 0:
                 findings.append(SearchFinding(a, rep, root, fp))
-        if (budget is not None and examined >= budget) or (
-            deadline is not None and time.monotonic() > deadline
-        ):
-            partial = next(gen, None) is not None
-            break
     return SearchResult(findings, classes, examined, partial)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadforge import catalog
 from hadforge._exactrank import (
+    System,
     certify_rank,
+    evaluate_rows,
     find_embedding_prime,
     null_basis_mod,
     rank_mod,
@@ -17,6 +20,11 @@ from hadforge._exactrank import (
 from hadforge.analyze import (
     DefectReport,
     IndeterminateRankError,
+    _candidate_assignments,
+    _defect_exact,
+    _defect_float,
+    _exact_rows,
+    _float_system,
     assignment_search,
     defect,
     fingerprint,
@@ -28,12 +36,13 @@ from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.cyclotomic import RootExponent
 from hadforge.matrices import (
     apply_equivalence,
+    butson_min_root,
     dephase,
     random_move,
     tensor,
     to_complex,
 )
-from hadforge.mub import fourier
+from hadforge.mub import complete_mub_set, fourier
 
 
 def build(p, q, K, L):
@@ -200,6 +209,14 @@ def sparse_from_dense(rows_int):
     ]
 
 
+def system_from_rows(rows):
+    """The System of sparse rows, each a list of (column, [(exponent, coeff),
+    ...]) pairs, with the terms in row, column and term order."""
+    terms = [(i, col, e, c) for i, row in enumerate(rows) for col, ts in row for e, c in ts]
+    columns = zip(*terms) if terms else ([],) * 4
+    return System(len(rows), *(np.array(x, dtype=np.int64) for x in columns))
+
+
 def fraction_rank(rows_int):
     m = [[Fraction(v) for v in row] for row in rows_int]
     rank = 0
@@ -247,13 +264,13 @@ class TestExactRank:
         C = [[rng.randrange(-4, 5) for _ in range(5)] for _ in range(3)]
         prod = [[sum(B[i][k] * C[k][j] for k in range(3)) for j in range(5)] for i in range(6)]
         expected = fraction_rank(prod)
-        rank, ev = certify_rank(sparse_from_dense(prod), 5, 1)
+        rank, ev = certify_rank(system_from_rows(sparse_from_dense(prod)), 5, 1)
         assert rank == expected
         assert ev["pivot_count"] + ev["null_vectors"] == 5
 
     def test_full_rank_shortcut(self):
         ident = sparse_from_dense([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        rank, ev = certify_rank(ident, 4, 1)
+        rank, ev = certify_rank(system_from_rows(ident), 4, 1)
         assert rank == 4 and ev["null_vectors"] == 0
 
     def test_planted_rank_gaussian_integers(self):
@@ -276,12 +293,12 @@ class TestExactRank:
                 if any(acc):
                     entries.append((j, [(e, c) for e, c in enumerate(acc) if c]))
             rows.append(entries)
-        rank, ev = certify_rank(rows, 5, 4)
+        rank, ev = certify_rank(system_from_rows(rows), 5, 4)
         assert rank == 2
         assert ev["null_vectors"] == 3 and len(ev["primes"]) >= 2
 
     def test_certification_is_deterministic(self):
-        rows = sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        rows = system_from_rows(sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
         assert certify_rank(rows, 3, 1) == certify_rank(rows, 3, 1)
 
 
@@ -417,6 +434,153 @@ def test_kernel_refuses_moduli_beyond_its_bound():
 
 
 # ----------------------------------------------------------------------
+# defect systems from the exponent grid against the loop references
+# ----------------------------------------------------------------------
+
+def reference_float_system(Hc):
+    """Reference float system, one row pair (u < v) at a time."""
+    d = Hc.shape[0]
+    M = np.zeros((d * (d - 1), (d - 1) ** 2))
+    row = 0
+    for u in range(d):
+        su = slice((u - 1) * (d - 1), u * (d - 1))
+        for v in range(u + 1, d):
+            c = Hc[u] * np.conj(Hc[v])
+            sv = slice((v - 1) * (d - 1), v * (d - 1))
+            if u >= 1:
+                M[row, su] = c[1:].real
+                M[row + 1, su] = c[1:].imag
+            M[row, sv] -= c[1:].real
+            M[row + 1, sv] -= c[1:].imag
+            row += 2
+    return M
+
+
+def reference_exact_rows(E, r, d):
+    """Reference exact system as sparse rows, one row pair at a time."""
+    rows = []
+    for u in range(d):
+        for v in range(u + 1, d):
+            plus, minus = [], []
+            for k in range(1, d):
+                delta = (E[u][k] - E[v][k]) % r
+                nd = (-delta) % r
+                col_v = (v - 1) * (d - 1) + k - 1
+                if u >= 1:
+                    col_u = (u - 1) * (d - 1) + k - 1
+                    plus.append((col_u, [(delta, 1), (nd, 1)]))
+                    minus.append((col_u, [(delta, 1), (nd, -1)]))
+                plus.append((col_v, [(delta, -1), (nd, -1)]))
+                minus.append((col_v, [(delta, -1), (nd, 1)]))
+            rows.append(plus)
+            rows.append(minus)
+    return rows
+
+
+def reference_evaluate_rows(rows, n_cols, l, g, r):
+    """Reference dense image of sparse rows, one term at a time."""
+    pow_table = [1] * r
+    for k in range(1, r):
+        pow_table[k] = pow_table[k - 1] * g % l
+    M = np.zeros((len(rows), n_cols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for col, terms in row:
+            acc = 0
+            for e, c in terms:
+                acc += c * pow_table[e % r]
+            M[i, col] = (M[i, col] + acc) % l
+    return M
+
+
+def sorted_terms(system):
+    terms = np.stack(system[1:], axis=1)
+    return terms[np.lexsort(terms.T[::-1])]
+
+
+def assert_systems_match_references(E, r, d, rng):
+    system = _exact_rows(E, r, d)
+    rows = reference_exact_rows(E, r, d)
+    assert system.n_rows == len(rows) == d * (d - 1)
+    assert np.array_equal(sorted_terms(system), sorted_terms(system_from_rows(rows)))
+    n = (d - 1) ** 2
+    l, g = find_embedding_prime(r, rng)
+    M = evaluate_rows(system, n, l, g, r)
+    M_ref = reference_evaluate_rows(rows, n, l, g, r)
+    assert M.dtype == M_ref.dtype and np.array_equal(M, M_ref)
+    Hc = np.exp(2j * np.pi * np.asarray(E) / r)
+    assert reference_float_system(Hc).tobytes() == _float_system(Hc).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    r=st.integers(1, 60),
+    dephased=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_systems_match_references_on_random_grids(seed, d, r, dephased):
+    rng = np.random.default_rng(seed)
+    E = rng.integers(-2 * r, 2 * r, (d, d))
+    if dephased:
+        E[0, :] = E[:, 0] = 0
+    assert_systems_match_references(E.tolist(), r, d, random.Random(seed))
+
+
+def test_evaluate_rows_reduces_terms_before_summing():
+    # 2^16 terms in one cell, each about 2^48 once its coefficient is taken
+    # mod l: their unreduced sum would overflow int64
+    rng = np.random.default_rng(5)
+    size = 2**16
+    r = 60
+    l, g = find_embedding_prime(r, random.Random(5))
+    exps = rng.integers(0, r, size)
+    coeffs = rng.choice([-1, -(2**40) - 3], size)
+    system = System(1, np.zeros(size, np.int64), np.zeros(size, np.int64), exps, coeffs)
+    expected = sum(int(c) * pow(g, int(e), l) for e, c in zip(exps, coeffs)) % l
+    assert evaluate_rows(system, 1, l, g, r).tolist() == [[expected]]
+
+
+def reduced_grid(H):
+    return butson_min_root(dephase(H)[0])[1]
+
+
+CATALOG_UP_TO_49 = [n for n in catalog.names() if catalog.entry(n).d <= 49]
+
+
+@pytest.mark.parametrize("name", CATALOG_UP_TO_49)
+def test_systems_match_references_on_catalog_grids(name):
+    H = reduced_grid(catalog.load(name))
+    assert_systems_match_references(H.exp, H.r, H.d, random.Random(name))
+
+
+def assert_defects_agree(H):
+    """Exact and float defects agree wherever the float verdict is decisive."""
+    exact = _defect_exact(H)
+    try:
+        approx = _defect_float(to_complex(H).entries)
+    except IndeterminateRankError:
+        return
+    assert approx.defect == exact.defect
+
+
+@given(
+    name=st.sampled_from([n for n in CATALOG_UP_TO_49 if catalog.entry(n).d <= 15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_exact_and_float_defects_agree_on_moved_catalog_grids(name, seed):
+    H = catalog.load(name)
+    moved = apply_equivalence(H, random_move(H.d, 2 * H.r, random.Random(seed)))
+    assert_defects_agree(reduced_grid(moved))
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
+def test_exact_and_float_defects_agree_on_search_grids(p, q):
+    for a in _candidate_assignments(p, complete_mub_set(q)):
+        assert_defects_agree(reduced_grid(theorem1_build(a, mode="exact")))
+
+
+# ----------------------------------------------------------------------
 # assignment search
 # ----------------------------------------------------------------------
 
@@ -430,6 +594,23 @@ class TestSearch:
     def test_budget_marks_partial(self):
         res = assignment_search(3, 3, budget=2)
         assert res.examined == 2 and res.partial
+
+    def test_budget_of_the_whole_enumeration_is_not_partial(self):
+        res = assignment_search(2, 3, budget=7)
+        assert res.examined == 7 and not res.partial
+
+    @pytest.mark.parametrize("limit", [{"budget": 0}, {"time_limit": 0}])
+    def test_zero_budget_or_time_limit_examines_nothing(self, limit):
+        res = assignment_search(2, 3, **limit)
+        assert res.examined == 0 and res.partial
+        assert res.classes == [] and res.findings == []
+
+    @pytest.mark.parametrize(
+        "limit", [{"budget": -1}, {"time_limit": -1.0}, {"time_limit": float("nan")}]
+    )
+    def test_negative_budget_or_time_limit_is_refused(self, limit):
+        with pytest.raises(ValueError):
+            assignment_search(2, 3, **limit)
 
     def test_known_isolated_class_found(self):
         res = assignment_search(3, 3)

@@ -242,6 +242,27 @@ def test_search_smallest(capsys):
     assert out["partial"] is False
 
 
+@pytest.mark.parametrize("limit", ["--budget", "--time-limit"])
+def test_search_zero_limit_examines_nothing(capsys, limit):
+    code, out = jrun(capsys, "search", "2", "3", limit, "0")
+    assert code == 0
+    assert out["examined"] == 0 and out["partial"] is True
+    assert out["classes"] == [] and out["isolated"] == []
+
+
+@pytest.mark.parametrize(
+    "limit,message",
+    [
+        ("--budget", "budget must be non-negative, got -1"),
+        ("--time-limit", "time limit must be non-negative, got -1.0"),
+    ],
+)
+def test_search_negative_limit_is_usage_error(capsys, limit, message):
+    code, out, err = run(capsys, "search", "2", "3", limit, "-1")
+    assert code == 2 and out == ""
+    assert err == f"hadforge: {message}\n"
+
+
 def test_search_composite_q_is_usage_error(capsys):
     code, out, err = run(capsys, "search", "2", "4")
     assert code == 2 and out == ""
