@@ -9,7 +9,7 @@ unconditional bounds:
 * upper bound — exhibit null vectors.  The canonical reduced-echelon null
   basis is recovered by evaluating at all phi(r) conjugate embeddings
   omega -> g^t, interpolating the power-basis coefficients of each entry
-  (a Vandermonde solve per prime), lifting by CRT over several primes,
+  (one Vandermonde inverse per prime), lifting by CRT over several primes,
   rational reconstruction, and finally an exact M . w = 0 check back in
   Z[omega_r].  Nothing is trusted until that last algebraic check passes.
 
@@ -174,8 +174,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
         for c in range(w):
             if row >= A.shape[0]:
                 break
-            lo = 0 if reduced else row  # the rows that column c updates
-            A[lo:, c] %= l
+            A[row:, c] %= l
             nz = np.flatnonzero(A[row:, c])
             if nz.size == 0:
                 continue
@@ -183,6 +182,12 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
             if sel != row:
                 A[row], A[sel] = A[sel], A[row].copy()
                 perm[row], perm[sel] = perm[sel], perm[row]
+            # the swap moved a zero to sel, so the rows below to update are
+            # row + nz[1:]
+            idx = row + nz[1:]
+            if reduced:
+                A[:row, c] %= l
+                idx = np.concatenate((np.flatnonzero(A[:row, c]), idx))
             end = w
             if trailing:
                 # the trailing part of a row is its own original row, unless
@@ -190,12 +195,13 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
                 # this row is pivot t, and its own row a term of W
                 A[row, w + t] = 1
                 end = w + t + 1
-            A[row, c:end] = A[row, c:end] % l * pow(int(A[row, c]), -1, l) % l
-            idx = lo + np.flatnonzero(A[lo:, c])
-            idx = idx[idx != row]
+            P = A[row, c:end]
+            P %= l
+            P *= pow(int(P[0]), -1, l)
+            P %= l
             if idx.size:
                 U = A[idx, c:end]
-                U -= np.outer(U[:, 0], A[row, c:end])
+                U -= np.outer(U[:, 0], P)
                 A[idx, c:end] = U
             pivots.append(c0 + c)
             row += 1
@@ -204,7 +210,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
         if trailing and t:
             R[first:, c0:c1] = A[:, :w]
             W = A[:, w : w + t].astype(np.float64)
-            del A  # the panel copy is written back; free it before the update
+            del A, P  # the panel copy, which P views, is written back: free it
             _apply_panel(R[first:, c1:], W, perm, top - first, l)
     return R, pivots
 
@@ -253,22 +259,6 @@ def null_basis_mod(R: np.ndarray, pivots: List[int], l: int) -> np.ndarray:
     N[np.arange(len(free)), free] = 1
     N[:, pivots] = (-R[: len(pivots), free].T) % l
     return N
-
-
-def _solve_mod(A: List[List[int]], b: List[int], l: int) -> List[int]:
-    """Dense Gaussian solve over F_l for the small Vandermonde systems."""
-    n = len(A)
-    M = [row[:] + [bv] for row, bv in zip(A, b)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] % l)
-        M[col], M[piv] = M[piv], M[col]
-        inv = pow(M[col][col], l - 2, l)
-        M[col] = [x * inv % l for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [(x - f * y) % l for x, y in zip(M[i], M[col])]
-    return [M[i][n] for i in range(n)]
 
 
 def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
@@ -390,6 +380,8 @@ def _null_coeffs_one_prime(
     interpolates sigma_t(b) = P_b(g^t) back to the coefficients of P_b.
     """
     phi = len(units)
+    # each interpolated coefficient sums phi products below (l-1)^2 in int64
+    assert phi * (l - 1) ** 2 < 2**63
     bases = []
     pivot_ref: Optional[Tuple[int, ...]] = None
     for t in units:
@@ -402,20 +394,14 @@ def _null_coeffs_one_prime(
         elif pv != pivot_ref:
             return None
         bases.append(null_basis_mod(R, pivots, l))
-    n_null = bases[0].shape[0]
-    V = [[pow(g, (t * j) % r if r > 1 else 0, l) for j in range(phi)] for t in units]
-    # interpolate every (vector, coordinate) pair
-    C = np.zeros((n_null, n_cols, phi), dtype=np.int64)
-    for v in range(n_null):
-        for x in range(n_cols):
-            vals = [int(bases[tidx][v, x]) for tidx in range(phi)]
-            if all(val == vals[0] for val in vals):
-                # constant across embeddings: rational entry, solve trivially
-                sol = [vals[0]] + [0] * (phi - 1)
-            else:
-                sol = _solve_mod(V, vals, l)
-            C[v, x] = sol
-    return pivot_ref, C
+    # V[t, j] = (g^t)^j is invertible mod l, its points g^t being distinct;
+    # a row of V^-1 against the phi values of an entry gives one coefficient
+    V = np.array(
+        [[pow(g, (t * j) % r if r > 1 else 0, l) for j in range(phi)] for t in units],
+        dtype=np.int64,
+    )
+    V_inv = rref_mod(np.hstack([V, np.eye(phi, dtype=np.int64)]), l)[0][:, phi:]
+    return pivot_ref, np.tensordot(np.stack(bases), V_inv, axes=(0, 1)) % l
 
 
 def _lift_vectors(

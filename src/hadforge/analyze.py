@@ -13,7 +13,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -218,13 +217,18 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
     if isinstance(H, ExponentMatrix):
         E = np.array(H.exp, dtype=np.int64)
         r = H.r
-        found: set = set()
+        # the quadruple phase of rows (i, k), columns (j, l) is the residue
+        # of D[k, j] - D[k, l] with D = E[i] - E (mod r); it is marked at
+        # D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds
+        dtype = np.min_scalar_type(2 * r - 1)
+        hit = np.zeros(2 * r, dtype=bool)
         for i in range(d):
-            D = (E[i][None, :] - E) % r
-            X = (D[:, :, None] - D[:, None, :]) % r
-            found.update(int(k) for k in np.unique(X))
-        pairs = {RootExponent(k, r).canonical() for k in found}
-        members = tuple(sorted(pairs, key=lambda p: Fraction(p[0], p[1])))
+            D = ((E[i] - E) % r).astype(dtype)
+            hit[D[:, :, None] + (r - D[:, None, :])] = True
+        # every member shares the root r, so increasing k is increasing k / r
+        members = tuple(
+            RootExponent(int(k), r).canonical() for k in np.flatnonzero(hit[:r] | hit[r:])
+        )
         return HaagerupSet(members=members, r=r)
     Hc = H.entries
     seen: set = set()

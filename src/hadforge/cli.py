@@ -69,7 +69,7 @@ def _read_assignment(spec: str) -> BlockAssignment:
             with open(spec) as fh:
                 obj = json.load(fh)
         return BlockAssignment.from_json(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"cannot read assignment from {spec!r}: {exc}")
 
 

@@ -16,6 +16,7 @@ all-identity "trivial" affine family, and the two block-tensor constructions
 from __future__ import annotations
 
 import cmath
+import operator
 import warnings
 from dataclasses import dataclass, field
 from math import lcm, sqrt
@@ -126,6 +127,8 @@ class BlockAssignment:
     L_labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.p < 1:
+            raise ValueError(f"p must be at least 1, got {self.p}")
         if len(self.K) != self.p or len(self.L) != self.p:
             raise ValueError("need exactly p bases on each side")
         for b in (*self.K, *self.L):
@@ -164,7 +167,7 @@ class BlockAssignment:
     @staticmethod
     def from_json(obj: dict, mub: Optional[MubSet] = None) -> "BlockAssignment":
         return BlockAssignment.from_labels(
-            int(obj["p"]), int(obj["q"]), obj["K"], obj["L"], mub
+            operator.index(obj["p"]), operator.index(obj["q"]), obj["K"], obj["L"], mub
         )
 
     def to_json(self) -> dict:

@@ -45,8 +45,11 @@ class ExponentMatrix:
     def __post_init__(self) -> None:
         try:
             d, r = operator.index(self.d), operator.index(self.r)
-            if r < 1:
-                raise ValueError(f"root order must be positive, got {r}")
+            if d < 1:
+                raise ValueError(f"order must be positive, got {d}")
+            if not 1 <= r < 2**63:
+                # exponent grids are handled as int64 arrays
+                raise ValueError(f"root order must be in [1, 2^63), got {r}")
             if len(self.exp) != d or any(len(row) != d for row in self.exp):
                 raise ValueError("exponent grid shape does not match order")
             exp = tuple(tuple(operator.index(e) % r for e in row) for row in self.exp)
@@ -445,7 +448,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         )
     if "re" in obj and "im" in obj:
         return ComplexMatrix(
-            int(obj["d"]), np.array(obj["re"]) + 1j * np.array(obj["im"])
+            operator.index(obj["d"]), np.array(obj["re"]) + 1j * np.array(obj["im"])
         )
     raise ValueError("unrecognized matrix JSON (want exponents or re/im)")
 

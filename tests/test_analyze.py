@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hadforge import catalog
 from hadforge._exactrank import (
     System,
+    _null_coeffs_one_prime,
+    _units,
     certify_rank,
     evaluate_rows,
     find_embedding_prime,
@@ -19,6 +21,7 @@ from hadforge._exactrank import (
 )
 from hadforge.analyze import (
     DefectReport,
+    HaagerupSet,
     IndeterminateRankError,
     _candidate_assignments,
     _defect_exact,
@@ -35,6 +38,7 @@ from hadforge.analyze import (
 from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.cyclotomic import RootExponent
 from hadforge.matrices import (
+    ExponentMatrix,
     apply_equivalence,
     butson_min_root,
     dephase,
@@ -163,6 +167,57 @@ class TestHaagerup:
         rng = random.Random(11)
         moved = apply_equivalence(SP10, random_move(10, 2 * SP10.r, rng))
         assert defect(moved, mode="float").defect == 8
+
+
+def reference_haagerup_set(H):
+    """Reference exact Haagerup set: every row's quadruple phases through
+    np.unique, members sorted by their turn fraction."""
+    d = H.d
+    E = np.array(H.exp, dtype=np.int64)
+    r = H.r
+    found = set()
+    for i in range(d):
+        D = (E[i][None, :] - E) % r
+        X = (D[:, :, None] - D[:, None, :]) % r
+        found.update(int(k) for k in np.unique(X))
+    pairs = {RootExponent(k, r).canonical() for k in found}
+    members = tuple(sorted(pairs, key=lambda p: Fraction(p[0], p[1])))
+    return HaagerupSet(members=members, r=r)
+
+
+def assert_haagerup_matches_reference(H):
+    got, ref = haagerup_set(H), reference_haagerup_set(H)
+    assert got.r == ref.r and got.members == ref.members
+    assert got.digest() == ref.digest()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 20),
+    r=st.integers(1, 400),
+    dephased=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_haagerup_set_matches_reference_on_random_grids(seed, d, r, dephased):
+    E = np.random.default_rng(seed).integers(-2 * r, 2 * r, (d, d))
+    if dephased:
+        E[0, :] = E[:, 0] = 0
+    assert_haagerup_matches_reference(ExponentMatrix(d, r, tuple(map(tuple, E.tolist()))))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_haagerup_set_matches_reference_on_catalog_grids(name):
+    assert_haagerup_matches_reference(catalog.load(name))
+
+
+@pytest.mark.parametrize("r", [128, 129, 32768, 32769])
+def test_haagerup_set_matches_reference_at_dtype_boundaries(r):
+    # the hit table's indices run up to 2r - 1 (255 and 257 straddle the
+    # uint8 limit, 65535 and 65537 the uint16 limit); rows 1 and 0 differ by
+    # 0 and r - 1, so the indices 1 and 2r - 1 are both hit
+    E = np.random.default_rng(r).integers(0, r, (6, 6))
+    E[:2, :2] = [[0, 1], [0, 0]]
+    assert_haagerup_matches_reference(ExponentMatrix(6, r, tuple(map(tuple, E.tolist()))))
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +478,17 @@ def test_panel_kernel_at_the_largest_entries(shape):
     assert rank_mod(M, l) == min(shape)
 
 
+def test_rref_pivot_after_a_swap_clears_rows_above_and_below():
+    # column 1 pivots on row 2, swapped up to row 1; row 0 above and row 3
+    # below it are nonzero there, row 4 is zero
+    M = np.array(
+        [[1, 2, 3, 4], [0, 0, 5, 6], [0, 4, 6, 7], [0, 7, 8, 1], [0, 0, 2, 9]],
+        dtype=np.int64,
+    )
+    for l in TOP_PRIMES:
+        assert_kernel_matches_reference(M, l)
+
+
 def test_kernel_refuses_moduli_beyond_its_bound():
     M = np.eye(3, dtype=np.int64)
     assert rank_mod(M, TOP_PRIMES[0]) == 3
@@ -431,6 +497,94 @@ def test_kernel_refuses_moduli_beyond_its_bound():
             rank_mod(M, l)
         with pytest.raises(ValueError):
             rref_mod(M, l)
+
+
+# ----------------------------------------------------------------------
+# null-vector interpolation against the per-entry Vandermonde solves
+# ----------------------------------------------------------------------
+
+def reference_solve_mod(A, b, l):
+    """Reference dense Gaussian solve over F_l."""
+    n = len(A)
+    M = [row[:] + [bv] for row, bv in zip(A, b)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] % l)
+        M[col], M[piv] = M[piv], M[col]
+        inv = pow(M[col][col], l - 2, l)
+        M[col] = [x * inv % l for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                f = M[i][col]
+                M[i] = [(x - f * y) % l for x, y in zip(M[i], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+def reference_null_coeffs_one_prime(system, n_cols, r, units, l, g):
+    """Reference interpolation: one Vandermonde solve per non-constant
+    (null vector, coordinate) entry."""
+    phi = len(units)
+    bases = []
+    pivot_ref = None
+    for t in units:
+        R, pivots = rref_mod(evaluate_rows(system, n_cols, l, pow(g, t, l), r), l)
+        if pivot_ref is None:
+            pivot_ref = tuple(pivots)
+        elif tuple(pivots) != pivot_ref:
+            return None
+        bases.append(null_basis_mod(R, pivots, l))
+    n_null = bases[0].shape[0]
+    V = [[pow(g, (t * j) % r if r > 1 else 0, l) for j in range(phi)] for t in units]
+    C = np.zeros((n_null, n_cols, phi), dtype=np.int64)
+    for v in range(n_null):
+        for x in range(n_cols):
+            vals = [int(bases[tidx][v, x]) for tidx in range(phi)]
+            if all(val == vals[0] for val in vals):
+                sol = [vals[0]] + [0] * (phi - 1)
+            else:
+                sol = reference_solve_mod(V, vals, l)
+            C[v, x] = sol
+    return pivot_ref, C
+
+
+def assert_interpolation_matches_reference(system, n_cols, r, seed):
+    l, g = find_embedding_prime(r, random.Random(seed))
+    args = (system, n_cols, r, _units(r), l, g)
+    got, ref = _null_coeffs_one_prime(*args), reference_null_coeffs_one_prime(*args)
+    if ref is None:
+        assert got is None
+        return
+    assert got[0] == ref[0]
+    assert got[1].dtype == ref[1].dtype and np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("name", ["Sp10", "Sp14"])
+def test_interpolation_matches_reference_on_catalog_systems(name):
+    H = reduced_grid(catalog.load(name))
+    system = _exact_rows(H.exp, H.r, H.d)
+    assert_interpolation_matches_reference(system, (H.d - 1) ** 2, H.r, name)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 3, 4, 5, 8, 12, 15]),
+    m=st.integers(1, 6),
+    extra=st.integers(1, 4),
+    dup_rows=st.integers(0, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_interpolation_matches_reference_on_random_deficient_systems(
+    seed, r, m, extra, dup_rows
+):
+    # more columns than rows, some rows repeated: the null space is nonempty
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    coeff = rng.integers(-2, 3, (2, m, n)) * (rng.random((m, n)) < 0.7)
+    exp = rng.integers(0, r, (2, m, n))
+    copies = rng.integers(0, m, dup_rows)
+    coeff, exp = (np.concatenate([a, a[:, copies]], axis=1) for a in (coeff, exp))
+    k, row, col = np.nonzero(coeff)  # up to two terms per cell
+    system = System(m + dup_rows, row, col, exp[k, row, col], coeff[k, row, col])
+    assert_interpolation_matches_reference(system, n, r, seed)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadforge import catalog
 from hadforge.cli import main
@@ -18,6 +24,7 @@ from hadforge.matrices import (
 from hadforge.mub import fourier
 
 S9_JSON = '{"p":3,"q":3,"K":["I","I","H1"],"L":["F","F","H2"]}'
+EMPTY_GRID = '{"d": 0, "root": 4, "exponents": []}'
 
 
 def run(capsys, *argv):
@@ -61,6 +68,20 @@ class TestGen:
     def test_bad_assignment_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", '{"p":3}')
         assert code == 2 and "hadforge:" in err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ('{"p": 2, "q": 3, "K": 5, "L": 7}', "'int' object is not iterable"),
+            ('{"p": 0, "q": 3, "K": [], "L": []}', "p must be at least 1, got 0"),
+            ('{"p": 2.5, "q": 3, "K": ["I", "I"], "L": ["F", "F"]}', "cannot be interpreted"),
+        ],
+        ids=["int-labels", "p-0", "fractional-p"],
+    )
+    def test_malformed_assignment_is_usage_error(self, capsys, spec, message):
+        code, out, err = run(capsys, "gen", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge: cannot read assignment") and message in err
 
     def test_basis_on_both_sides_is_usage_error(self, capsys):
         spec = '{"p":2,"q":3,"K":["I","H1"],"L":["F","H1"]}'
@@ -186,6 +207,14 @@ class TestDefect:
         assert code == 2 and out == ""
         assert err.startswith("hadforge: cannot read matrix")
 
+    @pytest.mark.parametrize("command", ["defect", "haagerup"])
+    def test_empty_grid_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.json"
+        path.write_text(EMPTY_GRID)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge: cannot read matrix") and "order must be positive" in err
+
     def test_indeterminate_exit(self, capsys, f4_float, monkeypatch):
         def murky_svd(M, compute_uv=True):
             n = min(M.shape)
@@ -299,3 +328,134 @@ def test_output_is_deterministic(capsys):
     _, g1, _ = run(capsys, "gen", S9_JSON)
     _, g2, _ = run(capsys, "gen", S9_JSON)
     assert g1 == g2
+
+
+# ----------------------------------------------------------------------
+# every JSON-reading command on malformed input
+# ----------------------------------------------------------------------
+
+# wrong types, nulls, fractions, negatives and huge values; each huge
+# integer is even with magnitude at least 2^63, where roots are refused, so
+# no example spends its time on a valid but huge root order or prime
+MALFORMED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1, -4, 2**63, 2**64, 10**30, -(2**70)]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def corrupt(draw, obj, grids=()):
+    """obj with up to two corruptions: a field replaced by a malformed value,
+    a missing key, a malformed cell or a ragged row in one of the grids, or
+    a malformed value in place of the whole object."""
+    kinds = ["field", "missing"] + (["cell", "ragged"] if grids else []) + ["whole"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        if not isinstance(obj, dict) or not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        # a label list, or the last row of a matrix grid
+        cells = obj.get(draw(st.sampled_from(grids))) if grids else None
+        if isinstance(cells, list) and cells and isinstance(cells[-1], list):
+            cells = cells[-1]
+        if kind == "field":
+            obj[key] = draw(MALFORMED)
+        elif kind == "missing":
+            del obj[key]
+        elif kind == "cell" and isinstance(cells, list) and cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(MALFORMED)
+        elif kind == "ragged" and isinstance(cells, list):
+            if cells and draw(st.booleans()):
+                cells.pop()
+            else:
+                cells.append(0)
+        elif kind == "whole":
+            obj = draw(MALFORMED)
+    return obj
+
+
+@st.composite
+def matrix_json(draw):
+    """An exponent or complex grid of order at most 6, the Fourier matrix or
+    random, then corrupted."""
+    d = draw(st.integers(0, 6))
+    fourier_grid = draw(st.booleans())
+    if fourier_grid:
+        exponents = [[i * j for j in range(d)] for i in range(d)]
+    else:
+        row = st.lists(st.integers(0, 11), min_size=d, max_size=d)
+        exponents = draw(st.lists(row, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        shift = draw(st.sampled_from([0, -d, 2**70]))  # huge exponents, same grid
+        root = d if fourier_grid else draw(st.integers(1, 12))
+        grid = [[e + shift for e in row] for row in exponents]
+        obj = {"d": d, "root": root, "exponents": grid}
+        return corrupt(draw, obj, ["exponents"])
+    phases = 2 * np.pi * np.array(exponents, dtype=float).reshape(d, d) / max(d, 1)
+    obj = {"d": d, "re": np.cos(phases).tolist(), "im": np.sin(phases).tolist()}
+    return corrupt(draw, obj, ["re", "im"])
+
+
+@st.composite
+def assignment_json(draw):
+    p, q = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]))
+    hadamard = [f"H{j}" for j in range(1, q)]
+    free = st.lists(st.sampled_from(["I"] + hadamard), min_size=p - 1, max_size=p - 1)
+    k_labels, l_labels = draw(free), draw(free)
+    obj = {
+        "p": p,
+        "q": q,
+        "K": ["I"] + k_labels,
+        "L": ["F"] + ["F" if x == "I" else x for x in l_labels],
+    }
+    return corrupt(draw, obj, ["K", "L"])
+
+
+COMMAND_INPUTS = st.one_of(
+    st.tuples(st.just(["gen"]), assignment_json().map(lambda a: [a])),
+    st.tuples(
+        st.sampled_from(
+            [
+                ["dephase"],
+                ["unitary"],
+                ["butson"],
+                ["butson", "--root", "4"],
+                ["haagerup"],
+                ["defect"],
+                ["defect", "--mode", "float"],
+            ]
+        ),
+        st.lists(matrix_json(), min_size=1, max_size=1),
+    ),
+    st.tuples(st.just(["compare"]), st.lists(matrix_json(), min_size=2, max_size=2)),
+)
+
+
+@given(COMMAND_INPUTS)
+@example((["gen"], [{"p": 2, "q": 3, "K": 5, "L": 7}]))
+@example((["defect"], [json.loads(EMPTY_GRID)]))
+@example((["haagerup"], [json.loads(EMPTY_GRID)]))
+@settings(max_examples=200, deadline=None)
+def test_json_commands_never_show_a_traceback(command_inputs):
+    command, objs = command_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == ["gen"]:
+            args = [json.dumps(objs[0])]
+        else:
+            args = []
+            for k, obj in enumerate(objs):
+                path = Path(tmp) / f"m{k}.json"
+                path.write_text(json.dumps(obj))
+                args.append(str(path))
+        argv = command[:1] + args + command[1:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: an inline spec that reads as an option
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
