@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of two hadforge source trees in one process.
+
+Each tree's `hadforge` package is loaded under its own module name
+(`hadforge_a`, `hadforge_b`), so both share one interpreter, one numpy and
+one state of the host.  Every round runs each call once on each side, and
+the side that goes first alternates from round to round, so a drift in the
+host's speed falls on both alike.  One untimed warm-up call per side comes
+before the first round.
+
+A call is `search:P:Q` (`analyze.assignment_search(P, Q)`) or
+`verify:NAME` (`catalog.verify(NAME)`).  The script prints the seconds of
+every round, then per call each side's median, the ratio b/a and each
+side's wins out of the rounds.  It also says when the two sides' results
+differ.
+
+Example:
+    python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
+        search:3:5 search:2:7 verify:S35
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+class Side:
+    def __init__(self, tag: str, src_dir: str):
+        pkg_dir = Path(src_dir).resolve() / "hadforge"
+        self.tag = tag
+        self.name = f"hadforge_{tag}"
+        spec = importlib.util.spec_from_file_location(
+            self.name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+        )
+        if spec is None:
+            raise SystemExit(f"no hadforge package under {src_dir!r}")
+        self.package = importlib.util.module_from_spec(spec)
+        sys.modules[self.name] = self.package
+        spec.loader.exec_module(self.package)
+        self.analyze = importlib.import_module(f"{self.name}.analyze")
+        self.catalog = importlib.import_module(f"{self.name}.catalog")
+
+    def run(self, call: str):
+        """Run one call; return (seconds, a summary of its result)."""
+        kind, *args = call.split(":")
+        # the catalog finds its data through the top-level name "hadforge"
+        sys.modules["hadforge"] = self.package
+        t0 = time.perf_counter()
+        if kind == "search":
+            res = self.analyze.assignment_search(int(args[0]), int(args[1]))
+            out = (res.examined, res.partial, tuple(res.classes))
+        else:
+            rep = self.catalog.verify(args[0])
+            out = (rep["pass"], rep["checks"]["defect"]["computed"])
+        return time.perf_counter() - t0, out
+
+
+def parse_call(text: str) -> str:
+    kind, *args = text.split(":")
+    ok = (kind == "search" and len(args) == 2 and all(a.isdigit() for a in args)) or (
+        kind == "verify" and len(args) == 1 and args[0]
+    )
+    if not ok:
+        raise argparse.ArgumentTypeError(f"not search:P:Q or verify:NAME: {text!r}")
+    return text
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--a", required=True, metavar="SRC_DIR", help="tree A (holds hadforge/)")
+    ap.add_argument("--b", required=True, metavar="SRC_DIR", help="tree B (holds hadforge/)")
+    ap.add_argument("--rounds", type=int, default=5, help="timed rounds per call")
+    ap.add_argument("calls", nargs="+", type=parse_call, metavar="CALL")
+    args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+
+    sides = (Side("a", args.a), Side("b", args.b))
+    times = {call: ([], []) for call in args.calls}
+    for call in args.calls:
+        results = [side.run(call)[1] for side in sides]
+        if results[0] != results[1]:
+            print(f"{call}: results differ: a {results[0]!r}, b {results[1]!r}")
+
+    print(f"{'round':>5}  {'call':<16} {'a_s':>9} {'b_s':>9}")
+    for rnd in range(args.rounds):
+        order = (0, 1) if rnd % 2 == 0 else (1, 0)
+        for call in args.calls:
+            for i in order:
+                times[call][i].append(sides[i].run(call)[0])
+            a, b = times[call][0][-1], times[call][1][-1]
+            print(f"{rnd + 1:>5}  {call:<16} {a:>9.3f} {b:>9.3f}", flush=True)
+
+    print()
+    print(f"{'call':<16} {'a_med':>9} {'b_med':>9} {'b/a':>6} {'a_wins':>7} {'b_wins':>7}")
+    for call, (ta, tb) in times.items():
+        ma, mb = statistics.median(ta), statistics.median(tb)
+        b_wins = sum(b < a for a, b in zip(ta, tb))
+        print(
+            f"{call:<16} {ma:>9.3f} {mb:>9.3f} {mb / ma:>6.2f} "
+            f"{args.rounds - b_wins:>3}/{args.rounds:<3} {b_wins:>3}/{args.rounds:<3}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

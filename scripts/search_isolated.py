@@ -28,9 +28,10 @@ def main() -> int:
     elapsed = time.monotonic() - t0
 
     print(
-        f"(p,q)=({args.p},{args.q}): examined {res.examined} assignments, "
-        f"{len(res.classes)} invariant classes, {len(res.findings)} isolated"
-        f"{' (partial)' if res.partial else ''} in {elapsed:.1f}s"
+        f"(p,q)=({args.p},{args.q}): covered {res.examined} assignments in "
+        f"{len(res.representatives)} orbits, {len(res.classes)} invariant classes, "
+        f"{len(res.findings)} isolated"
+        f"{f' (stopped by {res.stopped_by})' if res.partial else ''} in {elapsed:.1f}s"
     )
     for f in res.findings:
         print(

@@ -310,26 +310,56 @@ class SearchFinding:
 class SearchResult:
     findings: List[SearchFinding]            # isolated classes, canonical order
     classes: List[Tuple[str, int]]           # every distinct (fingerprint, defect)
-    examined: int
-    partial: bool
+    examined: int                            # candidates covered: sum of orbit sizes
+    representatives: List[BlockAssignment]   # one analysed assignment per orbit
+    stopped_by: Optional[str] = None         # None, "budget" or "time limit"
+
+    @property
+    def partial(self) -> bool:
+        return self.stopped_by is not None
 
 
-def _candidate_assignments(p: int, mub: MubSet):
-    """Canonical enumeration with K0 = I and L0 = F pinned: the free slots
-    are sorted multisets over {I, H1..H_{q-1}} and {F, H1..H_{q-1}}; a
-    Fourier-conjugate label shared by both sides breaks unitarity, so those
-    pairs are skipped."""
-    q = mub.q
-    n_h = len(mub.labels) - 2
-    choices = list(range(n_h + 1))  # 0 = I or F, j >= 1 = Hj
+def _candidate_indices(p: int, q: int):
+    """Canonical enumeration with K0 = I and L0 = F pinned, as H indices:
+    the free slots are sorted multisets over {0, 1..q-1} on each side, where
+    0 stands for I (K side) or F (L side) and j >= 1 for H_j.  An H_j on
+    both sides breaks unitarity, so those pairs are skipped.  The order is
+    lexicographic on (kc, lc)."""
+    choices = range(q)
     for kc in itertools.combinations_with_replacement(choices, p - 1):
         k_h = {j for j in kc if j}
         for lc in itertools.combinations_with_replacement(choices, p - 1):
-            if k_h & {j for j in lc if j}:
-                continue
-            k_labels = ("I",) + tuple("I" if j == 0 else f"H{j}" for j in kc)
-            l_labels = ("F",) + tuple("F" if j == 0 else f"H{j}" for j in lc)
-            yield BlockAssignment.from_labels(p, q, k_labels, l_labels, mub=mub)
+            if not k_h.intersection(lc):
+                yield kc, lc
+
+
+def _assignment(p: int, kc, lc, mub: MubSet) -> BlockAssignment:
+    k_labels = ("I",) + tuple(f"H{j}" if j else "I" for j in kc)
+    l_labels = ("F",) + tuple(f"H{j}" if j else "F" for j in lc)
+    return BlockAssignment.from_labels(p, mub.q, k_labels, l_labels, mub=mub)
+
+
+def _candidate_assignments(p: int, mub: MubSet):
+    """Every candidate of `_candidate_indices`, as a BlockAssignment."""
+    for kc, lc in _candidate_indices(p, mub.q):
+        yield _assignment(p, kc, lc, mub)
+
+
+def _orbit_multipliers(q: int) -> Tuple[int, ...]:
+    """The relabellings H_j -> H_{s j mod q} the search identifies: the
+    nonzero squares s mod q ((1,) for q = 2 and q = 3)."""
+    return tuple(sorted({x * x % q for x in range(1, q)}))
+
+
+def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
+    """Images of a candidate under the multipliers, each side re-sorted."""
+    return {
+        (
+            tuple(sorted(s * j % q for j in kc)),
+            tuple(sorted(s * j % q for j in lc)),
+        )
+        for s in multipliers
+    }
 
 
 def _examine(a: BlockAssignment, cache: dict):
@@ -352,14 +382,33 @@ def assignment_search(
     budget: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> SearchResult:
-    """Enumerate valid block assignments, analyze each, and report every
-    isolated equivalence-invariant class.
+    """Enumerate valid block assignments, analyze one per symmetry orbit,
+    and report every isolated equivalence-invariant class.
 
-    Classes are keyed by (Haagerup fingerprint, defect); `budget` caps the
-    number of assignments examined and `time_limit` (seconds) caps wall
-    time — stopping short of the end for either flags the result as
-    partial.  Output order is the canonical enumeration order.  Bad input
-    raises ValueError before any work: p < 1, a q that is not prime
+    Classes are keyed by (Haagerup fingerprint, defect).  Output order is
+    the canonical enumeration order of `_candidate_indices`.
+
+    Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
+    Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,
+    because the diagonal D of H_j = D^j F is quadratic in k (k^2 for q = 3
+    and 5, k(k-1)/2 otherwise) and its linear part is a column shift of F.
+    Hence relabelling every free slot H_j -> H_{s j} with s = mu^-2, one of
+    `_orbit_multipliers(q)`, and leaving the slots in place builds
+    D1 H D2^dagger with block-diagonal monomial D1 and D2: an equivalent
+    matrix, with the same Haagerup set and defect.  Sorting each side back
+    into a multiset is the slot-order step the multiset enumeration already
+    assumes; the orbit step adds no other assumption.  So every member of an
+    orbit has the key of its least member in enumeration order, the first
+    candidate of each class is that least member, and analysing only the
+    least members gives the full enumeration's classes and findings.
+    `examined` counts the candidates covered, the sum of the orbit sizes,
+    and `representatives` lists the assignments actually analysed.
+
+    `budget` caps `examined`: a representative is analysed only when its
+    whole orbit fits in what is left of it.  `time_limit` (seconds) caps
+    wall time.  Stopping short of the end for either sets `stopped_by`
+    ("budget" or "time limit") and so `partial`.  Bad input raises
+    ValueError before any work: p < 1, a q that is not prime
     (NotPrimeError), or a negative budget or time limit.
     """
     if p < 1:
@@ -369,25 +418,29 @@ def assignment_search(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be non-negative, got {time_limit}")
     mub = complete_mub_set(q)
+    multipliers = _orbit_multipliers(q)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     cache: dict = {}
-    findings: List[SearchFinding] = []
-    classes: List[Tuple[str, int]] = []
+    res = SearchResult([], [], 0, [])
     seen: set = set()
-    examined = 0
-    partial = False
-    for a in _candidate_assignments(p, mub):
-        if (budget is not None and examined >= budget) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            partial = True
+    for kc, lc in _candidate_indices(p, q):
+        orbit = _orbit(kc, lc, q, multipliers)
+        if min(orbit) != (kc, lc):
+            continue
+        if budget is not None and res.examined + len(orbit) > budget:
+            res.stopped_by = "budget"
             break
+        if deadline is not None and time.monotonic() >= deadline:
+            res.stopped_by = "time limit"
+            break
+        a = _assignment(p, kc, lc, mub)
         root, fp, rep = _examine(a, cache)
-        examined += 1
+        res.examined += len(orbit)
+        res.representatives.append(a)
         key = (fp, rep.defect)
         if key not in seen:
             seen.add(key)
-            classes.append(key)
+            res.classes.append(key)
             if rep.defect == 0:
-                findings.append(SearchFinding(a, rep, root, fp))
-    return SearchResult(findings, classes, examined, partial)
+                res.findings.append(SearchFinding(a, rep, root, fp))
+    return res

@@ -2,9 +2,9 @@
 
 Each entry carries an expected minimal Butson root and defect, plus a block
 assignment recipe, a literal exponent grid, or both.  `verify` recomputes
-everything from scratch — exact unitarity, minimal root, defect (exact up to
-order 49, float with the spectral-gap guard above), and literal/recipe
-agreement — and reports machine-readable evidence.
+everything from scratch — exact unitarity, minimal root, the exactly
+certified defect, and literal/recipe agreement — and reports
+machine-readable evidence.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .matrices import (
     is_unitary,
     matrix_from_json,
 )
-
-EXACT_DEFECT_MAX_ORDER = 49  # larger systems fall back to the float path
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,11 @@ def load(name: str) -> ExponentMatrix:
 def verify(name: str, defect_mode: str = "auto") -> dict:
     """Recompute and check every stored expectation for one entry.
 
-    defect_mode "auto" certifies exactly for orders up to
-    EXACT_DEFECT_MAX_ORDER and uses the guarded float rank beyond that;
-    "exact"/"float" force the path.  When the recomputed minimal root is a
-    proper divisor of the stored one, both are reported and the root check
-    is flagged refined rather than failed.
+    defect_mode is passed to `defect`: "auto" and "exact" certify the
+    defect exactly at every order (every entry is an exponent grid), and
+    "float" asks for the guarded float rank.  When the recomputed minimal
+    root is a proper divisor of the stored one, both are reported and the
+    root check is flagged refined rather than failed.
     """
     e = entry(name)
     t_start = time.time()
@@ -119,8 +117,6 @@ def verify(name: str, defect_mode: str = "auto") -> dict:
         "refined": refined,
     }
 
-    if defect_mode == "auto":
-        defect_mode = "exact" if e.d <= EXACT_DEFECT_MAX_ORDER else "float"
     t = time.time()
     rep = defect(H, mode=defect_mode)
     checks["defect"] = {

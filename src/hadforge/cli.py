@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional
 
 from . import catalog as cat
@@ -218,12 +219,20 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    t0 = time.monotonic()
     try:
         res = assignment_search(
             args.p, args.q, budget=args.budget, time_limit=args.time_limit
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
+    stop = f", stopped by {res.stopped_by}" if res.stopped_by else ""
+    print(
+        f"hadforge: search {args.p} {args.q}: {res.examined} candidates in "
+        f"{len(res.representatives)} orbits, {len(res.classes)} classes, "
+        f"{len(res.findings)} isolated, {time.monotonic() - t0:.1f} s{stop}",
+        file=sys.stderr,
+    )
     out = {
         "p": args.p,
         "q": args.q,

@@ -87,15 +87,13 @@ def test_criterion_2_unisolated_diagonal_variants(criterion):
 def test_criterion_3_large_isolated_orders(criterion):
     with criterion(3, "orders 25..91: exact unitarity, defect 0"):
         for name in ["S25", "S35", "S49", "S77", "S91"]:
-            e = catalog.entry(name)
             H = catalog.load(name)
             assert is_unitary(H), name  # exact: exponent-form input
 
-            mode = "exact" if e.d <= catalog.EXACT_DEFECT_MAX_ORDER else "float"
             t0 = time.monotonic()
-            rep = defect(H, mode=mode)
+            rep = defect(H, mode="exact")
             elapsed = time.monotonic() - t0
-            assert rep.defect == 0 and rep.mode == mode, name
+            assert rep.defect == 0 and rep.mode == "exact", name
             if name == "S91":
                 assert elapsed < 600.0, f"S91 defect took {elapsed:.0f}s"
 

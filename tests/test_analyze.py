@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -24,10 +25,15 @@ from hadforge.analyze import (
     HaagerupSet,
     IndeterminateRankError,
     _candidate_assignments,
+    _assignment,
+    _candidate_indices,
     _defect_exact,
     _defect_float,
+    _examine,
     _exact_rows,
     _float_system,
+    _orbit,
+    _orbit_multipliers,
     assignment_search,
     defect,
     fingerprint,
@@ -38,6 +44,7 @@ from hadforge.analyze import (
 from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.cyclotomic import RootExponent
 from hadforge.matrices import (
+    EquivalenceMove,
     ExponentMatrix,
     apply_equivalence,
     butson_min_root,
@@ -46,7 +53,7 @@ from hadforge.matrices import (
     tensor,
     to_complex,
 )
-from hadforge.mub import complete_mub_set, fourier
+from hadforge.mub import IdentityBasis, complete_mub_set, fourier
 
 
 def build(p, q, K, L):
@@ -772,3 +779,202 @@ class TestSearch:
         assert [f.fingerprint for f in res.findings] == [fingerprint(S9)]
         f = res.findings[0]
         assert f.report.defect == 0 and f.butson_root == 6
+
+    def test_stop_reason_is_reported(self):
+        assert assignment_search(2, 3).stopped_by is None
+        assert assignment_search(2, 3, budget=3).stopped_by == "budget"
+        assert assignment_search(2, 3, time_limit=0).stopped_by == "time limit"
+
+
+# ----------------------------------------------------------------------
+# orbit representatives against the full enumeration
+# ----------------------------------------------------------------------
+
+def reference_assignment_search(p, q, budget=None):
+    """The full enumeration: every candidate analysed, in order."""
+    cache: dict = {}
+    findings, classes, seen = [], [], set()
+    examined, partial = 0, False
+    for a in _candidate_assignments(p, complete_mub_set(q)):
+        if budget is not None and examined >= budget:
+            partial = True
+            break
+        root, fp, rep = _examine(a, cache)
+        examined += 1
+        key = (fp, rep.defect)
+        if key not in seen:
+            seen.add(key)
+            classes.append(key)
+            if rep.defect == 0:
+                findings.append((a.to_json(), rep, root, fp))
+    return classes, examined, partial, findings
+
+
+def search_summary(res):
+    findings = [
+        (f.assignment.to_json(), f.report, f.butson_root, f.fingerprint)
+        for f in res.findings
+    ]
+    return res.classes, res.examined, res.partial, findings
+
+
+def orbits(p, q):
+    """(representative, orbit size) pairs of the search's own orbits, in
+    enumeration order."""
+    mult = _orbit_multipliers(q)
+    out = []
+    for kc, lc in _candidate_indices(p, q):
+        orbit = _orbit(kc, lc, q, mult)
+        if min(orbit) == (kc, lc):
+            out.append(((kc, lc), len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,expected", [(2, (1,)), (3, (1,)), (5, (1, 4)), (7, (1, 2, 4)), (11, (1, 3, 4, 5, 9))]
+)
+def test_orbit_multipliers_are_the_nonzero_squares(q, expected):
+    assert _orbit_multipliers(q) == expected
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (2, 5), (3, 5), (5, 3), (2, 7), (2, 11)])
+def test_orbit_search_matches_full_enumeration(p, q):
+    res = assignment_search(p, q)
+    assert search_summary(res) == reference_assignment_search(p, q)
+    reps = orbits(p, q)
+    mub = complete_mub_set(q)
+    assert res.representatives == [_assignment(p, kc, lc, mub) for (kc, lc), _ in reps]
+    assert res.examined == sum(size for _, size in reps)
+
+
+# frozen from the full enumeration of (3, 7), which takes about 30 s
+SEARCH_3_7_CLASSES = [
+    ["73a2d446fad0499bd2aa2fcf55c8830c33d9a0449fd21f2fefafed5556459b04", 24],
+    ["9746f651335c36467829cf4a3571abe002338d6d5c15f20f2985cf579570bb5a", 0],
+    ["73a2d446fad0499bd2aa2fcf55c8830c33d9a0449fd21f2fefafed5556459b04", 0],
+    ["9746f651335c36467829cf4a3571abe002338d6d5c15f20f2985cf579570bb5a", 6],
+]
+SEARCH_3_7_FINDINGS = [
+    [["I", "I", "H1"], ["F", "F", "H2"], "9746f651335c36467829cf4a3571abe002338d6d5c15f20f2985cf579570bb5a"],
+    [["I", "I", "H1"], ["F", "F", "H4"], "73a2d446fad0499bd2aa2fcf55c8830c33d9a0449fd21f2fefafed5556459b04"],
+]
+
+
+def test_orbit_search_matches_frozen_full_enumeration_at_3_7():
+    res = assignment_search(3, 7)
+    assert res.examined == 505 and not res.partial
+    assert [list(c) for c in res.classes] == SEARCH_3_7_CLASSES
+    assert [
+        [f.assignment.K_labels, f.assignment.L_labels, f.fingerprint] for f in res.findings
+    ] == [[tuple(K), tuple(L), fp] for K, L, fp in SEARCH_3_7_FINDINGS]
+
+
+def monomial_witness(B, B2, mu, q):
+    """(sigma, theta, r) with P_mu B = B2 M exactly, where column m of the
+    monomial M holds omega_r^theta[m] in row sigma[m]; None when there is
+    no such M.  (P_mu v)[mu x] = v[x]."""
+    inv = pow(mu, -1, q)
+    if isinstance(B, IdentityBasis) or isinstance(B2, IdentityBasis):
+        if not (isinstance(B, IdentityBasis) and isinstance(B2, IdentityBasis)):
+            return None
+        return [mu * m % q for m in range(q)], [0] * q, 1
+    r = lcm(B.r, B2.r)
+    UB = B.rescaled(r).to_array()[[inv * k % q for k in range(q)]]
+    E2 = B2.rescaled(r).to_array()
+    sigma, theta = [], []
+    for m in range(q):
+        diff = (UB[:, m][:, None] - E2) % r
+        hits = [c for c in range(q) if (diff[:, c] == diff[0, c]).all()]
+        if len(hits) != 1:
+            return None
+        sigma.append(hits[0])
+        theta.append(int(diff[0, hits[0]]))
+    return (sigma, theta, r) if sorted(sigma) == list(range(q)) else None
+
+
+def relabel(label, s, q):
+    return f"H{s * int(label[1:]) % q}" if label.startswith("H") else label
+
+
+def block_move(witnesses, q, r):
+    """The exact move D1 H D2^dagger, with D1 = blockdiag(K witnesses) and
+    D2 = blockdiag(L witnesses), as an EquivalenceMove at root r."""
+    perms, phases = ([], []), ([], [])
+    for side, sign in ((0, 1), (1, -1)):
+        for i, (sigma, theta, rw) in enumerate(witnesses[side]):
+            inv = {x: m for m, x in enumerate(sigma)}
+            for x in range(q):
+                perms[side].append(i * q + inv[x])
+                phases[side].append(sign * theta[inv[x]] * (r // rw) % r)
+    return EquivalenceMove(*map(tuple, perms), *map(tuple, phases), r)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_relabelling_is_an_exact_monomial_equivalence(q):
+    mub = complete_mub_set(q)
+    rng = random.Random(q)
+    for s in _orbit_multipliers(q):
+        mus = [mu for mu in range(1, q) if pow(mu, -2, q) == s]
+        assert mus, f"multiplier {s} is not a square mod {q}"
+        mu = mus[0]
+        witness = {}
+        for label in mub.labels:
+            w = monomial_witness(mub[label], mub[relabel(label, s, q)], mu, q)
+            assert w is not None, (s, label)
+            witness[label] = w
+        r = lcm(*(w[2] for w in witness.values()))
+        for p in (2, 3):
+            for _ in range(4):
+                # unsorted slots, relabelled in place
+                kc, lc = random_valid_indices(rng, p, q)
+                a = _assignment(p, kc, lc, mub)
+                a2 = _assignment(p, [s * j % q for j in kc], [s * j % q for j in lc], mub)
+                H, H2 = (theorem1_build(x, mode="exact") for x in (a, a2))
+                K, L = a.K_labels, a.L_labels
+                move = block_move(([witness[x] for x in K], [witness[x] for x in L]), q, r)
+                assert apply_equivalence(H, move) == H2, (s, K, L)
+
+
+def random_valid_indices(rng, p, q):
+    while True:
+        kc = [rng.randrange(q) for _ in range(p - 1)]
+        lc = [rng.randrange(q) for _ in range(p - 1)]
+        if not {j for j in kc if j} & set(lc):
+            return kc, lc
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (2, 7)])
+def test_orbit_members_share_the_examined_key(p, q):
+    mub = complete_mub_set(q)
+    mult = _orbit_multipliers(q)
+    cache: dict = {}
+    keys: dict = {}
+    for kc, lc in _candidate_indices(p, q):
+        _, fp, rep = _examine(_assignment(p, kc, lc, mub), cache)
+        keys.setdefault(min(_orbit(kc, lc, q, mult)), set()).add((fp, rep.defect))
+    assert any(len(_orbit(*c, q, mult)) > 1 for c in keys)
+    assert all(len(k) == 1 for k in keys.values())
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (2, 7)])
+def test_budget_never_splits_an_orbit(p, q):
+    reps = orbits(p, q)
+    total = sum(size for _, size in reps)
+    full = assignment_search(p, q)
+    for budget in range(total + 1):
+        res = assignment_search(p, q, budget=budget)
+        k = len(res.representatives)
+        assert res.examined <= budget
+        assert res.representatives == full.representatives[:k]
+        assert res.examined == sum(size for _, size in reps[:k])
+        assert res.partial == (k < len(reps)) == (budget < total)
+        assert k == len(reps) or res.examined + reps[k][1] > budget
+        assert res.stopped_by == ("budget" if res.partial else None)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 3)])
+def test_budget_matches_full_enumeration_when_orbits_are_single(p, q):
+    total = assignment_search(p, q).examined
+    for budget in range(total + 1):
+        res = assignment_search(p, q, budget=budget)
+        assert search_summary(res) == reference_assignment_search(p, q, budget)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -269,6 +270,36 @@ def test_search_smallest(capsys):
     assert code == 0
     assert out["examined"] == 3 and out["isolated"] == []
     assert out["partial"] is False
+
+
+def test_search_summary_on_stderr(capsys):
+    code, out, err = run(capsys, "search", "2", "5")
+    assert code == 0 and json.loads(out)["examined"] == 21
+    assert re.fullmatch(
+        r"hadforge: search 2 5: 21 candidates in 11 orbits, 2 classes, "
+        r"1 isolated, \d+\.\d s\n",
+        err,
+    )
+
+
+def test_search_summary_names_a_budget_stop(capsys):
+    code, out, err = run(capsys, "search", "2", "5", "--budget", "3")
+    assert code == 0 and json.loads(out)["partial"] is True
+    assert re.fullmatch(
+        r"hadforge: search 2 5: 3 candidates in 2 orbits, 1 classes, "
+        r"0 isolated, \d+\.\d s, stopped by budget\n",
+        err,
+    )
+
+
+def test_search_summary_names_a_time_limit_stop(capsys):
+    code, out, err = run(capsys, "search", "2", "3", "--time-limit", "0")
+    assert code == 0 and json.loads(out)["partial"] is True
+    assert re.fullmatch(
+        r"hadforge: search 2 3: 0 candidates in 0 orbits, 0 classes, "
+        r"0 isolated, \d+\.\d s, stopped by time limit\n",
+        err,
+    )
 
 
 @pytest.mark.parametrize("limit", ["--budget", "--time-limit"])
