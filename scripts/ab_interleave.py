@@ -38,17 +38,15 @@ class Side:
         )
         if spec is None:
             raise SystemExit(f"no hadforge package under {src_dir!r}")
-        self.package = importlib.util.module_from_spec(spec)
-        sys.modules[self.name] = self.package
-        spec.loader.exec_module(self.package)
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[self.name] = package
+        spec.loader.exec_module(package)
         self.analyze = importlib.import_module(f"{self.name}.analyze")
         self.catalog = importlib.import_module(f"{self.name}.catalog")
 
     def run(self, call: str):
         """Run one call; return (seconds, a summary of its result)."""
         kind, *args = call.split(":")
-        # the catalog finds its data through the top-level name "hadforge"
-        sys.modules["hadforge"] = self.package
         t0 = time.perf_counter()
         if kind == "search":
             res = self.analyze.assignment_search(int(args[0]), int(args[1]))

@@ -68,21 +68,48 @@ _LIMB = 12
 # the unreduced panel entries of _echelon must fit in int64
 assert _PANEL * (_MODULUS_BOUND - 1) ** 2 + _MODULUS_BOUND < 2**63
 
+# Every rank computation draws its primes from Random(SEED), so a defect and
+# its evidence are reproducible; a null-vector certificate tries at most
+# _MAX_PRIMES primes per attempt.
+SEED = 20120521
+_MAX_PRIMES = 8
+
 
 class RankCertificationError(RuntimeError):
     """All retry budgets exhausted without an exact certificate."""
 
 
+# Miller-Rabin with the primes up to 37 as bases decides every n below the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below _PRIME_TEST_BOUND; larger n
+    raise ValueError rather than get a probable answer."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large for the deterministic primality test")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
@@ -175,7 +202,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
             if row >= A.shape[0]:
                 break
             A[row:, c] %= l
-            nz = np.flatnonzero(A[row:, c])
+            nz = A[row:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             sel = row + int(nz[0])
@@ -187,7 +214,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
             idx = row + nz[1:]
             if reduced:
                 A[:row, c] %= l
-                idx = np.concatenate((np.flatnonzero(A[:row, c]), idx))
+                idx = np.concatenate((A[:row, c].nonzero()[0], idx))
             end = w
             if trailing:
                 # the trailing part of a row is its own original row, unless
@@ -201,7 +228,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
             P %= l
             if idx.size:
                 U = A[idx, c:end]
-                U -= np.outer(U[:, 0], P)
+                U -= U[:, :1] * P
                 A[idx, c:end] = U
             pivots.append(c0 + c)
             row += 1
@@ -288,34 +315,41 @@ def _units(r: int) -> List[int]:
     return [t for t in range(1, r) if gcd(t, r) == 1]
 
 
-def certify_rank(
-    system: System,
-    n_cols: int,
-    r: int,
-    max_primes: int = 8,
-    seed: int = 20120521,
+def screen_rank(
+    system: System, n_cols: int, r: int, rng: random.Random
 ) -> Tuple[int, dict]:
+    """Rank of the system's image mod the next prime drawn from rng, with
+    evidence.
+
+    Ranks only drop under ring maps, so this is a lower bound on the rank
+    over Q(omega_r): full column rank certifies full rank, and otherwise
+    n_cols minus it bounds the nullity from above.
+    """
+    l, g = find_embedding_prime(r, rng)
+    rk = rank_mod(evaluate_rows(system, n_cols, l, g, r), l)
+    return rk, {"pivot_count": rk, "primes": [l], "null_vectors": 0}
+
+
+def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
     """Exact rank of the system over Q(omega_r), with evidence.
 
     Returns (rank, evidence); evidence records the primes used, pivot count,
     and the number of exactly verified null vectors (when rank < n_cols).
+    The first prime is `screen_rank`'s, drawn from Random(SEED).
     """
-    rng = random.Random(seed)
-    phi = len(_units(r))
-
-    l0, g0 = find_embedding_prime(r, rng)
-    M0 = evaluate_rows(system, n_cols, l0, g0, r)
-    rk0 = rank_mod(M0, l0)
+    rng = random.Random(SEED)
+    rk0, ev = screen_rank(system, n_cols, r, rng)
     if rk0 == n_cols:
-        return n_cols, {"pivot_count": rk0, "primes": [l0], "null_vectors": 0}
+        return rk0, ev
 
     # nullity candidate; recover the canonical null basis exactly
+    phi = len(_units(r))
     attempts = 0
     while attempts < 4:
         attempts += 1
         try:
             nverified, pivots, primes = _null_vector_certificate(
-                system, n_cols, r, phi, rng, max_primes
+                system, n_cols, r, phi, rng
             )
         except _RetryNeeded:
             continue
@@ -340,7 +374,6 @@ def _null_vector_certificate(
     r: int,
     phi: int,
     rng: random.Random,
-    max_primes: int,
 ) -> Tuple[int, int, List[int]]:
     units = _units(r)
     pivot_ref: Optional[Tuple[int, ...]] = None
@@ -348,7 +381,7 @@ def _null_vector_certificate(
     primes: List[int] = []
     n_null = None
 
-    for _ in range(max_primes):
+    for _ in range(_MAX_PRIMES):
         l, g = find_embedding_prime(r, rng)
         coeffs = _null_coeffs_one_prime(system, n_cols, r, units, l, g)
         if coeffs is None:

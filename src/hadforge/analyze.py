@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._exactrank import System, certify_rank
+from ._exactrank import SEED, System, certify_rank, screen_rank
 from .construct import BlockAssignment, theorem1_build
 from .cyclotomic import RootExponent
 from .matrices import (
@@ -53,7 +54,10 @@ class DefectReport:
     defect: int
     variables: int
     rank: int
-    mode: str  # "float" or "exact"
+    # "exact" and "float": the defect itself, certified or from the guarded
+    # SVD.  "bound": a certified upper bound from one rank mod a prime, which
+    # the search reports for assignments it cannot certify isolated.
+    mode: str
     evidence: dict = field(compare=False)
 
     @property
@@ -363,16 +367,23 @@ def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
 
 
 def _examine(a: BlockAssignment, cache: dict):
+    """Butson root, Haagerup fingerprint and defect report of one assignment.
+
+    The defect comes from one rank of the exact defect system mod the prime
+    that `certify_rank` draws first.  Full rank certifies isolation, with
+    `certify_rank`'s own report (mode "exact"); a lower rank gives a
+    certified upper bound on the defect (mode "bound").
+    """
     H = theorem1_build(a, mode="exact", _cache=cache)
     Hd, _ = dephase(H)
     root, reduced = butson_min_root(Hd)
     fp = haagerup_set(reduced).digest()
-    try:
-        rep = _defect_float(to_complex(reduced).entries)
-        if rep.defect == 0:
-            rep = _defect_exact(reduced)  # cheap full-rank certificate
-    except IndeterminateRankError:
-        rep = _defect_exact(reduced)
+    d = reduced.d
+    n = (d - 1) ** 2
+    system = _exact_rows(reduced.exp, root, d)
+    rank, ev = screen_rank(system, n, root, random.Random(SEED))
+    ev["root"] = root
+    rep = DefectReport(n - rank, n, rank, "exact" if rank == n else "bound", ev)
     return root, fp, rep
 
 
@@ -385,8 +396,9 @@ def assignment_search(
     """Enumerate valid block assignments, analyze one per symmetry orbit,
     and report every isolated equivalence-invariant class.
 
-    Classes are keyed by (Haagerup fingerprint, defect).  Output order is
-    the canonical enumeration order of `_candidate_indices`.
+    Classes are keyed by (Haagerup fingerprint, defect), where the defect
+    of a class that is not isolated is `_examine`'s certified upper bound.
+    Output order is the canonical enumeration order of `_candidate_indices`.
 
     Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
     Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,

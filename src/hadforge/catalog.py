@@ -40,7 +40,7 @@ class CatalogEntry:
 
 
 def _raw() -> dict:
-    text = files("hadforge").joinpath("data/catalog.json").read_text()
+    text = files(__package__).joinpath("data/catalog.json").read_text()
     return json.loads(text)
 
 
@@ -89,14 +89,13 @@ def load(name: str) -> ExponentMatrix:
     return e.literal if e.literal is not None else build(name)
 
 
-def verify(name: str, defect_mode: str = "auto") -> dict:
+def verify(name: str) -> dict:
     """Recompute and check every stored expectation for one entry.
 
-    defect_mode is passed to `defect`: "auto" and "exact" certify the
-    defect exactly at every order (every entry is an exponent grid), and
-    "float" asks for the guarded float rank.  When the recomputed minimal
-    root is a proper divisor of the stored one, both are reported and the
-    root check is flagged refined rather than failed.
+    The defect is certified exactly (every entry is an exponent grid).
+    When the recomputed minimal root is a proper divisor of the stored one,
+    both are reported and the root check is flagged refined rather than
+    failed.
     """
     e = entry(name)
     t_start = time.time()
@@ -118,7 +117,7 @@ def verify(name: str, defect_mode: str = "auto") -> dict:
     }
 
     t = time.time()
-    rep = defect(H, mode=defect_mode)
+    rep = defect(H, mode="exact")
     checks["defect"] = {
         "pass": rep.defect == e.expected_defect,
         "computed": rep.defect,

@@ -245,13 +245,18 @@ def theorem1_build(
     return _build_exact(a, cache=_cache)
 
 
+def _phase_matrix(a: BlockAssignment) -> np.ndarray:
+    """The block phases: sqrt(p) * a.M, or the unnormalized F_p when a.M is
+    None.  Block (i, j) of the build is M[i, j] / sqrt(p) * K_i^dagger L_j."""
+    p = a.p
+    if a.M is not None:
+        return as_complex(a.M).entries * sqrt(p)
+    return np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+
+
 def _build_float(a: BlockAssignment) -> ComplexMatrix:
     p, q = a.p, a.q
-    M = (
-        as_complex(a.M).entries * sqrt(p)
-        if a.M is not None
-        else np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    )
+    M = _phase_matrix(a)
     Ks = [_basis_unitary(b) for b in a.K]
     Ls = [_basis_unitary(b) for b in a.L]
     rows = [
@@ -325,11 +330,7 @@ class UnitaryFactorPair:
 def factor_b1_b2(a: BlockAssignment) -> UnitaryFactorPair:
     p, q = a.p, a.q
     d = p * q
-    M = (
-        as_complex(a.M).entries * sqrt(p)
-        if a.M is not None
-        else np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    )
+    M = _phase_matrix(a)
     B1 = np.zeros((d, d), dtype=np.complex128)
     B2 = np.zeros((d, d), dtype=np.complex128)
     for m in range(p):
@@ -398,11 +399,7 @@ class ProductBasisView:
 
 def product_basis_view(a: BlockAssignment) -> Tuple[ProductBasisView, ProductBasisView]:
     p, q = a.p, a.q
-    M = (
-        as_complex(a.M).entries * sqrt(p)
-        if a.M is not None
-        else np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    ) / sqrt(p)
+    M = _phase_matrix(a) / sqrt(p)
     eye = np.eye(p, dtype=np.complex128)
     lab1, blk1, in1 = [], [], []
     lab2, blk2, in2 = [], [], []

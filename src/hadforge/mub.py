@@ -63,7 +63,7 @@ def standard_diagonal(q: int) -> Tuple[int, ...]:
         raise ValueError("q = 2 has no diagonal pattern; see complete_mub_set")
     if q in _FIXED_DIAGONALS:
         return _FIXED_DIAGONALS[q]
-    return tuple(k * (k - 1) // 2 % q for k in range(q))
+    return triangular_diagonal(q)
 
 
 def triangular_diagonal(q: int) -> Tuple[int, ...]:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hadforge import catalog
 from hadforge._exactrank import (
+    _PRIME_TEST_BOUND,
     System,
+    _is_prime,
     _null_coeffs_one_prime,
     _units,
     certify_rank,
@@ -362,6 +364,56 @@ class TestExactRank:
     def test_certification_is_deterministic(self):
         rows = system_from_rows(sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
         assert certify_rank(rows, 3, 1) == certify_rank(rows, 3, 1)
+
+
+def trial_division_is_prime(n, small_primes):
+    """Reference: n is prime when no prime up to sqrt(n) divides it."""
+    if n < 2:
+        return False
+    return all(n % k for k in small_primes if k * k <= n) or n in small_primes
+
+
+def primes_up_to(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for k in range(2, int(n**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytearray(len(sieve[k * k :: k]))
+    return [k for k in range(n + 1) if sieve[k]]
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_200000(self):
+        small = primes_up_to(450)
+        assert [_is_prime(n) for n in range(200_000)] == [
+            trial_division_is_prime(n, small) for n in range(200_000)
+        ]
+
+    def test_matches_trial_division_in_the_prime_range(self):
+        # find_embedding_prime draws its primes from [2^24, 2^25)
+        small = primes_up_to(1 << 13)
+        rng = random.Random(24)
+        for n in (rng.randrange(1 << 24, 1 << 25) for _ in range(3000)):
+            assert _is_prime(n) == trial_division_is_prime(n, small), n
+
+    @pytest.mark.parametrize(
+        "n",
+        # 561: a Carmichael number; the rest: the least strong pseudoprimes
+        # to the bases 2; 2, 3; 2, 3, 5; 2 .. 7; and 2 .. 31
+        [561, 2047, 1373653, 25326001, 3215031751, 3825123056546413051],
+    )
+    def test_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    def test_large_primes_below_the_bound(self):
+        assert _is_prime(2**61 - 1) and _is_prime(999999937)
+        assert not _is_prime((2**31 - 1) * 999999937)
+
+    # the bound itself is a strong pseudoprime to every base of the test
+    @pytest.mark.parametrize("n", [_PRIME_TEST_BOUND, _PRIME_TEST_BOUND + 2, 2**89 - 1])
+    def test_refuses_beyond_the_bound(self, n):
+        with pytest.raises(ValueError):
+            _is_prime(n)
 
 
 # ----------------------------------------------------------------------
@@ -739,6 +791,19 @@ def test_exact_and_float_defects_agree_on_moved_catalog_grids(name, seed):
 def test_exact_and_float_defects_agree_on_search_grids(p, q):
     for a in _candidate_assignments(p, complete_mub_set(q)):
         assert_defects_agree(reduced_grid(theorem1_build(a, mode="exact")))
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
+def test_examine_screen_matches_the_exact_defect(p, q):
+    cache: dict = {}
+    for a in _candidate_assignments(p, complete_mub_set(q)):
+        _, _, rep = _examine(a, cache)
+        exact = _defect_exact(reduced_grid(theorem1_build(a, mode="exact")))
+        assert rep.defect == exact.defect
+        if exact.defect == 0:
+            assert rep == exact and rep.evidence == exact.evidence
+        else:
+            assert rep.mode == "bound" and rep.rank == exact.rank
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from hadforge import catalog
@@ -13,6 +18,24 @@ EXPECTED_ORDER = [
 
 def test_names_and_order():
     assert catalog.names() == EXPECTED_ORDER
+
+
+def test_catalog_data_comes_from_its_own_package(monkeypatch):
+    # the package loaded under a second name, with "hadforge" unimportable
+    pkg = Path(catalog.__file__).parent
+    spec = importlib.util.spec_from_file_location(
+        "hadforge_second", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    try:
+        sys.modules["hadforge_second"] = module
+        spec.loader.exec_module(module)
+        second = importlib.import_module("hadforge_second.catalog")
+        monkeypatch.setitem(sys.modules, "hadforge", None)
+        assert second.names() == EXPECTED_ORDER
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "hadforge_second"]:
+            del sys.modules[name]
 
 
 @pytest.mark.parametrize("name,d,root,dft", [

@@ -240,6 +240,10 @@ class TestMub:
         code, _, err = run(capsys, "mub", "6")
         assert code == 2 and "hadforge:" in err
 
+    def test_order_beyond_the_primality_test_rejected(self, capsys):
+        code, _, err = run(capsys, "mub", str(10**27 + 7))
+        assert code == 2 and "too large" in err
+
 
 class TestCatalog:
     def test_list(self, capsys):
