@@ -90,14 +90,15 @@ def _float_system(Hc: np.ndarray) -> np.ndarray:
 _EXACT_COEFFS = np.array([[[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
 
 
-def _exact_rows(E: Sequence[Sequence[int]], r: int, d: int) -> System:
-    """Same system over Z[omega_r]: the Re/Im split is rescaled to the
-    conjugation-symmetric pair omega^delta +/- omega^-delta, which spans the
-    same row space (diagonal scaling by 2 and 2i), so ranks agree.
+def _exact_rows(H: ExponentMatrix) -> System:
+    """Same system over Z[omega_r] for a dephased H: the Re/Im split is
+    rescaled to the conjugation-symmetric pair omega^delta +/- omega^-delta,
+    which spans the same row space (diagonal scaling by 2 and 2i), so ranks
+    agree.
 
     Terms run over (pair, plus/minus row, k, side u/v, delta/-delta), with
     the u side dropped for u = 0, whose R[0, k] are not variables."""
-    E = np.asarray(E, dtype=np.int64)
+    E, r, d = H.exp, H.r, H.d
     iu, iv = np.triu_indices(d, 1)
     delta = (E[iu, 1:] - E[iv, 1:]) % r
     block = np.stack([iu, iv], axis=1) - 1
@@ -153,7 +154,7 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
     n = (d - 1) ** 2
     if n == 0:
         return DefectReport(0, 0, 0, "exact", {"root": r})
-    rank, ev = certify_rank(_exact_rows(E.exp, r, d), n, r)
+    rank, ev = certify_rank(_exact_rows(E), n, r)
     ev["root"] = r
     return DefectReport(n - rank, n, rank, "exact", ev)
 
@@ -219,8 +220,7 @@ class HaagerupSet:
 def haagerup_set(H: Matrix) -> HaagerupSet:
     d = H.d
     if isinstance(H, ExponentMatrix):
-        E = np.array(H.exp, dtype=np.int64)
-        r = H.r
+        E, r = H.exp, H.r
         # the quadruple phase of rows (i, k), columns (j, l) is the residue
         # of D[k, j] - D[k, l] with D = E[i] - E (mod r); it is marked at
         # D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds
@@ -266,8 +266,11 @@ def inequivalent_by_invariants(A: Matrix, B: Matrix, details: bool = False):
     Returns "inequivalent" when some invariant (order, minimal Butson root,
     Haagerup set, defect) separates them, else "inconclusive" — matching
     invariants never prove equivalence.  With details=True, returns
-    (verdict, info dict).
+    (verdict, info dict).  A non-unitary A or B raises NotHadamardFormError,
+    as in `defect`: no verdict means anything for it.
     """
+    if not (is_unitary(A) and is_unitary(B)):
+        raise NotHadamardFormError("matrix is not unitary, so it has no invariants")
     reasons: List[str] = []
     info: Dict[str, tuple] = {"order": (A.d, B.d)}
     if A.d != B.d:
@@ -380,7 +383,7 @@ def _examine(a: BlockAssignment, cache: dict):
     fp = haagerup_set(reduced).digest()
     d = reduced.d
     n = (d - 1) ** 2
-    system = _exact_rows(reduced.exp, root, d)
+    system = _exact_rows(reduced)
     rank, ev = screen_rank(system, n, root, random.Random(SEED))
     ev["root"] = root
     rep = DefectReport(n - rank, n, rank, "exact" if rank == n else "bound", ev)

@@ -29,6 +29,7 @@ from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
     Matrix,
+    add_mod,
     as_complex,
     dephase,
     is_unitary,
@@ -140,10 +141,6 @@ class BlockAssignment:
     @property
     def d(self) -> int:
         return self.p * self.q
-
-    @property
-    def canonical_phases(self) -> bool:
-        return self.M is None
 
     @staticmethod
     def from_labels(
@@ -273,45 +270,38 @@ def _build_exact(a: BlockAssignment, cache: Optional[Dict] = None) -> ExponentMa
     R = lcm(p, 4 * q, *roots)
     if cache is None:
         cache = {}
-    grid = [[0] * d for _ in range(d)]
+    grid = np.empty((d, d), dtype=np.int64)
     for i, Ki in enumerate(a.K):
         for j, Lj in enumerate(a.L):
             phase = (i * j) % p * (R // p)
-            _fill_block(grid, i, j, Ki, Lj, q, R, phase, cache)
-    return ExponentMatrix(d, R, tuple(tuple(row) for row in grid))
+            block = _block_exponents(i, j, Ki, Lj, q, R, cache)
+            grid[i * q : (i + 1) * q, j * q : (j + 1) * q] = add_mod(block, phase, R)
+    return ExponentMatrix(d, R, grid)
 
 
-def _fill_block(grid, i, j, Ki, Lj, q, R, phase, cache) -> None:
-    """Write exponents of block (i, j) = phase * Ki^dagger Lj into grid."""
+def _block_exponents(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
+    """Exponents at root R of the unimodular entries of sqrt(q) Ki^dagger Lj:
+    block (i, j) before its phase."""
     if isinstance(Ki, IdentityBasis) and isinstance(Lj, IdentityBasis):
         raise MUPreconditionError(i, j, "identity on both sides")
     if isinstance(Ki, IdentityBasis):
-        lift = R // Lj.r
-        for s in range(q):
-            for t in range(q):
-                grid[i * q + s][j * q + t] = (phase + Lj.exp[s][t] * lift) % R
-        return
+        return Lj.rescaled(R).exp
     if isinstance(Lj, IdentityBasis):
         # Ki^dagger * I: conjugate transpose of Ki
-        lift = R // Ki.r
-        for s in range(q):
-            for t in range(q):
-                grid[i * q + s][j * q + t] = (phase - Ki.exp[t][s] * lift) % R
-        return
+        return -Ki.rescaled(R).exp.T % R
     rz = lcm(Ki.r, Lj.r)
-    la, lb = rz // Ki.r, rz // Lj.r
-    for s in range(q):
-        for t in range(q):
-            counts = [0] * rz
-            for k in range(q):
-                counts[(Lj.exp[k][t] * lb - Ki.exp[k][s] * la) % rz] += 1
-            key = (R, rz, tuple((m, c) for m, c in enumerate(counts) if c))
-            e = cache.get(key)
-            if e is None:
-                z = CyclotomicInteger(rz, counts)
-                e = _monomialize(z, q, R)
-                cache[key] = e
-            grid[i * q + s][j * q + t] = (phase + e) % R
+    # entry (s, t) is sum_k omega_rz^(L[k, t] - K[k, s]); cell s * q + t
+    # lists those q exponents in increasing order, which keys the cache
+    terms = (Lj.rescaled(rz).exp[:, None, :] - Ki.rescaled(rz).exp[:, :, None]) % rz
+    out = []
+    for cell in np.sort(terms.reshape(q, q * q), axis=0).T.tolist():
+        key = (R, rz, tuple(cell))
+        e = cache.get(key)
+        if e is None:
+            counts = np.bincount(cell, minlength=rz).tolist()
+            e = cache[key] = _monomialize(CyclotomicInteger(rz, counts), q, R)
+        out.append(e)
+    return np.array(out, dtype=np.int64).reshape(q, q)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +347,7 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
         raise ValueError("exact factor comparison needs canonical phases")
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
     R = lcm(p, 4 * q, H.r, *roots)
-    E = H.rescaled(R).to_array()
+    E = H.rescaled(R).exp
     g = np.array(sqrt_as_cyclotomic(q).rescaled(R).coeffs)
     ks = np.arange(R)
     rootq = g[(ks[None, :] - ks[:, None]) % R]  # row e: sqrt(q) * omega^e
@@ -369,13 +359,13 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
                 acc = np.zeros((q, q, R), dtype=np.int64)
                 acc[np.arange(q), np.arange(q), ph] = q
             elif isinstance(Km, IdentityBasis):
-                acc = rootq[(ph + Ln.rescaled(R).to_array()) % R]
+                acc = rootq[add_mod(ph, Ln.rescaled(R).exp, R)]
             elif isinstance(Ln, IdentityBasis):
-                acc = rootq[(ph - Km.rescaled(R).to_array().T) % R]
+                acc = rootq[(ph - Km.rescaled(R).exp.T) % R]
             else:
                 # entry (s, t) = sum_k omega^(ph + L[k, t] - K[k, s])
-                Ke, Le = Km.rescaled(R).to_array(), Ln.rescaled(R).to_array()
-                e = (ph + Le[:, None, :] - Ke[:, :, None]) % R
+                Ke, Le = Km.rescaled(R).exp, Ln.rescaled(R).exp
+                e = add_mod(ph, (Le[:, None, :] - Ke[:, :, None]) % R, R)
                 acc = np.bincount((cells * R + e).ravel(), minlength=q * q * R)
             expect = rootq[E[m * q : (m + 1) * q, n * q : (n + 1) * q]]
             diff = acc.reshape(q * q, R) - expect.reshape(q * q, R)

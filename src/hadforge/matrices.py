@@ -2,8 +2,12 @@
 
 A matrix of order d is stored either exactly (`ExponentMatrix`: integer
 exponents of a fixed root of unity, global scale 1/sqrt(d)) or numerically
-(`ComplexMatrix`: a complex ndarray).  Equivalence moves H -> D1 P1 H P2 D2
-act on both kinds; dephasing, unitarity checks and minimal Butson-root
+(`ComplexMatrix`: a complex ndarray).  An exponent grid is one read-only
+(d, d) int64 array, reduced mod its root order r < 2^63 when the matrix is
+made; every exact layer reads it directly.  Sums of two exponents go
+through `add_mod`, which stays inside int64 for every such r.  JSON holds
+the same grid as plain integers.  Equivalence moves H -> D1 P1 H P2 D2 act
+on both kinds; dephasing, unitarity checks and minimal Butson-root
 detection live here too.
 """
 
@@ -34,58 +38,81 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+def _root_order(r) -> int:
+    """r as an int in [1, 2^63): exponent grids are int64 arrays."""
+    r = operator.index(r)
+    if not 1 <= r < 2**63:
+        raise ValueError(f"root order must be in [1, 2^63), got {r}")
+    return r
+
+
+def _residues(cells, r: int) -> np.ndarray:
+    """operator.index(e) % r for each cell of a vector, as int64."""
+    return np.array([operator.index(e) % r for e in cells], dtype=np.int64)
+
+
+def add_mod(a, b, r: int):
+    """(a + b) mod r for exponents a, b reduced mod r, as a - (r - b), so
+    that no intermediate leaves int64 even for r close to 2^63."""
+    return (a - (r - b)) % r
+
+
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """d x d matrix with entries omega_r^{exp[i][j]} / sqrt(d)."""
+    """d x d matrix with entries omega_r^{exp[i, j]} / sqrt(d).
+
+    `exp` may be given as any d x d grid of integers (Python or numpy); it
+    is stored as a read-only int64 array reduced mod r.  Floats, fractions,
+    text and ragged grids are refused with ValueError.
+    """
 
     d: int
     r: int
-    exp: Tuple[Tuple[int, ...], ...]
+    exp: np.ndarray
 
     def __post_init__(self) -> None:
         try:
-            d, r = operator.index(self.d), operator.index(self.r)
+            d, r = operator.index(self.d), _root_order(self.r)
             if d < 1:
                 raise ValueError(f"order must be positive, got {d}")
-            if not 1 <= r < 2**63:
-                # exponent grids are handled as int64 arrays
-                raise ValueError(f"root order must be in [1, 2^63), got {r}")
-            if len(self.exp) != d or any(len(row) != d for row in self.exp):
+            rows = self.exp
+            if len(rows) != d or any(len(row) != d for row in rows):
                 raise ValueError("exponent grid shape does not match order")
-            exp = tuple(tuple(operator.index(e) % r for e in row) for row in self.exp)
+            if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2:
+                exp = rows % r
+            else:
+                exp = np.array([_residues(row, r) for row in rows])
         except TypeError:
             raise ValueError("order, root order and exponents must be integers") from None
+        exp.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "exp", exp)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], r: int) -> "ExponentMatrix":
-        return ExponentMatrix(len(rows), r, tuple(tuple(row) for row in rows))
+        return ExponentMatrix(len(rows), r, rows)
 
     def rescaled(self, r_new: int) -> "ExponentMatrix":
         if r_new % self.r != 0:
             raise ValueError(f"{r_new} is not a multiple of {self.r}")
-        m = r_new // self.r
-        return ExponentMatrix(
-            self.d, r_new, tuple(tuple(e * m for e in row) for row in self.exp)
-        )
-
-    def to_array(self) -> np.ndarray:
-        """Integer exponent grid as an ndarray (copy)."""
-        return np.array(self.exp, dtype=np.int64)
+        if r_new == self.r:
+            return self
+        # e * (r_new // r) < r_new < 2^63 for every reduced exponent e
+        return ExponentMatrix(self.d, r_new, self.exp * (_root_order(r_new) // self.r))
 
     def __eq__(self, other) -> bool:
+        """Equal entries: the same minimal-root form, as `__hash__` uses."""
         if not isinstance(other, ExponentMatrix):
             return NotImplemented
         if self.d != other.d:
             return False
-        r = lcm(self.r, other.r)
-        return self.rescaled(r).exp == other.rescaled(r).exp
+        (ra, A), (rb, B) = butson_min_root(self), butson_min_root(other)
+        return ra == rb and np.array_equal(A.exp, B.exp)
 
     def __hash__(self):
         root, reduced = butson_min_root(self)
-        return hash((self.d, root, reduced.exp))
+        return hash((self.d, root, reduced.exp.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -108,8 +135,7 @@ Matrix = Union[ExponentMatrix, ComplexMatrix]
 
 
 def to_complex(H: ExponentMatrix) -> ComplexMatrix:
-    E = np.array(H.exp, dtype=np.float64)
-    return ComplexMatrix(H.d, np.exp(2j * np.pi * E / H.r) / sqrt(H.d))
+    return ComplexMatrix(H.d, np.exp(2j * np.pi * H.exp / H.r) / sqrt(H.d))
 
 
 def as_complex(H: Matrix) -> ComplexMatrix:
@@ -157,18 +183,11 @@ def apply_equivalence(H: Matrix, m: EquivalenceMove) -> Matrix:
         if not m.exact:
             raise ValueError("float move applied to exact matrix")
         r = lcm(H.r, m.r)
-        He = H.rescaled(r)
+        E = H.rescaled(r).exp[np.ix_(m.row_perm, m.col_perm)]
         lift = r // m.r
-        rp = [p * lift for p in m.row_phases]
-        cp = [p * lift for p in m.col_phases]
-        new = tuple(
-            tuple(
-                (rp[i] + He.exp[m.row_perm[i]][m.col_perm[j]] + cp[j]) % r
-                for j in range(H.d)
-            )
-            for i in range(H.d)
-        )
-        return ExponentMatrix(H.d, r, new)
+        rp = _residues((p * lift for p in m.row_phases), r)
+        cp = _residues((p * lift for p in m.col_phases), r)
+        return ExponentMatrix(H.d, r, add_mod(add_mod(E, rp[:, None], r), cp, r))
     rp = (
         [cmath.exp(2j * cmath.pi * p / m.r) for p in m.row_phases]
         if m.exact
@@ -261,8 +280,9 @@ def dephase(H: Matrix) -> Tuple[Matrix, EquivalenceMove]:
     d = H.d
     idp = tuple(range(d))
     if isinstance(H, ExponentMatrix):
-        rp = tuple((-H.exp[i][0]) % H.r for i in range(d))
-        cp = tuple((-(H.exp[0][j] - H.exp[0][0])) % H.r for j in range(d))
+        E = H.exp
+        rp = tuple((-E[:, 0] % H.r).tolist())
+        cp = tuple((-(E[0] - E[0, 0]) % H.r).tolist())
         move = EquivalenceMove(idp, idp, rp, cp, H.r)
         return apply_equivalence(H, move), move
     A = H.entries
@@ -278,9 +298,7 @@ def dephase(H: Matrix) -> Tuple[Matrix, EquivalenceMove]:
 
 def is_dephased(H: Matrix, tol: float = ENTRY_TOL) -> bool:
     if isinstance(H, ExponentMatrix):
-        return all(H.exp[i][0] == 0 for i in range(H.d)) and all(
-            e == 0 for e in H.exp[0]
-        )
+        return not (H.exp[0].any() or H.exp[:, 0].any())
     A = H.entries
     target = 1 / sqrt(H.d)
     return bool(
@@ -304,7 +322,7 @@ def is_unitary(H: Matrix) -> bool:
         G = H.entries @ H.entries.conj().T
         return bool(np.max(np.abs(G - np.eye(H.d))) <= UNITARY_TOL * H.d)
     d, r = H.d, H.r
-    E = H.to_array()
+    E = H.exp
     i, j = np.triu_indices(d, 1)
     diffs = (E[i] - E[j]) % r
     pairs = np.arange(len(i))[:, None]
@@ -322,17 +340,11 @@ def butson_min_root(H: ExponentMatrix) -> Tuple[int, ExponentMatrix]:
     Expects a dephased matrix (callers dephase first); the minimal root is
     r / gcd(r, all exponents).
     """
-    g = H.r
-    for row in H.exp:
-        for e in row:
-            g = gcd(g, e)
-            if g == 1:
-                return H.r, H
+    g = gcd(H.r, int(np.gcd.reduce(H.exp, axis=None)))
+    if g == 1:
+        return H.r, H
     root = H.r // g
-    reduced = ExponentMatrix(
-        H.d, root, tuple(tuple(e // g for e in row) for row in H.exp)
-    )
-    return root, reduced
+    return root, ExponentMatrix(H.d, root, H.exp // g)
 
 
 def is_butson(H: Matrix, r: int) -> bool:
@@ -354,7 +366,7 @@ def is_butson(H: Matrix, r: int) -> bool:
 _SEARCH_LIMIT = 6
 
 
-def _canonical_form(H: ExponentMatrix) -> Tuple[tuple, EquivalenceMove]:
+def _canonical_form(H: ExponentMatrix) -> Tuple[list, EquivalenceMove]:
     """Lexicographically minimal dephased grid over all row permutations and
     anchor-column choices, with column sorting; returns the realizing move."""
     from itertools import permutations
@@ -370,11 +382,12 @@ def _canonical_form(H: ExponentMatrix) -> Tuple[tuple, EquivalenceMove]:
             m1 = EquivalenceMove(P, cols, zeros, zeros, r)
             A = apply_equivalence(H, m1)
             B, m2 = dephase(A)
-            order = sorted(range(d), key=lambda j: tuple(B.exp[i][j] for i in range(d)))
-            m3 = EquivalenceMove(idp, tuple(order), zeros, zeros, r)
-            C = apply_equivalence(B, m3)
-            if best_key is None or C.exp < best_key:
-                best_key = C.exp
+            # columns in lexicographic order, row 0 the most significant
+            order = tuple(np.lexsort(B.exp[::-1]).tolist())
+            m3 = EquivalenceMove(idp, order, zeros, zeros, r)
+            key = apply_equivalence(B, m3).exp.ravel().tolist()
+            if best_key is None or key < best_key:
+                best_key = key
                 best_move = compose_moves(compose_moves(m1, m2), m3)
     return best_key, best_move
 
@@ -409,19 +422,11 @@ def equivalence_search_small(
 def tensor(A: ExponentMatrix, B: ExponentMatrix) -> ExponentMatrix:
     """Kronecker product in exponent form (root orders lifted to the lcm)."""
     r = lcm(A.r, B.r)
-    la, lb = r // A.r, r // B.r
+    a, b = A.rescaled(r).exp, B.rescaled(r).exp
     d = A.d * B.d
-    rows = []
-    for i1 in range(A.d):
-        for i2 in range(B.d):
-            rows.append(
-                tuple(
-                    (A.exp[i1][j1] * la + B.exp[i2][j2] * lb) % r
-                    for j1 in range(A.d)
-                    for j2 in range(B.d)
-                )
-            )
-    return ExponentMatrix(d, r, tuple(rows))
+    # entry (i1 * B.d + i2, j1 * B.d + j2) is a[i1, j1] + b[i2, j2]
+    E = add_mod(a[:, None, :, None], b[None, :, None, :], r)
+    return ExponentMatrix(d, r, E.reshape(d, d))
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +435,7 @@ def tensor(A: ExponentMatrix, B: ExponentMatrix) -> ExponentMatrix:
 
 def matrix_to_json(H: Matrix, raw: bool = False) -> dict:
     if isinstance(H, ExponentMatrix):
-        obj = {"d": H.d, "root": H.r, "exponents": [list(row) for row in H.exp]}
+        obj = {"d": H.d, "root": H.r, "exponents": H.exp.tolist()}
         if raw or not is_dephased(H):
             obj["raw"] = True
         return obj
@@ -443,9 +448,7 @@ def matrix_to_json(H: Matrix, raw: bool = False) -> dict:
 
 def matrix_from_json(obj: dict) -> Matrix:
     if "exponents" in obj:
-        return ExponentMatrix(
-            obj["d"], obj["root"], tuple(tuple(r) for r in obj["exponents"])
-        )
+        return ExponentMatrix(obj["d"], obj["root"], obj["exponents"])
     if "re" in obj and "im" in obj:
         return ComplexMatrix(
             operator.index(obj["d"]), np.array(obj["re"]) + 1j * np.array(obj["im"])

@@ -38,9 +38,8 @@ def fourier(d: int) -> ExponentMatrix:
     """Discrete Fourier matrix: exponent (j*k) mod d at root order d."""
     if d < 1:
         raise ValueError("order must be positive")
-    return ExponentMatrix(
-        d, d if d > 1 else 1, tuple(tuple((j * k) % d for k in range(d)) for j in range(d))
-    )
+    k = np.arange(d)
+    return ExponentMatrix(d, d, np.outer(k, k))
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,8 @@ def triangular_diagonal(q: int) -> Tuple[int, ...]:
 
 def _fanned_basis(q: int, j: int, diag: Sequence[int]) -> ExponentMatrix:
     """H_j = D^j F_q in exponent form (row k of F_q shifted by j*s_k)."""
-    return ExponentMatrix(
-        q, q, tuple(tuple((j * diag[k] + k * m) % q for m in range(q)) for k in range(q))
-    )
+    k = np.arange(q)
+    return ExponentMatrix(q, q, j * np.array(diag)[:, None] + np.outer(k, k))
 
 
 Basis = "ExponentMatrix | IdentityBasis"
@@ -179,7 +177,7 @@ def is_mu_pair(
         return not (isinstance(A, IdentityBasis) and isinstance(B, IdentityBasis))
     q = A.d
     r = lcm(A.r, B.r)
-    Ae, Be = A.rescaled(r).to_array(), B.rescaled(r).to_array()
+    Ae, Be = A.rescaled(r).exp, B.rescaled(r).exp
     # z_ij = sum_k omega^(B[k, j] - A[k, i]); row n = i * q + j holds its
     # exponents, and z * conj(z) is the sum over all pairs of them
     z = (Be[:, None, :] - Ae[:, :, None]).transpose(1, 2, 0).reshape(q * q, q)

@@ -48,6 +48,7 @@ from hadforge.cyclotomic import RootExponent
 from hadforge.matrices import (
     EquivalenceMove,
     ExponentMatrix,
+    NotHadamardFormError,
     apply_equivalence,
     butson_min_root,
     dephase,
@@ -252,6 +253,14 @@ class TestCompare:
         assert verdict == "inequivalent"
         for key in ("order", "butson_root", "haagerup_size", "defect"):
             assert key in info
+
+    def test_non_unitary_grid_is_refused(self):
+        flat = ExponentMatrix(3, 1, ((0, 0, 0),) * 3)
+        pairs = [(flat, fourier(3)), (fourier(3), flat)]
+        pairs.append((to_complex(flat), to_complex(fourier(3))))  # float branch
+        for A, B in pairs:
+            with pytest.raises(NotHadamardFormError):
+                inequivalent_by_invariants(A, B)
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +628,7 @@ def assert_interpolation_matches_reference(system, n_cols, r, seed):
 @pytest.mark.parametrize("name", ["Sp10", "Sp14"])
 def test_interpolation_matches_reference_on_catalog_systems(name):
     H = reduced_grid(catalog.load(name))
-    system = _exact_rows(H.exp, H.r, H.d)
+    system = _exact_rows(H)
     assert_interpolation_matches_reference(system, (H.d - 1) ** 2, H.r, name)
 
 
@@ -711,7 +720,7 @@ def sorted_terms(system):
 
 
 def assert_systems_match_references(E, r, d, rng):
-    system = _exact_rows(E, r, d)
+    system = _exact_rows(ExponentMatrix(d, r, E))
     rows = reference_exact_rows(E, r, d)
     assert system.n_rows == len(rows) == d * (d - 1)
     assert np.array_equal(sorted_terms(system), sorted_terms(system_from_rows(rows)))
@@ -944,8 +953,8 @@ def monomial_witness(B, B2, mu, q):
             return None
         return [mu * m % q for m in range(q)], [0] * q, 1
     r = lcm(B.r, B2.r)
-    UB = B.rescaled(r).to_array()[[inv * k % q for k in range(q)]]
-    E2 = B2.rescaled(r).to_array()
+    UB = B.rescaled(r).exp[[inv * k % q for k in range(q)]]
+    E2 = B2.rescaled(r).exp
     sigma, theta = [], []
     for m in range(q):
         diff = (UB[:, m][:, None] - E2) % r

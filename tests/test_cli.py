@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -349,6 +350,16 @@ def test_compare(capsys, tmp_path):
     assert out["defect"] == [0, 4]
 
 
+def test_compare_refuses_a_non_unitary_grid(capsys, tmp_path):
+    flat, f3 = tmp_path / "flat.json", tmp_path / "f3.json"
+    flat.write_text('{"d":3,"root":1,"exponents":[[0,0,0],[0,0,0],[0,0,0]]}')
+    dump_matrix(fourier(3), str(f3))
+    for a, b in ((flat, f3), (f3, flat)):
+        code, out, err = run(capsys, "compare", str(a), str(b))
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge:") and "not unitary" in err
+
+
 def test_output_flag_writes_file(capsys, f4, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "unitary", f4, "-o", str(target))
@@ -494,3 +505,112 @@ def test_json_commands_never_show_a_traceback(command_inputs):
                 code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# ----------------------------------------------------------------------
+# frozen output bytes
+# ----------------------------------------------------------------------
+
+_NAMES = catalog.names()
+S9_TO_S35 = _NAMES[_NAMES.index("S9") : _NAMES.index("S35") + 1]
+
+
+def frozen_output(case: str, tmp: Path) -> bytes:
+    """stdout of one CLI call named "<command> <argument>", followed by the
+    move file for `dephase --move`.  Matrix arguments are catalog names,
+    dumped to a file first."""
+    command, arg = case.split(" ", 1)
+    if command == "gen":
+        argv = ["gen", json.dumps(catalog.entry(arg).recipe), "--dephase"]
+    elif command in ("mub", "search"):
+        argv = [command, *arg.split()]
+    else:
+        path = tmp / f"{arg}.json"
+        dump_matrix(catalog.load(arg), str(path))
+        argv = [command, str(path)]
+        argv += {"dephase": ["--move", str(tmp / "move.json")], "defect": ["--mode", "exact"]}.get(
+            command, []
+        )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    data = out.getvalue().encode()
+    if command == "dephase":
+        data += (tmp / "move.json").read_bytes()
+    return data
+
+
+FROZEN_CASES = (
+    [f"gen {n}" for n in _NAMES if catalog.entry(n).recipe is not None]
+    + [f"{c} {n}" for c in ("dephase", "butson", "haagerup", "defect") for n in S9_TO_S35]
+    + [f"mub {q}" for q in (2, 3, 5, 7)]
+    + ["search 3 5"]
+)
+
+# sha256 of each case's bytes; exponent grids and moves must reach JSON as
+# plain integers, so these pin the output of every exact layer
+FROZEN_SHA256 = {
+    "gen S6": "33c47156757ba84299660038eaa988bd5e8a498987ac60ae7e907c99d6b1208b",
+    "gen S9": "8a019a4c2459879752830c7a287319ad3ae55cf9f4f0a0db3a331f3b08f23533",
+    "gen S10": "4cbad567808c86ed472215854b2e1f74ffc5cfe39a041e4912b75525b96b7314",
+    "gen Sp10": "697a84285cec97d7c84d200019c93b644e5f2c77f9772f0c3b964a2ab773aaa0",
+    "gen S14": "6f760ce793f4fa184b7124ffd1f904319e0847a33fe99846b4fb463a4f4c3548",
+    "gen Sp14": "25c2b753368c0bb8e733bc1791048feab95d191f5c279033a486c062405cdd76",
+    "gen S15": "522eb1cee195d5c0deba1c3f19a58d6764378c114a4e843af4170f707d376f55",
+    "gen S25": "ed5c0207f4ba933e1cee6d07e0fda223b09bae82bcf9559ea08122962442bd2e",
+    "gen S35": "2691d74cf3a457b7e9b01012928dba245e97fbed8402180d0bed6c7835e72302",
+    "gen S49": "3d1143396bcdbb0f5d7d2b9cfa76e596114a6c05531f0418d9c0679652558c18",
+    "gen S77": "870f2bf08754f8085f37ebdc353d38a547aeb9b8d902a08421b530c1f3caa2a9",
+    "gen S91": "6dd01039a05754cf36f08ec8602c7dfaebfb5c0a2cea06857fbc8c5ddec54d0d",
+    "dephase S9": "533696980989ac99eba5bf66ede8c18abcb995b107893baea4754d69bee5c6a1",
+    "dephase S10": "760f2d1d2c1e355a369616a87684f66d84293d4b24a1e5950f90f1134c663c3f",
+    "dephase Sp10": "c4ec625602c83ade7ad14f4a546e15a8a33df664e8c6ae3dfe4d110b6a8dd9f4",
+    "dephase B10": "9c8ed8dc3cbf6b646ee6583c45f01799ca3c0c47e98ec60fb572d78d586c0e1e",
+    "dephase S14": "3146a0aac061a80bfaa5d74d19e6c05ebe60e8bad3ad3fb75517fa0b4fcfc6d7",
+    "dephase Sp14": "d0cbe5eab8e775e3dad716f9b77aecc4e3dca2d23f28e20f2ec76006f97d738e",
+    "dephase B14": "ddf739b5b850e091bcb8a4fedc446bb09a8df5b1d3da302651ff9bc14ef6a853",
+    "dephase S15": "01c8feddebd853b7e09e6a639623b9f27b1ef5a339a5c4f582a7624f714c33b2",
+    "dephase S25": "80b382cd7bc00b92f58e9165ea3c6dd7f0bba9415e44877bb47696d860e6197d",
+    "dephase S35": "7ae33cbc8220c6fa4ae847c9913e3ec4e3f7e14108ef03f9d336849f34a93173",
+    "butson S9": "0ac56e6d96b1dbc0066f35ec002a252a8bb0bcb0297312e8de019abcf0e80a8c",
+    "butson S10": "1906c0885a13995bb9c25e01c1854fe456683429372acfeae5b60ddffaf1cea8",
+    "butson Sp10": "ed40216ed672ae407c4c7d74062ed73941ab13244d183dd3cfd8ab2a6d588134",
+    "butson B10": "1906c0885a13995bb9c25e01c1854fe456683429372acfeae5b60ddffaf1cea8",
+    "butson S14": "e4feefdade94ea9e4e71e71503e23bc1675b371475dd5bf7993442d038a38237",
+    "butson Sp14": "5cf92af0e234f728a45c7699810b821792b5747beb97147cb220c7dba676faa1",
+    "butson B14": "e4feefdade94ea9e4e71e71503e23bc1675b371475dd5bf7993442d038a38237",
+    "butson S15": "4626a45b8ecdda396044de5693f40be5b813c2b47349d8826d35f4330e96d90f",
+    "butson S25": "41663ea21d299614c6ee09b8a156bf94bd1264eb585fb5b9830d5a6ac4c452a0",
+    "butson S35": "0ffab3c3501fbd5bcf16c707f6d3d978da4f5e74f9f905f1a7ac920b8fa51a67",
+    "haagerup S9": "70a8f9a75ee6f530417863587a8ff1692ddebce4b2b7bbc45586a2a089d3a0c6",
+    "haagerup S10": "1e8d84a8a70fbd294bb35dd40ed915e2f1d96515d7c1b2cf9ea1338bf55439fd",
+    "haagerup Sp10": "8bdfba36d6f18aff4b613c13ceb6ba8fc12456c29d48fe731c6b5ad7923d50a7",
+    "haagerup B10": "1e8d84a8a70fbd294bb35dd40ed915e2f1d96515d7c1b2cf9ea1338bf55439fd",
+    "haagerup S14": "1f72acb783fb66681f9f4d4c0c85d02bc9a54c11e7f1852d96eff97ebd243c47",
+    "haagerup Sp14": "18f9c85e40828061f352a6a3e2f29318c11f2e8274a54e6b980cbb20e31012e2",
+    "haagerup B14": "1f72acb783fb66681f9f4d4c0c85d02bc9a54c11e7f1852d96eff97ebd243c47",
+    "haagerup S15": "2248beeadc0ac478b7de3be4218e8b1650e25a8238a24d08480351e85f1738b0",
+    "haagerup S25": "88ef36dbabef262adcf7f05d6bffab223bf6be9d1e92730bec1daff9c09f128a",
+    "haagerup S35": "e7aebea903f1f266abd736e9e513d3d2e9e713a209a397373a6c7e28e6b6c2ef",
+    "defect S9": "50d6f561c3a854ad575ea2d94d953ed665c4c16e63ab011e6995887bc787cfbb",
+    "defect S10": "7e79ee7d5eb76262eafb9ec717783a37d90b170665e0014541b34e406f253170",
+    "defect Sp10": "48fb17a302bdcedc98feca567869c34f1636123c0b209c08efd0d1158b8991d2",
+    "defect B10": "7e79ee7d5eb76262eafb9ec717783a37d90b170665e0014541b34e406f253170",
+    "defect S14": "4022c3eb40c16ce0ad42ed319d1f9c5326525e0597143e3c41f08f6e2b8d806c",
+    "defect Sp14": "14600fcec4b7a9c4d2055b197be5a37bb1a19deeb42270bb1bb5ffd776e07cbf",
+    "defect B14": "4022c3eb40c16ce0ad42ed319d1f9c5326525e0597143e3c41f08f6e2b8d806c",
+    "defect S15": "f8f4c910de8713da5e2b4f4cdd70a6dafb788bf0a3d2633f6b1042cdb19a154a",
+    "defect S25": "726d5bbdb9a5e7e6c7abc19ec3d9a9c473e4833985f1193f33e749857d77358e",
+    "defect S35": "d950dfc86e9bf6dd5a3cf086efd5296ccabe63caf9dad9b3cf7fe920bcef2f87",
+    "mub 2": "7f32d807634b842fae91a0f30c482a0ec7c4aebc174bf2938d1a99ac23b7dd3d",
+    "mub 3": "fa7f323b065eebef0c33e3423bec64cfd5f184e852f6be109f687e6c221cba6b",
+    "mub 5": "92211469f4e524f49d14dd6842631b2f2197bbb09542556c3dc44c23cd3cfaf7",
+    "mub 7": "f45affe9066e4dc6513af5a6f842029df51d3b91a99f709e164bb262974634c1",
+    "search 3 5": "ae9dca1ae168bee8fc166a63330d723c2321e1fc4fc2d006eed8e1317c64e22a",
+}
+
+
+@pytest.mark.parametrize("case", FROZEN_CASES)
+def test_output_bytes_are_frozen(case, tmp_path):
+    assert hashlib.sha256(frozen_output(case, tmp_path)).hexdigest() == FROZEN_SHA256[case]

@@ -1,5 +1,8 @@
 import json
+import operator
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from hadforge.matrices import (
     tensor,
     to_complex,
 )
-from hadforge.mub import fourier
+from hadforge.mub import _fanned_basis, fourier, standard_diagonal, triangular_diagonal
 
 
 def F(n):
@@ -71,6 +74,22 @@ def test_exponent_equality_lifts_roots():
     B = ExponentMatrix(2, 4, ((0, 0), (0, 2)))
     assert A == B
     assert hash(A) == hash(B)
+
+
+def test_equality_compares_minimal_root_forms():
+    # the lcm of the two roots is above 2^63, where no grid can be lifted
+    A = ExponentMatrix(2, 2**32 + 15, ((0, 0), (0, 1)))
+    B = ExponentMatrix(2, 2**32 + 17, ((0, 0), (0, 1)))
+    assert A != B
+    assert A == ExponentMatrix(2, 2 * (2**32 + 15), ((0, 0), (0, 2)))
+    assert ExponentMatrix(2, 2**63 - 1, ((0, 0), (0, 0))) == ExponentMatrix(2, 1, ((0, 0), (0, 0)))
+
+
+def test_exponent_grid_is_read_only_int64():
+    H = ExponentMatrix(2, 4, ((0, 5), (-1, 2**70)))
+    assert H.exp.dtype == np.int64 and H.exp.tolist() == [[0, 1], [3, 0]]
+    with pytest.raises(ValueError):
+        H.exp[0, 0] = 1
 
 
 def test_butson_min_root_reduces():
@@ -186,3 +205,182 @@ def test_matrix_json_roundtrip_float():
     back = matrix_from_json(matrix_to_json(H))
     assert isinstance(back, ComplexMatrix)
     assert np.allclose(back.entries, H.entries)
+
+
+# --- the tuple-grid bodies the int64 grid replaced ---------------------
+
+def reference_grid(d, r, exp):
+    """The per-cell constructor: the reduced tuple grid, or ValueError."""
+    try:
+        d, r = operator.index(d), operator.index(r)
+        if d < 1 or not 1 <= r < 2**63:
+            raise ValueError("bad order or root order")
+        if len(exp) != d or any(len(row) != d for row in exp):
+            raise ValueError("exponent grid shape does not match order")
+        return tuple(tuple(operator.index(e) % r for e in row) for row in exp)
+    except TypeError:
+        raise ValueError("order, root order and exponents must be integers") from None
+
+
+def reference_rescaled(grid, r, r_new):
+    m = r_new // r
+    return tuple(tuple(e * m for e in row) for row in grid)
+
+
+def reference_apply_equivalence(grid, r, m):
+    """The exact branch of apply_equivalence: (root, grid)."""
+    rr = lcm(r, m.r)
+    He = reference_rescaled(grid, r, rr)
+    lift = rr // m.r
+    rp = [p * lift for p in m.row_phases]
+    cp = [p * lift for p in m.col_phases]
+    d = len(grid)
+    new = tuple(
+        tuple((rp[i] + He[m.row_perm[i]][m.col_perm[j]] + cp[j]) % rr for j in range(d))
+        for i in range(d)
+    )
+    return rr, new
+
+
+def reference_dephase(grid, r):
+    d = len(grid)
+    idp = tuple(range(d))
+    rp = tuple((-grid[i][0]) % r for i in range(d))
+    cp = tuple((-(grid[0][j] - grid[0][0])) % r for j in range(d))
+    move = EquivalenceMove(idp, idp, rp, cp, r)
+    return reference_apply_equivalence(grid, r, move), move
+
+
+def reference_butson_min_root(grid, r):
+    g = r
+    for row in grid:
+        for e in row:
+            g = gcd(g, e)
+            if g == 1:
+                return r, grid
+    return r // g, tuple(tuple(e // g for e in row) for row in grid)
+
+
+def reference_tensor(a, ra, b, rb):
+    r = lcm(ra, rb)
+    la, lb = r // ra, r // rb
+    rows = []
+    for i1 in range(len(a)):
+        for i2 in range(len(b)):
+            rows.append(
+                tuple(
+                    (a[i1][j1] * la + b[i2][j2] * lb) % r
+                    for j1 in range(len(a))
+                    for j2 in range(len(b))
+                )
+            )
+    return r, tuple(rows)
+
+
+def reference_fourier(d):
+    return d if d > 1 else 1, tuple(tuple((j * k) % d for k in range(d)) for j in range(d))
+
+
+def reference_fanned_basis(q, j, diag):
+    return tuple(tuple((j * diag[k] + k * m) % q for m in range(q)) for k in range(q))
+
+
+def same(H, root, grid):
+    return H.r == root and H.exp.tolist() == [list(row) for row in grid]
+
+
+# roots within 4 of 2^63 with one small factor each, so that a grid at the
+# factor rescales to the big root, and sums of two exponents overflow int64
+BIG_ROOTS = {2**63 - 1: 7, 2**63 - 2: 3, 2**63 - 3: 5, 2**63 - 4: 4}
+
+
+@st.composite
+def grids_and_roots(draw):
+    """(d, r, tuple grid of unreduced cells, a divisor of r)."""
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(sorted(BIG_ROOTS)))
+        f = BIG_ROOTS[r]
+    else:
+        f = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        r = f * draw(st.integers(1, 5))
+    cell = st.one_of(st.integers(-3 * r, 3 * r), st.integers(-(2**70), 2**70))
+    grid = tuple(tuple(draw(cell) for _ in range(d)) for _ in range(d))
+    return d, r, grid, f
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_code_matches_tuple_grid_references(data):
+    d, r, raw, f = data.draw(grids_and_roots())
+    grid = reference_grid(d, r, raw)
+    H = ExponentMatrix(d, r, raw)
+    assert same(H, r, grid)
+
+    (root, Hd), move = reference_dephase(grid, r)
+    got, got_move = dephase(H)
+    assert same(got, root, Hd) and got_move == move
+    assert all(type(p) is int for p in got_move.row_phases + got_move.col_phases)
+    assert same(butson_min_root(got)[1], *reference_butson_min_root(Hd, root))
+
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m = random_move(d, r if r in BIG_ROOTS else r * rng.randint(1, 3), rng)
+    assert same(apply_equivalence(H, m), *reference_apply_equivalence(grid, r, m))
+
+    # a grid at the divisor f, rescaled to r, and its product with H
+    small = reference_grid(d, f, raw)
+    G = ExponentMatrix(d, f, raw)
+    assert same(G.rescaled(r), r, reference_rescaled(small, f, r))
+    assert same(tensor(H, G), *reference_tensor(grid, r, small, f))
+    assert same(tensor(G, H), *reference_tensor(small, f, grid, r))
+    assert (G.rescaled(r) == H) == (reference_rescaled(small, f, r) == grid)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_fourier_matches_tuple_grid_reference(d):
+    assert same(fourier(d), *reference_fourier(d))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_fanned_bases_match_tuple_grid_reference(q):
+    for diag in {standard_diagonal(q), triangular_diagonal(q)}:
+        for j in range(q):
+            assert same(_fanned_basis(q, j, diag), q, reference_fanned_basis(q, j, diag))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, True], [False, 1]],
+        [[0, 1.0], [0, 1]],
+        [[0, float("nan")], [0, 1]],
+        [[0, "1"], [0, 1]],
+        ["01", [0, 1]],
+        [[0, None], [0, 1]],
+        [[0, Fraction(1, 2)], [0, 1]],
+        [[0, Fraction(4, 2)], [0, 1]],
+        [[0, 2**70], [0, -(2**70)]],
+        [[0, np.int64(-7)], [np.int64(2**62), 1]],
+        [[0, np.True_], [0, 1]],
+        [[0, np.float64(1.0)], [0, 1]],
+        [np.array([0, 2**64 - 1], dtype=np.uint64), [0, 1]],
+        np.array([[0, 2**64 - 1], [2**63, 1]], dtype=np.uint64),
+        np.array([[0, -(2**63)], [2**63 - 1, 1]], dtype=np.int64),
+        np.array([[0, 1], [0, 1]], dtype=np.float64),
+        np.zeros((2, 2, 1), dtype=np.int64),
+        [[0, 1], [0, 1, 2]],
+        [[0, 1]],
+        [[0, 1], 5],
+        [[[0], [1]], [[0], [1]]],
+    ],
+    ids=lambda rows: repr(rows)[:40],
+)
+@pytest.mark.parametrize("r", [6, 2**63 - 1])
+def test_constructor_cells_match_the_per_cell_reference(rows, r):
+    try:
+        expected = reference_grid(2, r, rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ExponentMatrix(2, r, rows)
+        return
+    assert same(ExponentMatrix(2, r, rows), r, expected)
