@@ -11,8 +11,12 @@ before the first round.
 A call is `search:P:Q` (`analyze.assignment_search(P, Q)`) or
 `verify:NAME` (`catalog.verify(NAME)`).  The script prints the seconds of
 every round, then per call each side's median, the ratio b/a and each
-side's wins out of the rounds.  It also says when the two sides' results
-differ.
+side's wins out of the rounds.  The warm-up calls' results are compared:
+for a search its `examined`, `partial`, classes and findings (K and L
+labels and fingerprint of each), for a verify its verdict and defect.  The
+number of orbit representatives each side analysed is printed for every
+search; it may differ between the sides.  The exit status is 1 when some
+call's results differ, after the timed rounds, and 0 otherwise.
 
 Example:
     python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
@@ -45,16 +49,23 @@ class Side:
         self.catalog = importlib.import_module(f"{self.name}.catalog")
 
     def run(self, call: str):
-        """Run one call; return (seconds, a summary of its result)."""
+        """Run one call; return (seconds, a summary of its result, the
+        number of orbit representatives of a search or None)."""
         kind, *args = call.split(":")
         t0 = time.perf_counter()
         if kind == "search":
             res = self.analyze.assignment_search(int(args[0]), int(args[1]))
-            out = (res.examined, res.partial, tuple(res.classes))
+            findings = tuple(
+                (f.assignment.K_labels, f.assignment.L_labels, f.fingerprint)
+                for f in res.findings
+            )
+            out = (res.examined, res.partial, tuple(res.classes), findings)
+            reps = len(res.representatives)
         else:
             rep = self.catalog.verify(args[0])
             out = (rep["pass"], rep["checks"]["defect"]["computed"])
-        return time.perf_counter() - t0, out
+            reps = None
+        return time.perf_counter() - t0, out, reps
 
 
 def parse_call(text: str) -> str:
@@ -81,10 +92,14 @@ def main() -> int:
 
     sides = (Side("a", args.a), Side("b", args.b))
     times = {call: ([], []) for call in args.calls}
+    differ = False
     for call in args.calls:
-        results = [side.run(call)[1] for side in sides]
-        if results[0] != results[1]:
-            print(f"{call}: results differ: a {results[0]!r}, b {results[1]!r}")
+        (_, out_a, reps_a), (_, out_b, reps_b) = (side.run(call) for side in sides)
+        if reps_a is not None:
+            print(f"{call}: representatives a {reps_a}, b {reps_b}")
+        if out_a != out_b:
+            differ = True
+            print(f"{call}: results differ: a {out_a!r}, b {out_b!r}")
 
     print(f"{'round':>5}  {'call':<16} {'a_s':>9} {'b_s':>9}")
     for rnd in range(args.rounds):
@@ -104,6 +119,9 @@ def main() -> int:
             f"{call:<16} {ma:>9.3f} {mb:>9.3f} {mb / ma:>6.2f} "
             f"{args.rounds - b_wins:>3}/{args.rounds:<3} {b_wins:>3}/{args.rounds:<3}"
         )
+    if differ:
+        print("results differ", file=sys.stderr)
+        return 1
     return 0
 
 

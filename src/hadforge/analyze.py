@@ -353,9 +353,10 @@ def _candidate_assignments(p: int, mub: MubSet):
 
 
 def _orbit_multipliers(q: int) -> Tuple[int, ...]:
-    """The relabellings H_j -> H_{s j mod q} the search identifies: the
-    nonzero squares s mod q ((1,) for q = 2 and q = 3)."""
-    return tuple(sorted({x * x % q for x in range(1, q)}))
+    """The relabellings H_j -> H_{s j mod q} the search identifies: s = +-x^2
+    mod q for x != 0.  That is every unit when q = 3 (mod 4), the nonzero
+    squares alone when q = 1 (mod 4), and (1,) for q = 2."""
+    return tuple(sorted({sign * x * x % q for x in range(1, q) for sign in (1, -1)}))
 
 
 def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
@@ -410,9 +411,27 @@ def assignment_search(
     Hence relabelling every free slot H_j -> H_{s j} with s = mu^-2, one of
     `_orbit_multipliers(q)`, and leaving the slots in place builds
     D1 H D2^dagger with block-diagonal monomial D1 and D2: an equivalent
-    matrix, with the same Haagerup set and defect.  Sorting each side back
-    into a multiset is the slot-order step the multiset enumeration already
-    assumes; the orbit step adds no other assumption.  So every member of an
+    matrix, with the same Haagerup set and defect.
+
+    Complex conjugation supplies s = -1, which is not a square when
+    q = 3 (mod 4).  conj(I) = I, conj(F) = F P and conj(H_j) = D^-j F P =
+    H_{-j} P, with P the permutation k -> -k.  Block (i, j) of the build is
+    omega_p^(i j) K_i^dagger L_j / sqrt(p), so conj(build(a)) =
+    D1 build(a'') D2 with monomial D1 and D2, where a'' negates every H
+    index and moves L slot i to slot -i mod p (slot 0, the pinned F, stays),
+    and D2 also permutes the block columns j -> -j.  Conjugation keeps the
+    key: the Haagerup set is closed under negation, because swapping the
+    columns j and l of a quadruple conjugates its product, and the Galois
+    map omega -> omega^-1 carries the exact defect system of build(a) to
+    that of its conjugate, so the defect is the same.  The multipliers
+    +-x^2 form a group, so the orbits partition the candidates.  (A key
+    that is not isolated holds `_examine`'s one-prime bound, which this
+    argument takes for the exact defect; the tests check that orbit
+    members share their examined key.)
+
+    Sorting each side back into a multiset absorbs the slot moves; it is
+    the slot-order step the multiset enumeration already assumes, and the
+    orbit step adds no other assumption.  So every member of an
     orbit has the key of its least member in enumeration order, the first
     candidate of each class is that least member, and analysing only the
     least members gives the full enumeration's classes and findings.

@@ -478,16 +478,22 @@ def move_to_json(m: EquivalenceMove) -> dict:
 
 
 def move_from_json(obj: dict) -> EquivalenceMove:
+    """Inverse of `move_to_json`.  Permutations, exact phases and the root
+    are read with operator.index, as `matrix_from_json` reads exponents, so
+    a fractional or text value raises ValueError instead of being cut."""
+
+    def ints(xs) -> tuple:
+        return tuple(operator.index(x) for x in xs)
+
     r = obj.get("root")
-    phases = (
-        (lambda xs: tuple(int(x) for x in xs))
-        if r is not None
-        else (lambda xs: tuple(float(x) for x in xs))
-    )
-    return EquivalenceMove(
-        tuple(int(i) for i in obj["row_perm"]),
-        tuple(int(i) for i in obj["col_perm"]),
-        phases(obj["row_phases"]),
-        phases(obj["col_phases"]),
-        int(r) if r is not None else None,
-    )
+    phases = ints if r is not None else (lambda xs: tuple(float(x) for x in xs))
+    try:
+        return EquivalenceMove(
+            ints(obj["row_perm"]),
+            ints(obj["col_perm"]),
+            phases(obj["row_phases"]),
+            phases(obj["col_phases"]),
+            _root_order(r) if r is not None else None,
+        )
+    except TypeError:
+        raise ValueError("move permutations, phases and root must be integers") from None

@@ -827,8 +827,11 @@ class TestSearch:
         assert len(res.classes) >= 1
 
     def test_budget_marks_partial(self):
+        # the first orbit holds one candidate, the second two: only the
+        # first fits in a budget of 2
+        assert [size for _, size in orbits(3, 3)[:2]] == [1, 2]
         res = assignment_search(3, 3, budget=2)
-        assert res.examined == 2 and res.partial
+        assert res.examined == 1 and res.partial
 
     def test_budget_of_the_whole_enumeration_is_not_partial(self):
         res = assignment_search(2, 3, budget=7)
@@ -905,17 +908,30 @@ def orbits(p, q):
 
 
 @pytest.mark.parametrize(
-    "q,expected", [(2, (1,)), (3, (1,)), (5, (1, 4)), (7, (1, 2, 4)), (11, (1, 3, 4, 5, 9))]
+    "q,expected",
+    [
+        (2, (1,)),
+        (3, (1, 2)),
+        (5, (1, 4)),
+        (7, (1, 2, 3, 4, 5, 6)),
+        (11, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (13, (1, 3, 4, 9, 10, 12)),
+    ],
 )
 def test_orbit_multipliers_are_the_nonzero_squares(q, expected):
+    """+-x^2: every unit for q = 3 (mod 4), the squares for q = 1 (mod 4)."""
     assert _orbit_multipliers(q) == expected
 
 
-@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (2, 5), (3, 5), (5, 3), (2, 7), (2, 11)])
+@pytest.mark.parametrize(
+    "p,q", [(2, 2), (2, 3), (3, 3), (2, 5), (3, 5), (5, 3), (2, 7), (2, 11)]
+)
 def test_orbit_search_matches_full_enumeration(p, q):
     res = assignment_search(p, q)
     assert search_summary(res) == reference_assignment_search(p, q)
     reps = orbits(p, q)
+    if q > 2:
+        assert any(size > 1 for _, size in reps)
     mub = complete_mub_set(q)
     assert res.representatives == [_assignment(p, kc, lc, mub) for (kc, lc), _ in reps]
     assert res.examined == sum(size for _, size in reps)
@@ -953,7 +969,22 @@ def monomial_witness(B, B2, mu, q):
             return None
         return [mu * m % q for m in range(q)], [0] * q, 1
     r = lcm(B.r, B2.r)
-    UB = B.rescaled(r).exp[[inv * k % q for k in range(q)]]
+    return column_witness(B.rescaled(r).exp[[inv * k % q for k in range(q)]], B2, r, q)
+
+
+def conjugation_witness(B, B2, q):
+    """(sigma, theta, r) with conj(B) = B2 M exactly, M as in
+    `monomial_witness`; None when there is no such M."""
+    if isinstance(B, IdentityBasis) or isinstance(B2, IdentityBasis):
+        if not (isinstance(B, IdentityBasis) and isinstance(B2, IdentityBasis)):
+            return None
+        return list(range(q)), [0] * q, 1
+    r = lcm(B.r, B2.r)
+    return column_witness(-B.rescaled(r).exp % r, B2, r, q)
+
+
+def column_witness(UB, B2, r, q):
+    """(sigma, theta, r) with UB = B2 M for the exponent grid UB at root r."""
     E2 = B2.rescaled(r).exp
     sigma, theta = [], []
     for m in range(q):
@@ -985,9 +1016,12 @@ def block_move(witnesses, q, r):
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_relabelling_is_an_exact_monomial_equivalence(q):
+    """Only the square multipliers.  The conjugation test below covers -1,
+    which gives the rest of the group for q = 3 (mod 4)."""
     mub = complete_mub_set(q)
     rng = random.Random(q)
-    for s in _orbit_multipliers(q):
+    squares = {x * x % q for x in range(1, q)}
+    for s in (s for s in _orbit_multipliers(q) if s in squares):
         mus = [mu for mu in range(1, q) if pow(mu, -2, q) == s]
         assert mus, f"multiplier {s} is not a square mod {q}"
         mu = mus[0]
@@ -1009,6 +1043,48 @@ def test_relabelling_is_an_exact_monomial_equivalence(q):
                 assert apply_equivalence(H, move) == H2, (s, K, L)
 
 
+def conjugation_move(K, L, witness, p, q, r):
+    """The exact move with apply_equivalence(build(a''), move) = conj(build(a))
+    for an assignment a with labels K, L.  With conj(K_i) = K'_i M_i and
+    conj(L_j) = L'_j N_j, block (i, j) of conj(build(a)) is
+    M_i^dagger build(a'')[i, -j] N_j: row x of block row i is its row
+    sigma[x] times omega^-theta[x], and column x of block column j is
+    column sigma[x] of block column -j times omega^theta[x]."""
+    perms, phases = ([], []), ([], [])
+    for side, sign, labels in ((0, -1, K), (1, 1, L)):
+        for i, label in enumerate(labels):
+            sigma, theta, rw = witness[label]
+            src = i if side == 0 else -i % p
+            for x in range(q):
+                perms[side].append(src * q + sigma[x])
+                phases[side].append(sign * theta[x] * (r // rw) % r)
+    return EquivalenceMove(*map(tuple, perms), *map(tuple, phases), r)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_conjugation_is_an_exact_monomial_equivalence(q):
+    """conj(build(a)) = D1 build(a'') D2 with monomial D1 and D2, where a''
+    negates every H index and moves L slot i to slot -i mod p."""
+    mub = complete_mub_set(q)
+    rng = random.Random(q)
+    witness = {}
+    for label in mub.labels:
+        w = conjugation_witness(mub[label], mub[relabel(label, -1, q)], q)
+        assert w is not None, label
+        witness[label] = w
+    r = lcm(*(w[2] for w in witness.values()))
+    for p in (2, 3):
+        for _ in range(4):
+            # unsorted slots; slot i of lc is L slot i + 1
+            kc, lc = random_valid_indices(rng, p, q)
+            a = _assignment(p, kc, lc, mub)
+            a2 = _assignment(p, [-j % q for j in kc], [-j % q for j in reversed(lc)], mub)
+            H, H2 = (theorem1_build(x, mode="exact") for x in (a, a2))
+            move = conjugation_move(a.K_labels, a.L_labels, witness, p, q, r)
+            conj = ExponentMatrix(H.d, H.r, -H.exp)
+            assert apply_equivalence(H2, move) == conj, (a.K_labels, a.L_labels)
+
+
 def random_valid_indices(rng, p, q):
     while True:
         kc = [rng.randrange(q) for _ in range(p - 1)]
@@ -1017,7 +1093,7 @@ def random_valid_indices(rng, p, q):
             return kc, lc
 
 
-@pytest.mark.parametrize("p,q", [(3, 5), (2, 7)])
+@pytest.mark.parametrize("p,q", [(3, 3), (5, 3), (3, 5), (2, 7)])
 def test_orbit_members_share_the_examined_key(p, q):
     mub = complete_mub_set(q)
     mult = _orbit_multipliers(q)
@@ -1030,7 +1106,7 @@ def test_orbit_members_share_the_examined_key(p, q):
     assert all(len(k) == 1 for k in keys.values())
 
 
-@pytest.mark.parametrize("p,q", [(2, 5), (2, 7)])
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 3), (2, 5), (2, 7)])
 def test_budget_never_splits_an_orbit(p, q):
     reps = orbits(p, q)
     total = sum(size for _, size in reps)
@@ -1046,7 +1122,7 @@ def test_budget_never_splits_an_orbit(p, q):
         assert res.stopped_by == ("budget" if res.partial else None)
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("p,q", [(2, 2)])
 def test_budget_matches_full_enumeration_when_orbits_are_single(p, q):
     total = assignment_search(p, q).examined
     for budget in range(total + 1):

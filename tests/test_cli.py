@@ -287,6 +287,18 @@ def test_search_summary_on_stderr(capsys):
     )
 
 
+def test_search_summary_counts_conjugation_orbits(capsys):
+    # q = 7 is 3 mod 4, so -1 joins the squares and every unit is a multiplier
+    code, out, err = run(capsys, "search", "2", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SHA256["search 2 7"]
+    assert re.fullmatch(
+        r"hadforge: search 2 7: 43 candidates in 8 orbits, 2 classes, "
+        r"1 isolated, \d+\.\d s\n",
+        err,
+    )
+
+
 def test_search_summary_names_a_budget_stop(capsys):
     code, out, err = run(capsys, "search", "2", "5", "--budget", "3")
     assert code == 0 and json.loads(out)["partial"] is True
@@ -545,7 +557,7 @@ FROZEN_CASES = (
     [f"gen {n}" for n in _NAMES if catalog.entry(n).recipe is not None]
     + [f"{c} {n}" for c in ("dephase", "butson", "haagerup", "defect") for n in S9_TO_S35]
     + [f"mub {q}" for q in (2, 3, 5, 7)]
-    + ["search 3 5"]
+    + ["search 3 5", "search 2 7"]
 )
 
 # sha256 of each case's bytes; exponent grids and moves must reach JSON as
@@ -608,6 +620,7 @@ FROZEN_SHA256 = {
     "mub 5": "92211469f4e524f49d14dd6842631b2f2197bbb09542556c3dc44c23cd3cfaf7",
     "mub 7": "f45affe9066e4dc6513af5a6f842029df51d3b91a99f709e164bb262974634c1",
     "search 3 5": "ae9dca1ae168bee8fc166a63330d723c2321e1fc4fc2d006eed8e1317c64e22a",
+    "search 2 7": "fef1ff5d2f6f472394e69a02eb081ce404a0ade6f114ce0bd1bf7cc1568fcf39",
 }
 
 

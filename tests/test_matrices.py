@@ -159,6 +159,18 @@ def test_move_json_roundtrip():
     assert back.row_perm == mf.row_perm and back.r is None
 
 
+@pytest.mark.parametrize(
+    "field,value", [("row_phases", [0, 1.5, 2]), ("col_phases", [0, "3", 2]), ("root", 6.5)]
+)
+def test_move_json_refuses_non_integers(field, value):
+    m = EquivalenceMove((0, 1, 2), (2, 0, 1), (0, 1, 2), (3, 4, 5), 6)
+    obj = move_to_json(m)
+    assert move_from_json(obj) == m
+    obj[field] = value
+    with pytest.raises(ValueError):
+        move_from_json(obj)
+
+
 # --- tensor and small-order equivalence search ------------------------
 
 def test_tensor_of_fouriers():
