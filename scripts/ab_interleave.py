@@ -8,22 +8,25 @@ the side that goes first alternates from round to round, so a drift in the
 host's speed falls on both alike.  One untimed warm-up call per side comes
 before the first round.
 
-A call is `search:P:Q` (`analyze.assignment_search(P, Q)`) or
-`verify:NAME` (`catalog.verify(NAME)`).  The script prints the seconds of
-every round, then per call each side's median, the ratio b/a and each
-side's wins out of the rounds.  The warm-up calls' results are compared:
-for a search its `examined`, `partial`, classes and findings (K and L
-labels and fingerprint of each), for a verify its verdict and defect.  The
+A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
+`verify:NAME` (`catalog.verify(NAME)`) or `build:NAME`
+(`catalog.build(NAME)`).  The script prints the seconds of every round,
+then per call each side's median, the ratio b/a and each side's wins out of
+the rounds.  The warm-up calls' results are compared: for a search its
+`examined`, `partial`, classes and findings (K and L labels and fingerprint
+of each), for a verify its verdict and defect, for a build the root and the
+sha256 of the exponent grid.  The
 number of orbit representatives each side analysed is printed for every
 search; it may differ between the sides.  The exit status is 1 when some
 call's results differ, after the timed rounds, and 0 otherwise.
 
 Example:
     python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
-        search:3:5 search:2:7 verify:S35
+        search:3:5 search:2:7 verify:S35 build:S91
 """
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import statistics
@@ -61,9 +64,13 @@ class Side:
             )
             out = (res.examined, res.partial, tuple(res.classes), findings)
             reps = len(res.representatives)
-        else:
+        elif kind == "verify":
             rep = self.catalog.verify(args[0])
             out = (rep["pass"], rep["checks"]["defect"]["computed"])
+            reps = None
+        else:
+            H = self.catalog.build(args[0])
+            out = (H.r, H.exp.shape, hashlib.sha256(H.exp.tobytes()).hexdigest())
             reps = None
         return time.perf_counter() - t0, out, reps
 
@@ -71,10 +78,10 @@ class Side:
 def parse_call(text: str) -> str:
     kind, *args = text.split(":")
     ok = (kind == "search" and len(args) == 2 and all(a.isdigit() for a in args)) or (
-        kind == "verify" and len(args) == 1 and args[0]
+        kind in ("verify", "build") and len(args) == 1 and args[0]
     )
     if not ok:
-        raise argparse.ArgumentTypeError(f"not search:P:Q or verify:NAME: {text!r}")
+        raise argparse.ArgumentTypeError(f"not search:P:Q, verify:NAME or build:NAME: {text!r}")
     return text
 
 

@@ -45,7 +45,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .cyclotomic import vanishes
+from .cyclotomic import sums_vanish
 
 
 class System(NamedTuple):
@@ -483,14 +483,10 @@ def _verify_null_vectors(system: System, vectors, free: List[int], r: int) -> bo
     if not system.row.size or not vectors:
         return True
     # (M . w)_i = sum over terms c * omega^e * w[col]: the term adds
-    # c * w[col][k] to coefficient (e + k) mod r of row i
-    W = np.zeros((len(vectors[0]), r), dtype=object)
-    targets = (system.row[:, None], (system.exp[:, None] + np.arange(r)) % r)
-    for w in vectors:
-        for x, coeffs in enumerate(w):
-            W[x, : len(coeffs)] = coeffs
-        acc = np.zeros((system.n_rows, r), dtype=object)
-        np.add.at(acc, targets, system.coeff[:, None] * W[system.col])
-        if not vanishes(acc, r).all():
-            return False
-    return True
+    # c * w[col][k] * omega^(e + k) to row i, for every k where w[col] is not 0
+    W = np.array(vectors, dtype=object)
+    v, j = np.nonzero((W != 0).any(axis=2)[:, system.col])
+    rows = (v * system.n_rows + system.row[j])[:, None]
+    exps = system.exp[j, None] + np.arange(W.shape[2])
+    weight = system.coeff[j, None] * W[v, system.col[j]]
+    return bool(sums_vanish(len(vectors) * system.n_rows, rows, exps, r, weight).all())

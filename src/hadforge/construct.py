@@ -4,9 +4,9 @@ The central construction takes p pairs of mutually unbiased bases of order q
 (a `BlockAssignment`) and produces a complex Hadamard matrix of order pq
 whose block (i, j) is alpha_ij * K_i^dagger L_j / sqrt(p).  When every input
 is carried in exponent form the build is exact: each block entry is an
-unnormalized inner product z with |z|^2 = q, and z is certified to equal
-sqrt(q) times a root of unity by an algebraic identity check (z^2 = q w^2e),
-never by rounding alone.
+unnormalized inner product z, a sum of q roots of unity.  Its float argument
+proposes the exponent e, and z - sqrt(q) w^e = 0 is then certified as a
+sum of 2q roots (sqrt(q) a Gauss sum, -1 a root), never by rounding alone.
 
 Also here: the B1/B2 unitary factorization and its product-basis view, the
 all-identity "trivial" affine family, and the two block-tensor constructions
@@ -15,24 +15,21 @@ all-identity "trivial" affine family, and the two block-tensor constructions
 
 from __future__ import annotations
 
-import cmath
 import operator
 import warnings
 from dataclasses import dataclass, field
 from math import lcm, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, RootExponent, vanishes
+from .cyclotomic import CyclotomicInteger, sums_vanish
 from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
     Matrix,
     add_mod,
     as_complex,
-    dephase,
-    is_unitary,
     to_complex,
 )
 from .mub import IdentityBasis, MubSet, complete_mub_set, fourier, is_mu_pair
@@ -56,55 +53,22 @@ class MonomializationError(RuntimeError):
 # sqrt(q) as an exact cyclotomic integer
 # ----------------------------------------------------------------------
 
-def sqrt_as_cyclotomic(q: int) -> CyclotomicInteger:
-    """sqrt(q) as an element of Z[omega_{4q}], for prime q.
+def _sqrt_exponents(q: int) -> np.ndarray:
+    """Exponents at root 4q of q roots of unity that sum to sqrt(q), prime q.
 
     Odd q: the quadratic exponential sum g = sum_k omega_q^{k^2} equals
-    sqrt(q) or i*sqrt(q) according to q mod 4; q = 2 uses omega_8 + omega_8^7.
+    sqrt(q) or i*sqrt(q) according to q mod 4, and -i = omega_{4q}^{3q};
+    q = 2 uses omega_8 + omega_8^7.
     """
-    if q == 1:
-        return CyclotomicInteger.one(4)
     if q == 2:
-        z = CyclotomicInteger(8)
-        z.coeffs[1] += 1
-        z.coeffs[7] += 1
-        return z
-    r = 4 * q
-    g = CyclotomicInteger(r)
-    for k in range(q):
-        g.coeffs[(4 * (k * k)) % r] += 1
-    if q % 4 == 1:
-        return g
-    # g = i*sqrt(q); multiply by -i = omega_4^3 = omega_{4q}^{3q}
-    return g.shifted(3 * q)
+        return np.array([1, 7], dtype=np.int64)
+    k = np.arange(q, dtype=np.int64)
+    return (4 * k * k + (0 if q % 4 == 1 else 3 * q)) % (4 * q)
 
 
-# ----------------------------------------------------------------------
-# monomialization: certify z = sqrt(q) * root of unity
-# ----------------------------------------------------------------------
-
-def _monomialize(z: CyclotomicInteger, q: int, R: int) -> int:
-    """Return e with z = sqrt(q) * omega_R^e, certified exactly.
-
-    The candidate exponent comes from the floating-point argument of z; the
-    certificate is the algebraic identity z^2 - q * omega_R^{2e} = 0, which
-    pins z up to sign, plus a float sign check with 2*sqrt(q) separation.
-    """
-    if R % z.r != 0:
-        raise ValueError("target root must be a multiple of the operand root")
-    zc = z.to_complex()
-    if abs(abs(zc) ** 2 - q) > 1e-6 * q:
-        raise MonomializationError(f"|z|^2 = {abs(zc)**2:.6f} != {q}")
-    e = round(cmath.phase(zc) * R / (2 * cmath.pi)) % R
-    target = cmath.exp(2j * cmath.pi * e / R) * sqrt(q)
-    if abs(zc - target) > 1e-6 * sqrt(q):
-        raise MonomializationError("argument does not round to a root of unity")
-    z2 = (z * z).rescaled(R) if z.r != R else z * z
-    check = CyclotomicInteger(R)
-    check.coeffs[(2 * e) % R] = q
-    if not (z2 - check).is_zero():
-        raise MonomializationError("z^2 != q * omega^(2e): entry is not monomial")
-    return e
+def sqrt_as_cyclotomic(q: int) -> CyclotomicInteger:
+    """sqrt(q) as an element of Z[omega_{4q}], for prime q."""
+    return CyclotomicInteger(4 * q, np.bincount(_sqrt_exponents(q), minlength=4 * q).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -293,15 +257,27 @@ def _block_exponents(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
     # entry (s, t) is sum_k omega_rz^(L[k, t] - K[k, s]); cell s * q + t
     # lists those q exponents in increasing order, which keys the cache
     terms = (Lj.rescaled(rz).exp[:, None, :] - Ki.rescaled(rz).exp[:, :, None]) % rz
-    out = []
-    for cell in np.sort(terms.reshape(q, q * q), axis=0).T.tolist():
-        key = (R, rz, tuple(cell))
-        e = cache.get(key)
-        if e is None:
-            counts = np.bincount(cell, minlength=rz).tolist()
-            e = cache[key] = _monomialize(CyclotomicInteger(rz, counts), q, R)
-        out.append(e)
-    return np.array(out, dtype=np.int64).reshape(q, q)
+    cells = np.sort(terms.reshape(q, q * q), axis=0).T
+    keys = [(R, rz, tuple(cell)) for cell in cells.tolist()]
+    missed = {key: n for n, key in enumerate(keys) if key not in cache}
+    if missed:
+        z = cells[list(missed.values())]
+        e = _candidate_exponents(z, rz, R)
+        # z - sqrt(q) * omega_R^e as 2q roots of order R: -1 = omega_R^(R/2)
+        # and sqrt(q) is a sum of q roots, both because 4q divides R
+        minus = (e + R // 2)[:, None] + _sqrt_exponents(q) * (R // (4 * q))
+        diff = np.hstack([z * (R // rz), minus])
+        if not sums_vanish(len(e), np.arange(len(e))[:, None], diff, R).all():
+            raise MonomializationError("a block entry is not sqrt(q) times a root of unity")
+        cache.update(zip(missed, e.tolist()))
+    return np.array([cache[key] for key in keys], dtype=np.int64).reshape(q, q)
+
+
+def _candidate_exponents(z: np.ndarray, rz: int, R: int) -> np.ndarray:
+    """Per row n, the e nearest to the argument of sum_k omega_rz^z[n, k]:
+    the one candidate for that sum being sqrt(q) * omega_R^e."""
+    w = np.exp(2j * np.pi * z / rz).sum(axis=1)
+    return np.round(np.angle(w) * R / (2 * np.pi)).astype(np.int64) % R
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +315,8 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     Scaled form: with U1 = sqrt(q) B1 and U2 = sqrt(pq) B2 (both cyclotomic-
     integer matrices), the claim is U1^dagger U2 = sqrt(q) * [omega^E].  Block
     (m, n) of the left side is omega_p^{mn} K_m^dagger L_n with an identity
-    basis carried as sqrt(q) I; sqrt(q) is a Gauss sum, and each block is
-    checked with one `vanishes` call.
+    basis carried as sqrt(q) I.  With sqrt(q) a sum of q roots and -1 =
+    omega^(R/2), all d^2 differences go through one `sums_vanish` call.
     """
     p, q = a.p, a.q
     if a.M is not None:
@@ -348,30 +324,28 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
     R = lcm(p, 4 * q, H.r, *roots)
     E = H.rescaled(R).exp
-    g = np.array(sqrt_as_cyclotomic(q).rescaled(R).coeffs)
-    ks = np.arange(R)
-    rootq = g[(ks[None, :] - ks[:, None]) % R]  # row e: sqrt(q) * omega^e
-    cells = np.arange(q * q).reshape(q, q)
+    rootq = _sqrt_exponents(q) * (R // (4 * q))  # sqrt(q) = sum_k omega^rootq[k]
+    d = a.d
+    left = np.empty((d, d, q), dtype=np.int64)  # entry (x, y): sum_k omega^left[x, y, k]
     for m, Km in enumerate(a.K):
         for n, Ln in enumerate(a.L):
             ph = (m * n) % p * (R // p)
             if isinstance(Km, IdentityBasis) and isinstance(Ln, IdentityBasis):
-                acc = np.zeros((q, q, R), dtype=np.int64)
-                acc[np.arange(q), np.arange(q), ph] = q
+                # q * I: the q-th roots of unity sum to 0 off the diagonal
+                off = 1 - np.eye(q, dtype=np.int64)
+                e = ph + off[:, :, None] * np.arange(q) * (R // q)
             elif isinstance(Km, IdentityBasis):
-                acc = rootq[add_mod(ph, Ln.rescaled(R).exp, R)]
+                e = (ph + Ln.rescaled(R).exp)[:, :, None] + rootq
             elif isinstance(Ln, IdentityBasis):
-                acc = rootq[(ph - Km.rescaled(R).exp.T) % R]
+                e = (ph - Km.rescaled(R).exp.T)[:, :, None] + rootq
             else:
                 # entry (s, t) = sum_k omega^(ph + L[k, t] - K[k, s])
                 Ke, Le = Km.rescaled(R).exp, Ln.rescaled(R).exp
-                e = add_mod(ph, (Le[:, None, :] - Ke[:, :, None]) % R, R)
-                acc = np.bincount((cells * R + e).ravel(), minlength=q * q * R)
-            expect = rootq[E[m * q : (m + 1) * q, n * q : (n + 1) * q]]
-            diff = acc.reshape(q * q, R) - expect.reshape(q * q, R)
-            if not vanishes(diff, R).all():
-                return False
-    return True
+                e = ph + (Le[:, None, :] - Ke[:, :, None]).transpose(1, 2, 0)
+            left[m * q : (m + 1) * q, n * q : (n + 1) * q] = e
+    terms = np.concatenate([left, E[:, :, None] + rootq + R // 2], axis=2)
+    cells = np.arange(d * d).reshape(d, d, 1)
+    return bool(sums_vanish(d * d, cells, terms, R).all())
 
 
 @dataclass(frozen=True)

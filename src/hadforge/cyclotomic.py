@@ -9,9 +9,11 @@ Two carriers:
   stored as an *unreduced* length-r coefficient vector.  Multiplication is a
   cyclic convolution.
 
-Every exact zero test in the package goes through :func:`vanishes`, which
-reduces many unreduced coefficient rows modulo the cyclotomic polynomial
-Phi_r with one integer matrix product.  Coefficients of a
+Every exact identity in the package goes through :func:`sums_vanish`, a
+zero test of sums of roots given as terms, which accumulates the terms into
+unreduced coefficient rows for :func:`vanishes`; that reduces the rows
+modulo Phi_r with one integer matrix product.  The exact build takes only
+its candidate exponents from floats.  Coefficients of a
 :class:`CyclotomicInteger` are Python ints, so they never overflow.
 """
 
@@ -151,6 +153,25 @@ def vanishes(C, r: int) -> np.ndarray:
     else:
         reduced = C.astype(object) @ red.astype(object)
     return ~reduced.any(axis=1)
+
+
+def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
+    """Exact zero test of n sums of roots of unity, given as terms: term j
+    adds weight[j] * omega_r^exp[j] (exp read mod r; weight 1 when None) to
+    sum row[j], where row and exp broadcast together and weight to their
+    shape.  The coefficient rows for `vanishes` are counts for unit weights,
+    int64 sums when max|weight| times the number of terms is below 2^63, and
+    Python-int sums otherwise.
+    """
+    cells = np.asarray(row, dtype=np.int64) * r + np.asarray(exp, dtype=np.int64) % r
+    if weight is None:
+        counts = np.bincount(cells.ravel(), minlength=n * r)
+    else:
+        w = np.broadcast_to(np.asarray(weight, dtype=object), cells.shape).ravel()
+        big = w.size and max(abs(w.min()), abs(w.max())) * w.size >= 2**63
+        counts = np.zeros(n * r, dtype=object if big else np.int64)
+        np.add.at(counts, cells.ravel(), w if big else w.astype(np.int64))
+    return vanishes(counts.reshape(n, r), r)
 
 
 class CyclotomicInteger:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import vanishes
+from .cyclotomic import sums_vanish
 
 UNITARY_TOL = 1e-9  # scaled by d in the float unitarity test
 ENTRY_TOL = 1e-9
@@ -160,6 +160,13 @@ class EquivalenceMove:
     row_phases: Tuple[Union[int, float], ...]
     col_phases: Tuple[Union[int, float], ...]
     r: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        d = len(self.row_perm)
+        if not sorted(self.row_perm) == sorted(self.col_perm) == list(range(d)):
+            raise ValueError(f"row_perm and col_perm must be permutations of range({d})")
+        if len(self.row_phases) != d or len(self.col_phases) != d:
+            raise ValueError(f"need {d} row phases and {d} column phases")
 
     @property
     def d(self) -> int:
@@ -316,7 +323,7 @@ def is_unitary(H: Matrix) -> bool:
     Exact mode: for every row pair i < j the unscaled inner product
     sum_k omega^{e_ik - e_jk} must be algebraically zero; its coefficient
     vector counts the exponent differences.  All d(d-1)/2 count vectors go
-    through one `vanishes` call.  Diagonal entries are d by construction.
+    through one `sums_vanish` call.  Diagonal entries are d by construction.
     """
     if isinstance(H, ComplexMatrix):
         G = H.entries @ H.entries.conj().T
@@ -324,10 +331,7 @@ def is_unitary(H: Matrix) -> bool:
     d, r = H.d, H.r
     E = H.exp
     i, j = np.triu_indices(d, 1)
-    diffs = (E[i] - E[j]) % r
-    pairs = np.arange(len(i))[:, None]
-    counts = np.bincount((pairs * r + diffs).ravel(), minlength=len(i) * r)
-    return bool(vanishes(counts.reshape(len(i), r), r).all())
+    return bool(sums_vanish(len(i), np.arange(len(i))[:, None], E[i] - E[j], r).all())
 
 
 # ----------------------------------------------------------------------
@@ -480,13 +484,19 @@ def move_to_json(m: EquivalenceMove) -> dict:
 def move_from_json(obj: dict) -> EquivalenceMove:
     """Inverse of `move_to_json`.  Permutations, exact phases and the root
     are read with operator.index, as `matrix_from_json` reads exponents, so
-    a fractional or text value raises ValueError instead of being cut."""
+    a fractional or text value raises ValueError instead of being cut; the
+    phases of a float move must be JSON numbers."""
 
     def ints(xs) -> tuple:
         return tuple(operator.index(x) for x in xs)
 
+    def angles(xs) -> tuple:
+        if not all(type(x) in (int, float) for x in xs):  # no text, no bools
+            raise ValueError("float move phases must be numbers")
+        return tuple(float(x) for x in xs)
+
     r = obj.get("root")
-    phases = ints if r is not None else (lambda xs: tuple(float(x) for x in xs))
+    phases = ints if r is not None else angles
     try:
         return EquivalenceMove(
             ints(obj["row_perm"]),

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ._exactrank import _is_prime
-from .cyclotomic import vanishes
+from .cyclotomic import sums_vanish
 from .matrices import ExponentMatrix, is_unitary
 
 _FIXED_DIAGONALS: Dict[int, Tuple[int, ...]] = {
@@ -66,8 +66,8 @@ def standard_diagonal(q: int) -> Tuple[int, ...]:
 
 
 def triangular_diagonal(q: int) -> Tuple[int, ...]:
-    """The k(k-1)/2 mod q rule for any odd prime (alternative set for q = 5,
-    where the catalog's fixed pattern differs from the rule)."""
+    """The k(k-1)/2 mod q rule for any odd prime: the alternative set for
+    q = 3 and q = 5, whose fixed catalog patterns differ from the rule."""
     if not _is_prime(q) or q == 2:
         raise NotPrimeError(f"{q} is not an odd prime")
     return tuple(k * (k - 1) // 2 % q for k in range(q))
@@ -125,7 +125,7 @@ def complete_mub_set(q: int, diagonal: str = "standard") -> MubSet:
     """All q + 1 pairwise-MU bases in prime dimension q, verified exactly.
 
     diagonal = "standard" uses the catalog patterns; "triangular" forces the
-    k(k-1)/2 rule (only differs for q = 5).
+    k(k-1)/2 rule, which gives a different set for q = 3 and q = 5 only.
     """
     if not _is_prime(q):
         raise NotPrimeError(f"{q} is not prime")
@@ -179,10 +179,7 @@ def is_mu_pair(
     r = lcm(A.r, B.r)
     Ae, Be = A.rescaled(r).exp, B.rescaled(r).exp
     # z_ij = sum_k omega^(B[k, j] - A[k, i]); row n = i * q + j holds its
-    # exponents, and z * conj(z) is the sum over all pairs of them
+    # exponents, and z * conj(z) - q is the sum over their pairs k != k'
     z = (Be[:, None, :] - Ae[:, :, None]).transpose(1, 2, 0).reshape(q * q, q)
-    zz = (z[:, :, None] - z[:, None, :]) % r
-    rows = np.arange(q * q)[:, None, None]
-    counts = np.bincount((rows * r + zz).ravel(), minlength=q * q * r).reshape(q * q, r)
-    counts[:, 0] -= q
-    return bool(vanishes(counts, r).all())
+    zz = (z[:, :, None] - z[:, None, :])[:, ~np.eye(q, dtype=bool)]
+    return bool(sums_vanish(q * q, np.arange(q * q)[:, None], zz, r).all())

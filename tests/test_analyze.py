@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadforge import catalog
+from hadforge import _exactrank, catalog
 from hadforge._exactrank import (
     _PRIME_TEST_BOUND,
     System,
     _is_prime,
     _null_coeffs_one_prime,
     _units,
+    _verify_null_vectors,
     certify_rank,
     evaluate_rows,
     find_embedding_prime,
@@ -44,7 +45,7 @@ from hadforge.analyze import (
     is_isolated,
 )
 from hadforge.construct import BlockAssignment, theorem1_build
-from hadforge.cyclotomic import RootExponent
+from hadforge.cyclotomic import RootExponent, vanishes
 from hadforge.matrices import (
     EquivalenceMove,
     ExponentMatrix,
@@ -653,6 +654,98 @@ def test_interpolation_matches_reference_on_random_deficient_systems(
     k, row, col = np.nonzero(coeff)  # up to two terms per cell
     system = System(m + dup_rows, row, col, exp[k, row, col], coeff[k, row, col])
     assert_interpolation_matches_reference(system, n, r, seed)
+
+
+# ----------------------------------------------------------------------
+# the exact null-vector check against the per-vector accumulation
+# ----------------------------------------------------------------------
+
+def reference_verify_null_vectors(system, vectors, free, r):
+    """Reference: an object-dtype accumulation and one `vanishes` call per
+    null vector."""
+    for idx, w in enumerate(vectors):
+        if [any(w[f]) for f in free] != [jdx == idx for jdx in range(len(free))]:
+            return False
+    if not system.row.size or not vectors:
+        return True
+    W = np.zeros((len(vectors[0]), r), dtype=object)
+    targets = (system.row[:, None], (system.exp[:, None] + np.arange(r)) % r)
+    for w in vectors:
+        for x, coeffs in enumerate(w):
+            W[x, : len(coeffs)] = coeffs
+        acc = np.zeros((system.n_rows, r), dtype=object)
+        np.add.at(acc, targets, system.coeff[:, None] * W[system.col])
+        if not vanishes(acc, r).all():
+            return False
+    return True
+
+
+def certified_null_vectors(monkeypatch, system, n_cols, r):
+    """The arguments of every null-vector check that `certify_rank` makes."""
+    seen = []
+    verify = _exactrank._verify_null_vectors
+
+    def capture(*args):
+        seen.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(_exactrank, "_verify_null_vectors", capture)
+    certify_rank(system, n_cols, r)
+    monkeypatch.undo()
+    return seen
+
+
+def assert_null_check_matches_reference(system, vectors, free, r, rng):
+    expect = reference_verify_null_vectors(system, vectors, free, r)
+    assert _verify_null_vectors(system, vectors, free, r) == expect
+    pivots = [x for x in range(len(vectors[0])) if x not in set(free)]
+    for delta in (1, -1, 2**70):
+        coords = [rng.randrange(len(vectors[0]))] + ([rng.choice(pivots)] if pivots else [])
+        for x in coords:
+            w = [[list(c) for c in v] for v in vectors]
+            w[rng.randrange(len(w))][x][rng.randrange(len(w[0][x]))] += delta
+            got = _verify_null_vectors(system, w, free, r)
+            assert got == reference_verify_null_vectors(system, w, free, r)
+    # a multiple of a null vector is one: the Python-int path says so too
+    w = [[[c * 2**70 for c in coeffs] for coeffs in v] for v in vectors]
+    assert _verify_null_vectors(system, w, free, r) == expect
+    return expect
+
+
+@pytest.mark.parametrize("name", ["Sp10", "Sp14"])
+def test_null_check_matches_reference_on_catalog_systems(name, monkeypatch):
+    H = reduced_grid(catalog.load(name))
+    n = (H.d - 1) ** 2
+    checks = certified_null_vectors(monkeypatch, _exact_rows(H), n, H.r)
+    assert checks and all(len(args[1]) for args in checks)
+    rng = random.Random(name)
+    for system, vectors, free, r in checks:
+        assert assert_null_check_matches_reference(system, vectors, free, r, rng)
+        # a corrupted coordinate of a pivot column breaks M . w = 0
+        w = [[list(c) for c in v] for v in vectors]
+        w[0][min(set(range(n)) - set(free))][0] += 1
+        assert not _verify_null_vectors(system, w, free, r)
+        assert not reference_verify_null_vectors(system, w, free, r)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 3, 4, 5, 8, 12]),
+    m=st.integers(1, 5),
+    extra=st.integers(1, 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_null_check_matches_reference_on_random_deficient_systems(seed, r, m, extra):
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    coeff = rng.integers(-2, 3, (m, n)) * (rng.random((m, n)) < 0.7)
+    row, col = np.nonzero(coeff)
+    system = System(m, row, col, rng.integers(0, r, row.size), coeff[row, col])
+    with pytest.MonkeyPatch.context() as mp:
+        checks = certified_null_vectors(mp, system, n, r)
+    assert checks
+    for system, vectors, free, r in checks:
+        assert assert_null_check_matches_reference(system, vectors, free, r, random.Random(seed))
 
 
 # ----------------------------------------------------------------------

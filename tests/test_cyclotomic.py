@@ -1,6 +1,8 @@
 import cmath
 import random
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from hadforge.cyclotomic import (
     cyclotomic_polynomial,
     root_inverse,
     root_mul,
+    sums_vanish,
     vanishes,
 )
 from hadforge.matrices import ExponentMatrix, apply_equivalence, is_unitary, random_move, tensor
@@ -250,3 +253,75 @@ def test_is_mu_pair_matches_per_pair_reference(q, seed, perturb):
         return reference_is_zero((z * z.conj() - CyclotomicInteger.from_integer(q, r)).coeffs, r)
 
     assert is_mu_pair(A, B) == all(unbiased(i, j) for i in range(q) for j in range(q))
+
+
+# ----------------------------------------------------------------------
+# sums_vanish against per-row Python-int sums
+# ----------------------------------------------------------------------
+
+def reference_sums_vanish(n, row, exp, r, weight=None):
+    """Sum each row's terms in Python ints, then one `vanishes` call."""
+    rows = [[0] * r for _ in range(n)]
+    for j, (i, e) in enumerate(zip(row, exp)):
+        rows[i][e % r] += 1 if weight is None else weight[j]
+    return vanishes(rows, r)
+
+
+@st.composite
+def term_lists(draw):
+    """n sums of roots of order r as terms.  Some sums are a weight times a
+    full coset of a subgroup of order m > 1, so they vanish; the others get
+    random terms, and some sums get no terms at all.  Exponents run from -3r
+    to 3r, and the weights are units, small, or near 2^62 (so that the total
+    passes 2^63)."""
+    r = draw(st.integers(1, 60))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["unit", "small", "huge"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = []  # (row, exponent, weight)
+
+    def w():
+        return {"unit": 1, "small": rng.randint(-9, 9), "huge": rng.choice((-1, 1)) * 2**62}[kind]
+
+    for i in range(n):
+        shape = rng.choice(["empty", "random", "coset", "coset+1"])
+        divisors = [m for m in range(2, r + 1) if r % m == 0]
+        if shape == "random":
+            terms += [(i, rng.randrange(-3 * r, 3 * r), w()) for _ in range(rng.randint(1, 12))]
+        elif shape != "empty" and divisors:
+            m, a, c = rng.choice(divisors), rng.randrange(r), w()
+            terms += [(i, a + k * (r // m) + rng.randint(-2, 2) * r, c) for k in range(m)]
+            if shape == "coset+1":
+                terms.append((i, rng.randrange(r), w()))
+    rng.shuffle(terms)
+    row, exp, weight = ([t[x] for t in terms] for x in range(3))
+    return n, row, exp, r, None if kind == "unit" else weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=term_lists())
+def test_sums_vanish_matches_reference(case):
+    n, row, exp, r, weight = case
+    got = sums_vanish(n, row, exp, r, weight)
+    assert got.dtype == bool and got.shape == (n,)
+    assert got.tolist() == reference_sums_vanish(n, row, exp, r, weight).tolist()
+
+
+def test_sums_vanish_does_not_wrap_int64():
+    # four terms of 2^62 sum to 2^64, which wraps to 0 in int64
+    row, exp = [0, 0, 0, 0, 1, 1], [0, 3, 6, -3, 0, 3]
+    weight = [2**62] * 4 + [2**62, -(2**62)]
+    assert sums_vanish(2, row, exp, 3, weight).tolist() == [False, True]
+    assert reference_sums_vanish(2, row, exp, 3, weight).tolist() == [False, True]
+    # int64 weights whose total fits take the int64 path
+    w64 = np.array([2**60, 2**60, -(2**61)], dtype=np.int64)
+    assert sums_vanish(1, [0, 0, 0], [1, 4, 7], 3, w64).tolist() == [True]
+
+
+def test_sums_vanish_broadcasts_and_counts():
+    # the sixth roots of unity, and the cube roots against -1 times themselves
+    assert sums_vanish(1, 0, np.arange(6), 6).tolist() == [True]
+    rows = np.array([[0], [1]])
+    assert sums_vanish(2, rows, [[0, 2, 4], [1, 3, 4]], 6).tolist() == [True, False]
+    assert sums_vanish(2, [1], [0], 4).tolist() == [True, False]
+    assert sums_vanish(0, [], [], 5).tolist() == []

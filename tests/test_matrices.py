@@ -171,6 +171,47 @@ def test_move_json_refuses_non_integers(field, value):
         move_from_json(obj)
 
 
+BAD_MOVES = {
+    "repeated row index": dict(row_perm=(0, 0, 0)),
+    "column index out of range": dict(col_perm=(0, 1, 3)),
+    "short column permutation": dict(col_perm=(1, 0)),
+    "short row phases": dict(row_phases=(0, 1)),
+    "long column phases": dict(col_phases=(0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MOVES))
+def test_move_refuses_non_permutations_and_wrong_phase_counts(case):
+    good = dict(row_perm=(0, 1, 2), col_perm=(2, 0, 1), row_phases=(0, 1, 2), col_phases=(3, 4, 5))
+    for r in (6, None):
+        EquivalenceMove(**good, r=r)
+        bad = {**good, **BAD_MOVES[case]}
+        with pytest.raises(ValueError):
+            EquivalenceMove(**bad, r=r)
+        obj = {**bad, "root": r}
+        with pytest.raises(ValueError):
+            move_from_json(json.loads(json.dumps(obj)))
+
+
+def test_move_with_a_repeated_row_is_refused():
+    # applied, (0, 0, 0) would copy row 0 of F3 three times
+    with pytest.raises(ValueError):
+        apply_equivalence(F(3), EquivalenceMove((0, 0, 0), (0, 1, 2), (0,) * 3, (0,) * 3, 3))
+
+
+@pytest.mark.parametrize("value", ["1.5", True, False, None, [1.0]])
+def test_float_move_json_refuses_text_and_bools(value):
+    m = EquivalenceMove((0, 1, 2), (2, 0, 1), (0.0, 1.5, -2.0), (3.0, 0.25, 5.0), None)
+    obj = json.loads(json.dumps(move_to_json(m)))
+    assert move_from_json(obj) == m
+    for field in ("row_phases", "col_phases"):
+        bad = {**obj, field: [0.5, value, 1]}
+        with pytest.raises(ValueError):
+            move_from_json(bad)
+    # integers are numbers: an angle of 1 radian reads as 1.0
+    assert move_from_json({**obj, "row_phases": [0, 1, 2]}).row_phases == (0.0, 1.0, 2.0)
+
+
 # --- tensor and small-order equivalence search ------------------------
 
 def test_tensor_of_fouriers():

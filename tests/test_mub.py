@@ -91,3 +91,11 @@ def test_to_json_shape():
 
 def test_fourier_exponents():
     assert fourier(3) == ExponentMatrix(3, 3, ((0, 0, 0), (0, 1, 2), (0, 2, 1)))
+
+
+@pytest.mark.parametrize("q,differ", [(3, True), (5, True), (7, False), (11, False), (13, False)])
+def test_triangular_set_differs_only_at_3_and_5(q, differ):
+    standard, triangular = complete_mub_set(q), complete_mub_set(q, "triangular")
+    assert (standard_diagonal(q) != triangular_diagonal(q)) == differ
+    assert (standard.bases != triangular.bases) == differ
+    assert standard.labels == triangular.labels
