@@ -6,7 +6,9 @@ Each tree's `hadforge` package is loaded under its own module name
 one state of the host.  Every round runs each call once on each side, and
 the side that goes first alternates from round to round, so a drift in the
 host's speed falls on both alike.  One untimed warm-up call per side comes
-before the first round.
+before the first round.  It runs under `tracemalloc`, and the script prints
+each side's peak of traced allocations in that call, in MB (2^20 bytes);
+the timed rounds are not traced.
 
 A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
 `verify:NAME` (`catalog.verify(NAME)`) or `build:NAME`
@@ -32,6 +34,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -74,6 +77,17 @@ class Side:
             reps = None
         return time.perf_counter() - t0, out, reps
 
+    def run_traced(self, call: str):
+        """Run one call under tracemalloc; return its result summary, its
+        number of representatives and its peak traced allocation in MB."""
+        tracemalloc.start()
+        try:
+            _, out, reps = self.run(call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, reps, peak / 2**20
+
 
 def parse_call(text: str) -> str:
     kind, *args = text.split(":")
@@ -101,7 +115,10 @@ def main() -> int:
     times = {call: ([], []) for call in args.calls}
     differ = False
     for call in args.calls:
-        (_, out_a, reps_a), (_, out_b, reps_b) = (side.run(call) for side in sides)
+        (out_a, reps_a, peak_a), (out_b, reps_b, peak_b) = (
+            side.run_traced(call) for side in sides
+        )
+        print(f"{call}: warm-up peak a {peak_a:.1f} MB, b {peak_b:.1f} MB")
         if reps_a is not None:
             print(f"{call}: representatives a {reps_a}, b {reps_b}")
         if out_a != out_b:

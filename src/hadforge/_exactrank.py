@@ -14,15 +14,20 @@ unconditional bounds:
   Z[omega_r].  Nothing is trusted until that last algebraic check passes.
 
 Both bounds rest on one elimination kernel over F_l, `_echelon`, behind
-`rank_mod` (echelon form) and `rref_mod` (the unique RREF).  It works on
-column panels of 256: inside a panel it eliminates column by column in int64
-and records the row operations as coefficients on the panel's pivot rows;
-the trailing columns then take those coefficients in float64 dgemms, 64
-columns at a time to bound the temporaries.  A system of at most 256 columns
-is a single panel with no dgemm.  The dgemms are exact because every modulus
-is below 2^25 (`find_embedding_prime` draws from [2^24, 2^25)): the right
-operand is split into a 12-bit low and a 13-bit high limb, so a dot product
-sums at most 256 terms below 2^25 * 2^13, i.e. stays below 2^46 < 2^53.
+`rank_mod` (echelon form) and `rref_mod` (the unique RREF).  An image mod l
+is one int32 array with entries in [0, l), as `evaluate_rows` returns it.
+The kernel reduces that array in place: it overwrites its input and returns
+it as R, so the image is the only full-size array of a rank or an RREF.  It
+works on column panels of 256.  Each panel is copied to an int64 work array,
+eliminated there column by column, and written back reduced; the row
+operations are recorded as coefficients on the panel's pivot rows.  The
+trailing columns then take those coefficients in float64 dgemms, 64 columns
+at a time, each block gathered to int64 and written back reduced.  A system
+of at most 256 columns is a single panel with no dgemm.  The dgemms are
+exact because every modulus is below 2^25 (`find_embedding_prime` draws
+from [2^24, 2^25)): the right operand is split into a 12-bit low and a
+13-bit high limb, so a dot product sums at most 256 terms below
+2^25 * 2^13, i.e. stays below 2^46 < 2^53.
 
 The elimination delays its reductions mod l.  At each pivot it reduces only
 what it reads: the pivot column before the pivot search (and, for the RREF,
@@ -65,8 +70,10 @@ _MODULUS_BOUND = 1 << 25
 _PANEL = 256
 _BLOCK = 64
 _LIMB = 12
-# the unreduced panel entries of _echelon must fit in int64
+# the unreduced panel entries of _echelon must fit in int64, and the
+# reduced entries of the image in int32
 assert _PANEL * (_MODULUS_BOUND - 1) ** 2 + _MODULUS_BOUND < 2**63
+assert _MODULUS_BOUND <= 2**31
 
 # Every rank computation draws its primes from Random(SEED), so a defect and
 # its evidence are reproducible; a null-vector certificate tries at most
@@ -154,33 +161,46 @@ def _element_of_order(r: int, l: int, rng: random.Random) -> Optional[int]:
 
 
 def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.ndarray:
-    """Dense int64 image of the system under omega -> g (mod l)."""
+    """Dense int32 image of the system under omega -> g (mod l), entries in
+    [0, l).
+
+    The terms are sorted by cell and each cell's terms summed in int64, so
+    the work arrays are as long as the term list; only the image itself is
+    n_rows x n_cols.
+    """
     pow_table = [1] * r
     for k in range(1, r):
         pow_table[k] = pow_table[k - 1] * g % l
     terms = system.coeff % l * np.array(pow_table, dtype=np.int64)[system.exp % r] % l
     cells = system.row * n_cols + system.col
-    M = np.zeros(system.n_rows * n_cols, dtype=np.int64)
-    np.add.at(M, cells, terms)  # below 2^38 terms of a cell: no overflow
-    M[cells] %= l
+    order = np.argsort(cells, kind="stable")
+    cells, terms = cells[order], terms[order]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    sums = np.add.reduceat(terms, first) % l  # below 2^38 terms of a cell: no overflow
+    cells = cells[first]
+    del order, terms, first
+    M = np.zeros(system.n_rows * n_cols, dtype=np.int32)
+    M[cells] = sums
     return M.reshape(system.n_rows, n_cols)
 
 
 def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
-    """Row echelon form of M over F_l by column panels; M is not mutated.
+    """Row echelon form of M over F_l by column panels, worked in place: M
+    is overwritten and returned as R.
 
-    Pivot rule: leftmost column, first nonzero row.  Inside a panel the
-    elimination runs column by column in int64, reducing mod l only the
-    entries it reads, and the row operations are recorded as coefficients
-    on the panel's pivot rows, one column per pivot (the block W).  The
-    trailing columns then take W in float64 dgemms.  With `reduced`, rows
-    above each pivot are cleared too and R is the unique RREF.  Returns
+    Pivot rule: leftmost column, first nonzero row.  Each panel is copied to
+    an int64 work array; inside it the elimination runs column by column,
+    reducing mod l only the entries it reads, and the row operations are
+    recorded as coefficients on the panel's pivot rows, one column per pivot
+    (the block W).  The panel is written back reduced, and the trailing
+    columns then take W in float64 dgemms.  With `reduced`, rows above each
+    pivot are cleared too and R is the unique RREF.  Returns
     (R, pivot_columns).
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
-    R = (M % l).astype(np.int64, copy=False)
-    m, n = R.shape
+    M %= l
+    m, n = M.shape
     pivots: List[int] = []
     for c0 in range(0, n, _PANEL):
         top = len(pivots)
@@ -190,11 +210,8 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
         w = c1 - c0
         first = 0 if reduced else top  # rows above `first` stay as they are
         trailing = c1 < n
-        if trailing:
-            A = np.zeros((m - first, 2 * w), dtype=np.int64)
-            A[:, :w] = R[first:, c0:c1]
-        else:
-            A = R[first:, c0:]
+        A = np.zeros((m - first, 2 * w if trailing else w), dtype=np.int64)
+        A[:, :w] = M[first:, c0:c1]
         perm = np.arange(m - first)
         row = top - first
         t = 0
@@ -234,12 +251,12 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int
             row += 1
             t += 1
         A %= l
+        M[first:, c0:c1] = A[:, :w]
         if trailing and t:
-            R[first:, c0:c1] = A[:, :w]
             W = A[:, w : w + t].astype(np.float64)
-            del A, P  # the panel copy, which P views, is written back: free it
-            _apply_panel(R[first:, c1:], W, perm, top - first, l)
-    return R, pivots
+            del A, P  # the panel, which P views, is written back: free it
+            _apply_panel(M[first:, c1:], W, perm, top - first, l)
+    return M, pivots
 
 
 def _apply_panel(T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: int, l: int) -> None:
@@ -253,7 +270,7 @@ def _apply_panel(T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: int, l: int
     """
     t = W.shape[1]
     for j in range(0, T.shape[1], _BLOCK):
-        B = T[:, j : j + _BLOCK][perm]
+        B = T[:, j : j + _BLOCK][perm].astype(np.int64, copy=False)
         S = B[p0 : p0 + t]
         hi = (W @ (S >> _LIMB).astype(np.float64)).astype(np.int64)
         lo = (W @ (S & ((1 << _LIMB) - 1)).astype(np.float64)).astype(np.int64)
@@ -267,12 +284,18 @@ def _apply_panel(T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: int, l: int
 
 def rref_mod(M: np.ndarray, l: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form over F_l with a deterministic pivot rule
-    (leftmost column, first nonzero row).  Returns (R, pivot_columns)."""
+    (leftmost column, first nonzero row).  Returns (R, pivot_columns).
+
+    M, an int32 or int64 array, is overwritten: R is M itself, holding the
+    RREF.  Pass a copy to keep M."""
     return _echelon(M, l, True)
 
 
 def rank_mod(M: np.ndarray, l: int) -> int:
-    """Row echelon rank over F_l (no back-substitution; cheaper than rref)."""
+    """Row echelon rank over F_l (no back-substitution; cheaper than rref).
+
+    M, an int32 or int64 array, is overwritten with an echelon form.  Pass
+    a copy to keep M."""
     return len(_echelon(M, l, False)[1])
 
 

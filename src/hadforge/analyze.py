@@ -222,17 +222,22 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
     if isinstance(H, ExponentMatrix):
         E, r = H.exp, H.r
         # the quadruple phase of rows (i, k), columns (j, l) is the residue
-        # of D[k, j] - D[k, l] with D = E[i] - E (mod r); it is marked at
-        # D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds
-        dtype = np.min_scalar_type(2 * r - 1)
-        hit = np.zeros(2 * r, dtype=bool)
+        # of D[k, j] - D[k, l] with D = E[i] - E (mod r).  A hit table marks
+        # it at D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds;
+        # when 2r exceeds the d^3 phases of one i, sorting them costs less
+        table = 2 * r <= d**3
+        dtype = np.min_scalar_type(2 * r - 1) if table else np.int64
+        hit = np.zeros(2 * r if table else 0, dtype=bool)
+        phases = []
         for i in range(d):
             D = ((E[i] - E) % r).astype(dtype)
-            hit[D[:, :, None] + (r - D[:, None, :])] = True
+            if table:
+                hit[D[:, :, None] + (r - D[:, None, :])] = True
+            else:
+                phases.append(np.unique((D[:, :, None] - D[:, None, :]) % r))
+        ks = np.flatnonzero(hit[:r] | hit[r:]) if table else np.unique(np.concatenate(phases))
         # every member shares the root r, so increasing k is increasing k / r
-        members = tuple(
-            RootExponent(int(k), r).canonical() for k in np.flatnonzero(hit[:r] | hit[r:])
-        )
+        members = tuple(RootExponent(int(k), r).canonical() for k in ks)
         return HaagerupSet(members=members, r=r)
     Hc = H.entries
     seen: set = set()

@@ -12,9 +12,10 @@ Two carriers:
 Every exact identity in the package goes through :func:`sums_vanish`, a
 zero test of sums of roots given as terms, which accumulates the terms into
 unreduced coefficient rows for :func:`vanishes`; that reduces the rows
-modulo Phi_r with one integer matrix product.  The exact build takes only
-its candidate exponents from floats.  Coefficients of a
-:class:`CyclotomicInteger` are Python ints, so they never overflow.
+modulo Phi_r with one integer matrix product, which takes the rows of the
+reduction table x^k mod Phi_r only for the exponents k that occur.  The
+exact build takes only its candidate exponents from floats.  Coefficients
+of a :class:`CyclotomicInteger` are Python ints, so they never overflow.
 """
 
 from __future__ import annotations
@@ -112,23 +113,47 @@ def _poly_exact_div(num: List[int], den: List[int]) -> List[int]:
     return out
 
 
+class _Reduction:
+    """Rows of Red(r), the r x phi(r) matrix whose row k holds the
+    coefficients of x^k mod Phi_r, so that an unreduced coefficient row c
+    reduces to c @ Red(r).  A row is built the first time it is asked for
+    and kept, so a large r costs only the rows of the exponents that occur.
+    """
+
+    def __init__(self, r: int):
+        phi = cyclotomic_polynomial(r)
+        self.deg = len(phi) - 1
+        self.tail = np.array(phi[:-1], dtype=np.int64)  # Phi_r minus its monic top
+        # entries below this bound keep each step of the walk within int64
+        self.limit = (1 << 62) // (int(np.abs(self.tail).max()) + 1)
+        self.slot = np.full(r, -1, dtype=np.int64)  # index into self.table, or -1
+        self.table = np.zeros((0, self.deg), dtype=np.int64)
+
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        """The rows ks (increasing, in [0, r)) of Red(r), as a new array."""
+        new = ks[self.slot[ks] < 0]
+        if new.size:
+            add = np.zeros((new.size, self.deg), dtype=np.int64)
+            low = new < self.deg
+            add[low.nonzero()[0], new[low]] = 1  # x^k itself
+            k, row = self.deg - 1, np.zeros(self.deg, dtype=np.int64)
+            row[-1] = 1  # x^(deg-1), where the walk to the higher rows starts
+            for i in (~low).nonzero()[0]:
+                while k < new[i]:
+                    # x * row, with x^deg replaced by -(Phi_r - x^deg)
+                    if np.abs(row).max() >= self.limit:
+                        raise OverflowError(f"x^{k + 1} mod Phi_r leaves int64")
+                    row = np.concatenate(([0], row[:-1])) - row[-1] * self.tail
+                    k += 1
+                add[i] = row
+            self.slot[new] = len(self.table) + np.arange(new.size)
+            self.table = np.concatenate((self.table, add))
+        return self.table[self.slot[ks]]
+
+
 @lru_cache(maxsize=None)
-def _reduction_matrix(r: int) -> np.ndarray:
-    """Red(r), of shape r x phi(r): row k holds the coefficients of
-    x^k mod Phi_r, so an unreduced coefficient row c reduces to c @ Red(r).
-    Read-only, because every caller shares the cached array."""
-    phi = cyclotomic_polynomial(r)
-    deg = len(phi) - 1
-    row = [1] + [0] * (deg - 1)
-    rows = []
-    for _ in range(r):
-        rows.append(row)
-        top = row[-1]
-        # x * row, with x^deg replaced by -(Phi_r - x^deg) since Phi_r is monic
-        row = [a - top * c for a, c in zip([0] + row[:-1], phi)]
-    red = np.array(rows, dtype=np.int64)
-    red.setflags(write=False)
-    return red
+def _reduction(r: int) -> _Reduction:
+    return _Reduction(r)
 
 
 def vanishes(C, r: int) -> np.ndarray:
@@ -136,9 +161,10 @@ def vanishes(C, r: int) -> np.ndarray:
 
     C holds unreduced coefficient rows (shape n x r): an integer ndarray or
     nested lists of Python ints of any size.  Row i is zero exactly when its
-    row of C @ Red(r) is.  The product runs in int64 when no sum can
-    overflow it, that is when max|C| * r * max|Red(r)| < 2^63, and in
-    Python ints otherwise.
+    row of C @ Red(r) is; only the rows of Red(r) for the columns k where C
+    is nonzero enter the product.  It runs in int64 when no sum can
+    overflow it, that is when max|C| * (columns used) * max|Red(r)| < 2^63,
+    and in Python ints otherwise.
     """
     try:
         C = np.asarray(C, dtype=np.int64)
@@ -146,8 +172,11 @@ def vanishes(C, r: int) -> np.ndarray:
         C = np.asarray(C, dtype=object)
     if C.shape[0] == 0:
         return np.ones(0, dtype=bool)
-    red = _reduction_matrix(r)
-    bound = max(-int(C.min()), int(C.max())) * r * int(np.abs(red).max())
+    ks = C.any(axis=0).nonzero()[0]
+    if not ks.size:
+        return np.ones(C.shape[0], dtype=bool)
+    C, red = C[:, ks], _reduction(r).rows(ks)
+    bound = max(-int(C.min()), int(C.max())) * ks.size * int(np.abs(red).max())
     if bound < 2**63:  # so C is int64: had it overflowed, max|C| alone is >= 2^63
         reduced = C @ red
     else:

@@ -121,12 +121,25 @@ class MubSet:
         }
 
 
+# verified sets by (q, diagonal): a MubSet is frozen and its grids read-only
+_SETS: Dict[Tuple[int, str], MubSet] = {}
+
+
 def complete_mub_set(q: int, diagonal: str = "standard") -> MubSet:
     """All q + 1 pairwise-MU bases in prime dimension q, verified exactly.
 
     diagonal = "standard" uses the catalog patterns; "triangular" forces the
     k(k-1)/2 rule, which gives a different set for q = 3 and q = 5 only.
+    Each set is built and verified once per process, and later calls return
+    the same object.
     """
+    key = (q, diagonal)
+    if key not in _SETS:
+        _SETS[key] = _build_set(q, diagonal)
+    return _SETS[key]
+
+
+def _build_set(q: int, diagonal: str) -> MubSet:
     if not _is_prime(q):
         raise NotPrimeError(f"{q} is not prime")
     F = fourier(q)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -229,6 +230,28 @@ def test_haagerup_set_matches_reference_at_dtype_boundaries(r):
     E = np.random.default_rng(r).integers(0, r, (6, 6))
     E[:2, :2] = [[0, 1], [0, 0]]
     assert_haagerup_matches_reference(ExponentMatrix(6, r, tuple(map(tuple, E.tolist()))))
+
+
+@pytest.mark.parametrize("r", [128, 129, 32768, 32769])
+def test_haagerup_hit_table_at_dtype_boundaries(r):
+    # as above, at the least d whose d^3 phases per row reach 2r, so that the
+    # hit table, not the sort, collects them
+    d = next(d for d in range(1, 50) if d**3 >= 2 * r)
+    E = np.random.default_rng(r).integers(0, r, (d, d))
+    E[:2, :2] = [[0, 1], [0, 0]]
+    assert_haagerup_matches_reference(ExponentMatrix(d, r, tuple(map(tuple, E.tolist()))))
+
+
+@pytest.mark.parametrize("name", ["S9", "Sp10", "S15"])
+def test_haagerup_set_is_unchanged_by_scaling_the_root(name):
+    # E at root r and k * E at root k * r are the same matrix; at k * r the
+    # phases are sorted instead of marked in a table of 2 * k * r entries
+    H = catalog.load(name)
+    k = 10**6 + 3
+    assert 2 * H.r <= H.d**3 < 2 * k * H.r
+    scaled = haagerup_set(ExponentMatrix(H.d, k * H.r, k * H.exp))
+    assert scaled.members == haagerup_set(H).members
+    assert scaled.digest() == fingerprint(H)
 
 
 # ----------------------------------------------------------------------
@@ -498,13 +521,18 @@ TOP_PRIMES = (33554393, 33554383)
 
 
 def assert_kernel_matches_reference(M, l):
-    before = M.copy()
-    assert rank_mod(M, l) == reference_rank_mod(M.copy(), l)
-    R, pivots = rref_mod(M, l)
+    """rank_mod and rref_mod on int32 and int64 copies of M against the
+    references; the kernel overwrites its input and returns it as R."""
+    M = M.astype(np.int64)
+    rank_ref = reference_rank_mod(M.copy(), l)
     R_ref, pivots_ref = reference_rref_mod(M.copy(), l)
-    assert pivots == pivots_ref
-    assert R.dtype == R_ref.dtype and np.array_equal(R, R_ref)
-    assert np.array_equal(M, before)
+    for dtype in (np.int32, np.int64):
+        assert rank_mod(M.astype(dtype), l) == rank_ref
+        image = M.astype(dtype)
+        R, pivots = rref_mod(image, l)
+        assert pivots == pivots_ref
+        assert R.dtype == dtype and np.shares_memory(R, image)
+        assert np.array_equal(R, R_ref)
     N = null_basis_mod(R, pivots, l)
     assert np.array_equal(N, reference_null_basis(R, pivots, l))
     assert not (M @ N.T % l).any()  # at most 600 products below 2^50: no overflow
@@ -566,6 +594,23 @@ def test_kernel_refuses_moduli_beyond_its_bound():
             rank_mod(M, l)
         with pytest.raises(ValueError):
             rref_mod(M, l)
+
+
+def test_rank_mod_allocates_less_than_an_int64_copy_of_the_image():
+    # S35's 1190 x 1156 image: the kernel reduces it in place, so its work
+    # arrays (the panel, W and one trailing block) stay below m * n * 8 bytes
+    H = reduced_grid(catalog.load("S35"))
+    n = (H.d - 1) ** 2
+    l, g = find_embedding_prime(H.r, random.Random(_exactrank.SEED))
+    M = evaluate_rows(_exact_rows(H), n, l, g, H.r)
+    assert M.shape == (1190, 1156) and M.dtype == np.int32
+    tracemalloc.start()
+    try:
+        assert rank_mod(M, l) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.size * 8
 
 
 # ----------------------------------------------------------------------
@@ -821,7 +866,7 @@ def assert_systems_match_references(E, r, d, rng):
     l, g = find_embedding_prime(r, rng)
     M = evaluate_rows(system, n, l, g, r)
     M_ref = reference_evaluate_rows(rows, n, l, g, r)
-    assert M.dtype == M_ref.dtype and np.array_equal(M, M_ref)
+    assert M.dtype == np.int32 and np.array_equal(M, M_ref)
     Hc = np.exp(2j * np.pi * np.asarray(E) / r)
     assert reference_float_system(Hc).tobytes() == _float_system(Hc).tobytes()
 

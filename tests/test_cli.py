@@ -5,6 +5,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestUnitary:
         dump_matrix(flat, str(path))
         code, out = jrun(capsys, "unitary", str(path))
         assert code == 1 and out["unitary"] is False
+
+    def test_large_root_gives_a_verdict_in_little_memory(self, capsys, tmp_path):
+        # all 20011 x 20010 coefficients of x^k mod Phi_20011 would take
+        # 3.2 GB; only the rows of the two exponents that occur are built
+        path = tmp_path / "large_root.json"
+        path.write_text('{"d": 2, "root": 20011, "exponents": [[0, 0], [0, 10005]]}')
+        tracemalloc.start()
+        try:
+            code, out = jrun(capsys, "unitary", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == {"unitary": False, "mode": "exact", "d": 2}
+        assert peak < 20 * 2**20
 
 
 class TestButson:

@@ -10,6 +10,7 @@ import pytest
 
 from hadforge.cyclotomic import (
     CyclotomicInteger,
+    _Reduction,
     InvalidRescaleError,
     OrderMismatchError,
     RootExponent,
@@ -184,6 +185,35 @@ def test_vanishes_matches_reference_remainder(r, seed, bits):
             row[rng.randrange(r)] += rng.choice((-1, 1))
         rows.append(row)
     assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 400), seed=st.integers(0, 2**32), terms=st.integers(1, 6))
+def test_vanishes_matches_reference_on_sparse_rows(r, seed, terms):
+    # rows with a few occurring exponents, so that Red(r) is built and
+    # gathered row by row; every other row is a vanishing coset sum
+    # omega^k (1 + omega^(r/p) + ... + omega^((p-1) r/p)) for a prime p | r
+    rng = random.Random(seed)
+    primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % f for f in range(2, p))]
+    rows = []
+    for i in range(6):
+        row = [0] * r
+        if i % 2 and primes:
+            p, k = rng.choice(primes), rng.randrange(r)
+            for j in range(p):
+                row[(k + j * r // p) % r] += 1
+        for _ in range(terms if i % 2 == 0 else rng.randrange(2)):
+            row[rng.randrange(r)] += rng.randint(-3, 3)
+        rows.append(row)
+    assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
+
+
+def test_reduction_walk_refuses_to_leave_int64():
+    red = _Reduction(12)  # Phi_12 = x^4 - x^2 + 1: rows 4 to 11 are walked
+    assert red.rows(np.array([4])).tolist() == [[-1, 0, 1, 0]]
+    red.limit = 1
+    with pytest.raises(OverflowError):
+        red.rows(np.array([11]))
 
 
 def test_vanishes_does_not_wrap_int64():

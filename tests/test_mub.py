@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hadforge import catalog, mub
 from hadforge.matrices import ExponentMatrix, is_unitary, to_complex
 from hadforge.mub import (
     IdentityBasis,
@@ -99,3 +100,18 @@ def test_triangular_set_differs_only_at_3_and_5(q, differ):
     assert (standard_diagonal(q) != triangular_diagonal(q)) == differ
     assert (standard.bases != triangular.bases) == differ
     assert standard.labels == triangular.labels
+
+
+def test_sets_are_built_once_per_q_and_diagonal():
+    assert complete_mub_set(7) is complete_mub_set(7)
+    assert complete_mub_set(5, "triangular") is complete_mub_set(5, "triangular")
+    assert complete_mub_set(5, "triangular") is not complete_mub_set(5)
+
+
+def test_catalog_builds_verify_their_set_once(monkeypatch):
+    verified = []
+    verify = mub._verify_set
+    monkeypatch.setattr(mub, "_SETS", {})
+    monkeypatch.setattr(mub, "_verify_set", lambda s: (verified.append(s.q), verify(s))[1])
+    assert catalog.build("S91") == catalog.build("S91")
+    assert verified == [13]
