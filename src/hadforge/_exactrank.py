@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .cyclotomic import sums_vanish
+from .cyclotomic import _factorize, sums_vanish
 
 
 class System(NamedTuple):
@@ -118,20 +118,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _factorize(n: int) -> List[int]:
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_embedding_prime(r: int, rng: random.Random) -> Tuple[int, int]:

@@ -383,7 +383,7 @@ def _examine(a: BlockAssignment, cache: dict):
     `certify_rank`'s own report (mode "exact"); a lower rank gives a
     certified upper bound on the defect (mode "bound").
     """
-    H = theorem1_build(a, mode="exact", _cache=cache)
+    H = theorem1_build(a, _cache=cache)
     Hd, _ = dephase(H)
     root, reduced = butson_min_root(Hd)
     fp = haagerup_set(reduced).digest()

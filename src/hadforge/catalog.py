@@ -78,7 +78,7 @@ def assignment(name: str) -> BlockAssignment:
 
 def build(name: str) -> ExponentMatrix:
     """Dephased exact build from the entry's recipe, at its minimal root."""
-    H = theorem1_build(assignment(name), mode="exact")
+    H = theorem1_build(assignment(name))
     return butson_min_root(dephase(H)[0])[1]
 
 

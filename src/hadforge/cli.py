@@ -33,6 +33,7 @@ from .matrices import (
     load_matrix,
     matrix_to_json,
     move_to_json,
+    to_complex,
 )
 from .mub import complete_mub_set
 
@@ -76,9 +77,11 @@ def _read_assignment(spec: str) -> BlockAssignment:
 
 def _cmd_gen(args) -> int:
     a = _read_assignment(args.assignment)
-    H = theorem1_build(a, mode=args.mode)
+    H = theorem1_build(a)
     if args.dephase:
         H, _ = dephase(H)
+    if args.mode == "float":
+        H = to_complex(H)
     _emit(matrix_to_json(H), args.output)
     return EXIT_OK
 
@@ -279,7 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build a matrix from a block assignment")
     p.add_argument("assignment", help="path to or inline JSON {p,q,K,L}")
-    p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
+    p.add_argument(
+        "--mode",
+        choices=("auto", "exact", "float"),
+        default="auto",
+        help="the build is exact; float prints its complex entries",
+    )
     p.add_argument("--dephase", action="store_true", help="dephase the result")
     out_opt(p)
     p.set_defaults(func=_cmd_gen)

@@ -2,39 +2,31 @@
 
 The central construction takes p pairs of mutually unbiased bases of order q
 (a `BlockAssignment`) and produces a complex Hadamard matrix of order pq
-whose block (i, j) is alpha_ij * K_i^dagger L_j / sqrt(p).  When every input
-is carried in exponent form the build is exact: each block entry is an
-unnormalized inner product z, a sum of q roots of unity.  Its float argument
+whose block (i, j) is omega_p^(ij) K_i^dagger L_j / sqrt(p).  The build is
+exact: each block entry is an unnormalized inner product z, a sum of q
+roots of unity.  Its float argument
 proposes the exponent e, and z - sqrt(q) w^e = 0 is then certified as a
 sum of 2q roots (sqrt(q) a Gauss sum, -1 a root), never by rounding alone.
 
-Also here: the B1/B2 unitary factorization and its product-basis view, the
-all-identity "trivial" affine family, and the two block-tensor constructions
-(phased tensor with free parameters, and the per-slot generalized tensor).
+Also here: the exact certificate that B1^dagger B2 equals the built matrix,
+and the (p-1)(q-1)-parameter trivial family through the all-identity
+assignment.
 """
 
 from __future__ import annotations
 
 import operator
-import warnings
-from dataclasses import dataclass, field
-from math import lcm, sqrt
+from dataclasses import dataclass
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, sums_vanish
-from .matrices import (
-    ComplexMatrix,
-    ExponentMatrix,
-    Matrix,
-    add_mod,
-    as_complex,
-    to_complex,
-)
+from .matrices import ComplexMatrix, ExponentMatrix, add_mod, to_complex
 from .mub import IdentityBasis, MubSet, complete_mub_set, fourier, is_mu_pair
 
-BasisLike = Union[ExponentMatrix, IdentityBasis, ComplexMatrix]
+BasisLike = Union[ExponentMatrix, IdentityBasis]
 
 
 class MUPreconditionError(ValueError):
@@ -77,17 +69,16 @@ def sqrt_as_cyclotomic(q: int) -> CyclotomicInteger:
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """p pairs (K_i, L_j) of order-q bases, plus the p x p phase matrix M.
+    """p pairs (K_i, L_j) of order-q bases, in exponent form or the identity.
 
-    K[0] conventionally the identity and L[0] the Fourier matrix; M defaults
-    to F_p (its unimodular part supplies the block phases alpha_ij).
+    K[0] conventionally the identity and L[0] the Fourier matrix; block
+    (i, j) of the build carries the phase omega_p^(ij) of F_p.
     """
 
     p: int
     q: int
     K: Tuple[BasisLike, ...]
     L: Tuple[BasisLike, ...]
-    M: Optional[Matrix] = None
     K_labels: Optional[Tuple[str, ...]] = None
     L_labels: Optional[Tuple[str, ...]] = None
 
@@ -97,10 +88,12 @@ class BlockAssignment:
         if len(self.K) != self.p or len(self.L) != self.p:
             raise ValueError("need exactly p bases on each side")
         for b in (*self.K, *self.L):
+            if not isinstance(b, (ExponentMatrix, IdentityBasis)):
+                raise TypeError(
+                    f"a basis must be an ExponentMatrix or IdentityBasis, not {type(b).__name__}"
+                )
             if b.d != self.q:
                 raise ValueError("basis order does not match q")
-        if self.M is not None and self.M.d != self.p:
-            raise ValueError("M order does not match p")
 
     @property
     def d(self) -> int:
@@ -120,7 +113,6 @@ class BlockAssignment:
             q,
             tuple(mub[l] for l in K),
             tuple(mub[l] for l in L),
-            None,
             tuple(K),
             tuple(L),
         )
@@ -147,7 +139,7 @@ class BlockAssignment:
         Label-resolved assignments shortcut: members of one verified complete
         set are pairwise MU, so only identical labels can collide.
         """
-        if self.K_labels is not None and self.L_labels is not None and self.M is None:
+        if self.K_labels is not None and self.L_labels is not None:
             for m, km in enumerate(self.K_labels):
                 for n, ln in enumerate(self.L_labels):
                     if km == ln:
@@ -155,85 +147,27 @@ class BlockAssignment:
             return
         for m, km in enumerate(self.K):
             for n, ln in enumerate(self.L):
-                if isinstance(km, ComplexMatrix) or isinstance(ln, ComplexMatrix):
-                    if not _is_mu_pair_float(km, ln):
-                        raise MUPreconditionError(m, n)
-                elif not is_mu_pair(km, ln):
+                if not is_mu_pair(km, ln):
                     raise MUPreconditionError(m, n)
-
-
-def _basis_unitary(b: BasisLike) -> np.ndarray:
-    """The basis as a unitary ndarray (columns are the basis vectors)."""
-    if isinstance(b, IdentityBasis):
-        return np.eye(b.d, dtype=np.complex128)
-    if isinstance(b, ExponentMatrix):
-        return to_complex(b).entries
-    return b.entries
-
-
-def _is_mu_pair_float(a: BasisLike, b: BasisLike, tol: float = 1e-9) -> bool:
-    G = np.abs(_basis_unitary(a).conj().T @ _basis_unitary(b)) ** 2
-    return bool(np.max(np.abs(G - 1 / a.d)) <= tol)
 
 
 # ----------------------------------------------------------------------
 # the block construction
 # ----------------------------------------------------------------------
 
-def theorem1_build(
-    a: BlockAssignment, mode: str = "auto", _cache: Optional[Dict] = None
-) -> Matrix:
-    """Assemble the order-pq Hadamard matrix from a block assignment.
+def theorem1_build(a: BlockAssignment, _cache: Optional[Dict] = None) -> ExponentMatrix:
+    """Assemble the order-pq Hadamard matrix from a block assignment, exactly.
 
-    mode: "auto" picks exact when every input is exponent-form (or identity)
-    and the block phases are roots of unity; "exact"/"float" force a path
-    (forcing exact on float inputs raises).  The MU precondition is always
-    validated first.  _cache lets a caller share the monomialization table
-    across many builds over the same basis set (keys are self-describing).
+    The MU precondition is validated first.  _cache lets a caller share the
+    monomialization table across many builds over the same basis set (keys
+    are self-describing).
     """
     a.validate()
-    exact_ok = a.M is None and all(
-        not isinstance(b, ComplexMatrix) for b in (*a.K, *a.L)
-    )
-    if mode == "exact" and not exact_ok:
-        raise ValueError("exact build requires exponent-form inputs and canonical phases")
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "float" or not exact_ok:
-        if mode == "auto" and not exact_ok:
-            warnings.warn("mixed or float inputs: building in float mode", stacklevel=2)
-        return _build_float(a)
-    return _build_exact(a, cache=_cache)
-
-
-def _phase_matrix(a: BlockAssignment) -> np.ndarray:
-    """The block phases: sqrt(p) * a.M, or the unnormalized F_p when a.M is
-    None.  Block (i, j) of the build is M[i, j] / sqrt(p) * K_i^dagger L_j."""
-    p = a.p
-    if a.M is not None:
-        return as_complex(a.M).entries * sqrt(p)
-    return np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-
-
-def _build_float(a: BlockAssignment) -> ComplexMatrix:
-    p, q = a.p, a.q
-    M = _phase_matrix(a)
-    Ks = [_basis_unitary(b) for b in a.K]
-    Ls = [_basis_unitary(b) for b in a.L]
-    rows = [
-        np.hstack([M[i, j] * (Ks[i].conj().T @ Ls[j]) for j in range(p)])
-        for i in range(p)
-    ]
-    return ComplexMatrix(p * q, np.vstack(rows) / sqrt(p))
-
-
-def _build_exact(a: BlockAssignment, cache: Optional[Dict] = None) -> ExponentMatrix:
     p, q = a.p, a.q
     d = p * q
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
     R = lcm(p, 4 * q, *roots)
-    if cache is None:
-        cache = {}
+    cache = {} if _cache is None else _cache
     grid = np.empty((d, d), dtype=np.int64)
     for i, Ki in enumerate(a.K):
         for j, Lj in enumerate(a.L):
@@ -281,33 +215,8 @@ def _candidate_exponents(z: np.ndarray, rz: int, R: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# B1 / B2 factorization and product-basis view
+# the B1^dagger B2 certificate
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitaryFactorPair:
-    """B1 (block-diagonal in the K's) and B2 (Fourier-phased L blocks):
-    B1^dagger B2 reproduces the built Hadamard matrix."""
-
-    b1: ComplexMatrix
-    b2: ComplexMatrix
-
-
-def factor_b1_b2(a: BlockAssignment) -> UnitaryFactorPair:
-    p, q = a.p, a.q
-    d = p * q
-    M = _phase_matrix(a)
-    B1 = np.zeros((d, d), dtype=np.complex128)
-    B2 = np.zeros((d, d), dtype=np.complex128)
-    for m in range(p):
-        B1[m * q : (m + 1) * q, m * q : (m + 1) * q] = _basis_unitary(a.K[m])
-    for i in range(p):
-        for n in range(p):
-            B2[i * q : (i + 1) * q, n * q : (n + 1) * q] = (
-                M[i, n] / sqrt(p) * _basis_unitary(a.L[n])
-            )
-    return UnitaryFactorPair(ComplexMatrix(d, B1), ComplexMatrix(d, B2))
-
 
 def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     """Certify B1^dagger B2 = H algebraically (no floating comparison).
@@ -319,8 +228,6 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     omega^(R/2), all d^2 differences go through one `sums_vanish` call.
     """
     p, q = a.p, a.q
-    if a.M is not None:
-        raise ValueError("exact factor comparison needs canonical phases")
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
     R = lcm(p, 4 * q, H.r, *roots)
     E = H.rescaled(R).exp
@@ -348,157 +255,19 @@ def exact_product_equals(a: BlockAssignment, H: ExponentMatrix) -> bool:
     return bool(sums_vanish(d * d, cells, terms, R).all())
 
 
-@dataclass(frozen=True)
-class ProductBasisView:
-    """Labeled tensor-factor columns; kron-reassembly reproduces B1 or B2."""
-
-    labels: Tuple[str, ...]
-    block_vectors: Tuple[np.ndarray, ...] = field(compare=False)
-    inner_vectors: Tuple[np.ndarray, ...] = field(compare=False)
-
-    def assemble(self) -> ComplexMatrix:
-        cols = [np.kron(a, b) for a, b in zip(self.block_vectors, self.inner_vectors)]
-        return ComplexMatrix(len(cols), np.column_stack(cols))
-
-
-def product_basis_view(a: BlockAssignment) -> Tuple[ProductBasisView, ProductBasisView]:
-    p, q = a.p, a.q
-    M = _phase_matrix(a) / sqrt(p)
-    eye = np.eye(p, dtype=np.complex128)
-    lab1, blk1, in1 = [], [], []
-    lab2, blk2, in2 = [], [], []
-    for m in range(p):
-        Km = _basis_unitary(a.K[m])
-        Lm = _basis_unitary(a.L[m])
-        for s in range(q):
-            lab1.append(f"e{m}*K{m}c{s}")
-            blk1.append(eye[:, m].copy())
-            in1.append(Km[:, s].copy())
-            lab2.append(f"f{m}*L{m}c{s}")
-            blk2.append(M[:, m].copy())
-            in2.append(Lm[:, s].copy())
-    return (
-        ProductBasisView(tuple(lab1), tuple(blk1), tuple(in1)),
-        ProductBasisView(tuple(lab2), tuple(blk2), tuple(in2)),
-    )
-
-
 # ----------------------------------------------------------------------
-# affine families and the trivial family
+# the trivial family
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AffineFamily:
-    """Members are base ∘ exp(i * sum_m t_m * directions[m]); the direction
-    matrices vanish on the first row and column."""
-
-    base: ComplexMatrix
-    directions: Tuple[np.ndarray, ...] = field(compare=False)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.directions)
-
-
-def affine_member(f: AffineFamily, t: Sequence[float]) -> ComplexMatrix:
-    t = np.asarray(t, dtype=float)
-    if t.shape != (len(f.directions),):
-        raise ValueError(f"need {len(f.directions)} parameters, got {t.shape}")
-    R = np.zeros((f.base.d, f.base.d))
-    for tm, Rm in zip(t, f.directions):
-        R = R + tm * Rm
-    return ComplexMatrix(f.base.d, f.base.entries * np.exp(1j * R))
-
-
-def trivial_affine_family(p: int, q: int) -> AffineFamily:
-    """The (p-1)(q-1)-parameter family through the all-identity assignment.
-
-    Base: K's all identity, L's all Fourier.  Direction (n, k) multiplies the
-    in-block row k of block column n by a free phase; first row and column of
-    the matrix are untouched.
-    """
-    assign = BlockAssignment(
-        p,
-        q,
-        tuple(IdentityBasis(q) for _ in range(p)),
-        tuple(fourier(q) for _ in range(p)),
-    )
-    base = as_complex(theorem1_build(assign))
-    d = p * q
-    dirs = []
-    for n in range(1, p):
-        for k in range(1, q):
-            Rm = np.zeros((d, d))
-            rows = [i * q + k for i in range(p)]
-            Rm[np.ix_(rows, range(n * q, (n + 1) * q))] = 1.0
-            dirs.append(Rm)
-    return AffineFamily(base, tuple(dirs))
-
 
 def trivial_family(p: int, q: int, params) -> ComplexMatrix:
-    """Member of the trivial family at the given (p-1) x (q-1) angle grid."""
+    """Member of the (p-1)(q-1)-parameter family through the all-identity
+    assignment (K's all identity, L's all Fourier) at a (p-1) x (q-1) angle
+    grid: params[n-1, k-1] is a phase on the in-block row k of block
+    column n, so the first row and column of the matrix are untouched.
+    """
     params = np.asarray(params, dtype=float).reshape(p - 1, q - 1)
-    fam = trivial_affine_family(p, q)
-    return affine_member(fam, params.reshape(-1))
-
-
-# ----------------------------------------------------------------------
-# block tensor constructions
-# ----------------------------------------------------------------------
-
-def dita_build(
-    M: Matrix,
-    Ns: Sequence[Matrix],
-    params: Optional[Sequence[Sequence[float]]] = None,
-) -> ComplexMatrix:
-    """Phased block tensor: block (i, j) = M[i][j] * D_j * N_j, with D_0 = I
-    and D_j (j >= 1) carrying v-1 free phases each."""
-    k = M.d
-    if len(Ns) != k:
-        raise ValueError("need one inner matrix per column of M")
-    v = Ns[0].d
-    if any(N.d != v for N in Ns):
-        raise ValueError("inner matrices must share one order")
-    Mc = as_complex(M).entries
-    Narr = [as_complex(N).entries for N in Ns]
-    if params is None:
-        phases = np.zeros((k, v))
-    else:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (k - 1, v - 1):
-            raise ValueError(f"params must be (k-1) x (v-1) = {(k-1, v-1)}")
-        phases = np.zeros((k, v))
-        phases[1:, 1:] = params
-    rows = []
-    for i in range(k):
-        blocks = [
-            Mc[i, j] * (np.exp(1j * phases[j])[:, None] * Narr[j]) for j in range(k)
-        ]
-        rows.append(np.hstack(blocks))
-    return ComplexMatrix(k * v, np.vstack(rows))
-
-
-def dita_parameter_count(k: int, v: int, m: int = 0, n: Sequence[int] = ()) -> int:
-    """Free parameters of the phased block tensor: the outer matrix's own m,
-    each inner matrix's n_i, plus (k-1)(v-1) block phases."""
-    return m + sum(n) + (k - 1) * (v - 1)
-
-
-def hosoya_suzuki_build(Ms: Sequence[Matrix], Ns: Sequence[Matrix]) -> ComplexMatrix:
-    """Generalized tensor: block (i, j) = diag(M_1[i,j], ..., M_v[i,j]) * N_j."""
-    v = len(Ms)
-    k = Ms[0].d
-    if any(M.d != k for M in Ms):
-        raise ValueError("outer matrices must share one order")
-    if len(Ns) != k or any(N.d != v for N in Ns):
-        raise ValueError(f"need {k} inner matrices of order {v}")
-    Marr = [as_complex(M).entries for M in Ms]
-    Narr = [as_complex(N).entries for N in Ns]
-    rows = []
-    for i in range(k):
-        blocks = []
-        for j in range(k):
-            diag = np.array([Marr[s][i, j] for s in range(v)])
-            blocks.append(diag[:, None] * Narr[j])
-        rows.append(np.hstack(blocks))
-    return ComplexMatrix(k * v, np.vstack(rows))
+    a = BlockAssignment(p, q, (IdentityBasis(q),) * p, (fourier(q),) * p)
+    base = to_complex(theorem1_build(a))
+    R = np.zeros((a.d, a.d))
+    R.reshape(p, q, p, q)[:, 1:, 1:, :] = params.T[:, :, None]  # R[i*q+k, n*q+s]
+    return ComplexMatrix(a.d, base.entries * np.exp(1j * R))

@@ -3,8 +3,7 @@
 Two carriers:
 
 * :class:`RootExponent` — a single root of unity ``omega_r^k`` stored as the
-  pair ``(k, r)``.  Multiplication is exponent addition mod r; mixed orders
-  must be lifted to a common order first (`rescale`).
+  pair ``(k, r)``; `rescale` lifts it to a multiple of its order.
 * :class:`CyclotomicInteger` — an integer combination of all r-th roots,
   stored as an *unreduced* length-r coefficient vector.  Multiplication is a
   cyclic convolution.
@@ -22,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from typing import List, Tuple
 
 import numpy as np
@@ -61,56 +61,60 @@ class RootExponent:
         return (self.k // g, self.r // g)
 
 
-def root_mul(a: RootExponent, b: RootExponent) -> RootExponent:
-    if a.r != b.r:
-        raise OrderMismatchError(f"orders differ: {a.r} vs {b.r}; rescale to lcm first")
-    return RootExponent((a.k + b.k) % a.r, a.r)
-
-
-def root_inverse(a: RootExponent) -> RootExponent:
-    return RootExponent((-a.k) % a.r, a.r)
-
-
 def rescale(a: RootExponent, r_new: int) -> RootExponent:
     if r_new % a.r != 0:
         raise InvalidRescaleError(f"{r_new} is not a multiple of {a.r}")
     return RootExponent(a.k * (r_new // a.r), r_new)
 
 
+def _factorize(n: int) -> List[int]:
+    """The distinct prime factors of n >= 1, increasing, by trial division."""
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            out.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(r: int) -> Tuple[int, ...]:
-    """Coefficients of Phi_r, low degree first; computed by exact division of
-    x^r - 1 by the product of Phi_m over proper divisors m of r."""
+    """Coefficients of Phi_r, low degree first.
+
+    Phi_r(x) = Phi_s(x^(r/s)) for s the product of the primes dividing r,
+    and Phi_s(y) = prod over m | s of (1 - y^(s/m))^mu(m) for s > 1 (the
+    signs of x^k - 1 against 1 - x^k cancel, as mu sums to 0).  Each factor
+    acts on the power series mod y^(phi(s)+1) in O(phi(s)): a product with
+    1 - y^k subtracts a shifted copy, a quotient by it is a running sum
+    with stride k.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     if r == 1:
         return (-1, 1)
-    num = [0] * (r + 1)
-    num[0], num[r] = -1, 1
-    for m in range(1, r):
-        if r % m == 0:
-            num = _poly_exact_div(num, list(cyclotomic_polynomial(m)))
-    return tuple(num)
-
-
-def _poly_exact_div(num: List[int], den: List[int]) -> List[int]:
-    """Exact division of integer polynomials (monic-or-unit divisor leading
-    coefficient; remainder must vanish)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division (remainder)")
-    return out
+    primes = _factorize(r)
+    s = prod(primes)
+    n = prod(p - 1 for p in primes) + 1  # series length: deg Phi_s + 1
+    c = np.zeros(n, dtype=object)
+    c[0] = 1
+    for size in range(len(primes) + 1):
+        for m in combinations(primes, size):
+            k = s // prod(m)
+            if k >= n:
+                continue  # 1 - y^k is 1 mod y^n
+            if size % 2 == 0:  # mu(m) = 1
+                c[k:] = c[k:] - c[:-k]
+            else:  # mu(m) = -1
+                c = np.concatenate((c, np.zeros(-n % k, dtype=object)))
+                c = c.reshape(-1, k).cumsum(axis=0).ravel()[:n]
+    out = [0] * ((n - 1) * (r // s) + 1)
+    out[:: r // s] = c.tolist()
+    return tuple(out)
 
 
 class _Reduction:

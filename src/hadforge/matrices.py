@@ -27,6 +27,7 @@ from .cyclotomic import sums_vanish
 
 UNITARY_TOL = 1e-9  # scaled by d in the float unitarity test
 ENTRY_TOL = 1e-9
+FLOAT_ROOT_LIMIT = 2**20  # largest root order is_butson tests on complex input
 
 
 class NotHadamardFormError(ValueError):
@@ -353,12 +354,20 @@ def butson_min_root(H: ExponentMatrix) -> Tuple[int, ExponentMatrix]:
 
 def is_butson(H: Matrix, r: int) -> bool:
     """True when every entry is an r-th root of unity (times 1/sqrt(d)).
-    Raises ValueError for r < 1, which is no root order."""
+
+    Raises ValueError for r < 1, which is no root order, and for complex
+    input above FLOAT_ROOT_LIMIT: there an entry's float error, scaled by r,
+    is no longer far below the tolerance, so the verdict means nothing.
+    """
     if r < 1:
         raise ValueError(f"root order must be at least 1, got {r}")
     if isinstance(H, ExponentMatrix):
         root, _ = butson_min_root(H)
         return r % root == 0
+    if r > FLOAT_ROOT_LIMIT:
+        raise ValueError(
+            f"a complex matrix is tested only up to root {FLOAT_ROOT_LIMIT}, got {r}"
+        )
     ang = np.angle(H.entries * sqrt(H.d)) * r / (2 * np.pi)
     return bool(np.max(np.abs(ang - np.rint(ang))) < 1e-7)
 

@@ -118,7 +118,7 @@ def test_criterion_4_random_assignments_build_exactly(criterion):
             cache: dict = {}
             for _ in range(40):
                 a = _random_assignment(rng, p, q, mub)
-                H = theorem1_build(a, mode="exact", _cache=cache)
+                H = theorem1_build(a, _cache=cache)
                 assert is_unitary(H), a.to_json()
                 assert exact_product_equals(a, H), a.to_json()
                 checked += 1
@@ -163,7 +163,6 @@ def test_criterion_7_trivial_family_and_witness(criterion):
         base = dephase(
             theorem1_build(
                 BlockAssignment.from_labels(2, 2, ("I", "I"), ("F", "F")),
-                mode="exact",
             )
         )[0]
         target = tensor(fourier(2), fourier(2))

@@ -63,7 +63,7 @@ from hadforge.mub import IdentityBasis, complete_mub_set, fourier
 
 def build(p, q, K, L):
     a = BlockAssignment.from_labels(p, q, K, L)
-    return dephase(theorem1_build(a, mode="exact"))[0]
+    return dephase(theorem1_build(a))[0]
 
 
 S9 = build(3, 3, ("I", "I", "H1"), ("F", "F", "H2"))
@@ -937,7 +937,7 @@ def test_exact_and_float_defects_agree_on_moved_catalog_grids(name, seed):
 @pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
 def test_exact_and_float_defects_agree_on_search_grids(p, q):
     for a in _candidate_assignments(p, complete_mub_set(q)):
-        assert_defects_agree(reduced_grid(theorem1_build(a, mode="exact")))
+        assert_defects_agree(reduced_grid(theorem1_build(a)))
 
 
 @pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
@@ -945,7 +945,7 @@ def test_examine_screen_matches_the_exact_defect(p, q):
     cache: dict = {}
     for a in _candidate_assignments(p, complete_mub_set(q)):
         _, _, rep = _examine(a, cache)
-        exact = _defect_exact(reduced_grid(theorem1_build(a, mode="exact")))
+        exact = _defect_exact(reduced_grid(theorem1_build(a)))
         assert rep.defect == exact.defect
         if exact.defect == 0:
             assert rep == exact and rep.evidence == exact.evidence
@@ -1175,7 +1175,7 @@ def test_relabelling_is_an_exact_monomial_equivalence(q):
                 kc, lc = random_valid_indices(rng, p, q)
                 a = _assignment(p, kc, lc, mub)
                 a2 = _assignment(p, [s * j % q for j in kc], [s * j % q for j in lc], mub)
-                H, H2 = (theorem1_build(x, mode="exact") for x in (a, a2))
+                H, H2 = (theorem1_build(x) for x in (a, a2))
                 K, L = a.K_labels, a.L_labels
                 move = block_move(([witness[x] for x in K], [witness[x] for x in L]), q, r)
                 assert apply_equivalence(H, move) == H2, (s, K, L)
@@ -1217,7 +1217,7 @@ def test_conjugation_is_an_exact_monomial_equivalence(q):
             kc, lc = random_valid_indices(rng, p, q)
             a = _assignment(p, kc, lc, mub)
             a2 = _assignment(p, [-j % q for j in kc], [-j % q for j in reversed(lc)], mub)
-            H, H2 = (theorem1_build(x, mode="exact") for x in (a, a2))
+            H, H2 = (theorem1_build(x) for x in (a, a2))
             move = conjugation_move(a.K_labels, a.L_labels, witness, p, q, r)
             conj = ExponentMatrix(H.d, H.r, -H.exp)
             assert apply_equivalence(H2, move) == conj, (a.K_labels, a.L_labels)

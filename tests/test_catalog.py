@@ -7,7 +7,7 @@ import pytest
 
 from hadforge import catalog
 from hadforge.analyze import fingerprint
-from hadforge.matrices import ExponentMatrix, is_unitary
+from hadforge.matrices import ExponentMatrix, is_butson, is_unitary, to_complex
 
 
 EXPECTED_ORDER = [
@@ -18,6 +18,11 @@ EXPECTED_ORDER = [
 
 def test_names_and_order():
     assert catalog.names() == EXPECTED_ORDER
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDER)
+def test_complex_grid_is_butson_at_its_expected_root(name):
+    assert is_butson(to_complex(catalog.load(name)), catalog.entry(name).expected_root)
 
 
 def test_catalog_data_comes_from_its_own_package(monkeypatch):

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from hadforge import catalog
 from hadforge.cli import main
+from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.matrices import (
     ExponentMatrix,
     apply_equivalence,
     dump_matrix,
     matrix_from_json,
+    matrix_to_json,
     move_from_json,
     random_move,
     to_complex,
@@ -96,6 +99,17 @@ class TestGen:
         code, out = jrun(capsys, "gen", S9_JSON, "--mode", "float")
         assert code == 0 and "re" in out and "im" in out
 
+    def test_float_mode_prints_the_exact_build_in_complex_form(self, capsys):
+        H = theorem1_build(BlockAssignment.from_json(json.loads(S9_JSON)))
+        code, out = jrun(capsys, "gen", S9_JSON, "--mode", "float")
+        assert code == 0 and out == json.loads(json.dumps(matrix_to_json(to_complex(H))))
+
+    @pytest.mark.parametrize("dephase", [[], ["--dephase"]])
+    def test_modes_auto_and_exact_print_the_same_bytes(self, capsys, dephase):
+        modes = ([], ["--mode", "auto"], ["--mode", "exact"])
+        outs = {run(capsys, "gen", S9_JSON, *mode, *dephase) for mode in modes}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+
 
 class TestDephase:
     def test_writes_matrix_and_move(self, capsys, tmp_path):
@@ -124,6 +138,16 @@ class TestUnitary:
         dump_matrix(flat, str(path))
         code, out = jrun(capsys, "unitary", str(path))
         assert code == 1 and out["unitary"] is False
+
+    def test_composite_large_root_gives_a_verdict_quickly(self, capsys, tmp_path):
+        # Phi_20010 has degree 4928; 20010 = 2 * 3 * 5 * 23 * 29 has 31
+        # proper divisors, so a division by each one's Phi would take seconds
+        path = tmp_path / "composite_root.json"
+        path.write_text('{"d": 2, "root": 20010, "exponents": [[0, 0], [0, 10005]]}')
+        start = time.perf_counter()
+        code, out = jrun(capsys, "unitary", str(path))
+        assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
+        assert time.perf_counter() - start < 5
 
     def test_large_root_gives_a_verdict_in_little_memory(self, capsys, tmp_path):
         # all 20011 x 20010 coefficients of x^k mod Phi_20011 would take
@@ -162,6 +186,14 @@ class TestButson:
     def test_exact_flag_refuses_float(self, capsys, f4_float):
         code, _, err = run(capsys, "butson", f4_float, "--exact")
         assert code == 2
+
+    def test_float_root_above_the_limit_is_usage_error(self, capsys, f4, f4_float):
+        code, out = jrun(capsys, "butson", f4_float, "--root", str(2**20))
+        assert code == 0 and out["is_butson"] is True
+        code, out, err = run(capsys, "butson", f4_float, "--root", str(2**20 + 4))
+        assert code == 2 and out == "" and err.startswith("hadforge: --root:")
+        code, out = jrun(capsys, "butson", f4, "--root", str(2**20 + 4))
+        assert code == 0 and out["is_butson"] is True
 
     @pytest.mark.parametrize("root", ["0", "-4"])
     def test_root_below_one_is_usage_error(self, capsys, f4, f4_float, root):

@@ -1,7 +1,6 @@
 import cmath
 import json
 import random
-import warnings
 from math import lcm, sqrt
 
 import numpy as np
@@ -12,16 +11,9 @@ from hadforge.construct import (
     BlockAssignment,
     MonomializationError,
     MUPreconditionError,
-    affine_member,
-    dita_build,
-    dita_parameter_count,
     exact_product_equals,
-    factor_b1_b2,
-    hosoya_suzuki_build,
-    product_basis_view,
     sqrt_as_cyclotomic,
     theorem1_build,
-    trivial_affine_family,
     trivial_family,
 )
 from hadforge.cyclotomic import CyclotomicInteger, vanishes
@@ -29,7 +21,6 @@ from hadforge.matrices import (
     ComplexMatrix,
     ExponentMatrix,
     add_mod,
-    as_complex,
     butson_min_root,
     dephase,
     is_unitary,
@@ -68,41 +59,42 @@ class TestBlockAssignment:
         with pytest.raises(MUPreconditionError):
             a.validate()
 
-    def test_non_mu_float_pair_rejected(self):
-        eye = ComplexMatrix(3, np.eye(3, dtype=complex))
-        a = BlockAssignment(2, 3, (complete_mub_set(3)["I"], eye),
-                            (complete_mub_set(3)["F"], eye))
-        with pytest.raises(MUPreconditionError):
-            a.validate()
+    def test_complex_basis_is_refused(self):
+        s = complete_mub_set(3)
+        for third in (to_complex(s["H1"]), ComplexMatrix(3, np.eye(3, dtype=complex))):
+            with pytest.raises(TypeError):
+                BlockAssignment(2, 3, (s["I"], third), (s["F"], s["H2"]))
+            with pytest.raises(TypeError):
+                BlockAssignment(2, 3, (s["I"], s["H2"]), (s["F"], third))
+
+
+def reference_factors(a):
+    """Reference: B1 (block-diagonal in the K's) and B2 (block (i, n) is
+    omega_p^(in) L_n / sqrt(p)) as complex arrays, straight from the
+    definition; B1^dagger B2 is the matrix the build claims."""
+    p, q = a.p, a.q
+    U = [np.eye(q) if isinstance(b, IdentityBasis) else to_complex(b).entries for b in (*a.K, *a.L)]
+    B1 = np.zeros((a.d, a.d), dtype=complex)
+    B2 = np.zeros((a.d, a.d), dtype=complex)
+    for m in range(p):
+        B1[m * q : (m + 1) * q, m * q : (m + 1) * q] = U[m]
+        for n in range(p):
+            phase = cmath.exp(2j * cmath.pi * m * n / p) / sqrt(p)
+            B2[m * q : (m + 1) * q, n * q : (n + 1) * q] = phase * U[p + n]
+    return B1, B2
 
 
 class TestTheorem1Build:
     def test_exact_equals_float(self):
         a = asn(2, 5, ("I", "H1"), ("F", "H2"))
-        He = theorem1_build(a, mode="exact")
-        Hf = theorem1_build(a, mode="float")
+        He = theorem1_build(a)
+        B1, B2 = reference_factors(a)
         assert isinstance(He, ExponentMatrix)
-        assert np.max(np.abs(to_complex(He).entries - Hf.entries)) < 1e-12
+        assert np.max(np.abs(to_complex(He).entries - B1.conj().T @ B2)) < 1e-12
 
     def test_auto_picks_exact_for_label_input(self):
         H = theorem1_build(asn(2, 3, ("I", "H1"), ("F", "H2")))
         assert isinstance(H, ExponentMatrix)
-
-    def test_exact_mode_refuses_float_blocks(self):
-        s = complete_mub_set(3)
-        third = to_complex(s["H1"])
-        a = BlockAssignment(2, 3, (s["I"], third), (s["F"], s["H2"]))
-        with pytest.raises(ValueError):
-            theorem1_build(a, mode="exact")
-
-    def test_auto_degrades_with_warning(self):
-        s = complete_mub_set(3)
-        a = BlockAssignment(2, 3, (s["I"], to_complex(s["H1"])), (s["F"], s["H2"]))
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            H = theorem1_build(a)
-        assert isinstance(H, ComplexMatrix)
-        assert any("float" in str(x.message) for x in w)
 
     def test_unitary_across_orders(self):
         for p, q, K, L in [
@@ -110,49 +102,56 @@ class TestTheorem1Build:
             (3, 3, ("I", "I", "H1"), ("F", "F", "H2")),
             (2, 7, ("I", "H3"), ("F", "H5")),
         ]:
-            assert is_unitary(theorem1_build(asn(p, q, K, L), mode="exact"))
+            assert is_unitary(theorem1_build(asn(p, q, K, L)))
 
     def test_product_certificate(self):
         a = asn(3, 3, ("I", "I", "H1"), ("F", "F", "H2"))
-        H = theorem1_build(a, mode="exact")
+        H = theorem1_build(a)
         assert exact_product_equals(a, H)
         # and it really distinguishes: a different assignment's matrix fails
-        other = theorem1_build(asn(3, 3, ("I", "I", "H2"), ("F", "F", "H1")), mode="exact")
+        other = theorem1_build(asn(3, 3, ("I", "I", "H2"), ("F", "F", "H1")))
         assert not exact_product_equals(a, other)
 
 
 def test_factorization_reproduces_product():
     a = asn(2, 5, ("I", "H1"), ("F", "H3"))
-    pair = factor_b1_b2(a)
-    H = theorem1_build(a, mode="float")
-    prod = pair.b1.entries.conj().T @ pair.b2.entries
-    assert np.max(np.abs(prod - H.entries)) < 1e-12
-    for U in (pair.b1.entries, pair.b2.entries):
+    B1, B2 = reference_factors(a)
+    H = to_complex(theorem1_build(a))
+    assert np.max(np.abs(B1.conj().T @ B2 - H.entries)) < 1e-12
+    for U in (B1, B2):
         assert np.max(np.abs(U.conj().T @ U - np.eye(10))) < 1e-12
 
 
-def test_product_basis_views_are_the_factor_columns():
-    a = asn(2, 3, ("I", "H1"), ("F", "H2"))
-    pair = factor_b1_b2(a)
-    v1, v2 = product_basis_view(a)
-    assert np.allclose(v1.assemble().entries, pair.b1.entries)
-    assert np.allclose(v2.assemble().entries, pair.b2.entries)
-    # cross-Gram is flat: the two product bases are themselves MU
-    g = np.abs(v1.assemble().entries.conj().T @ v2.assemble().entries) ** 2
-    assert np.max(np.abs(g - 1 / 6)) < 1e-12
+def all_identity(p, q):
+    return BlockAssignment(p, q, (IdentityBasis(q),) * p, (fourier(q),) * p)
+
+
+def reference_trivial_family(p, q, params):
+    """Reference: the family as a sum of (p-1)(q-1) direction matrices, each
+    a unit phase on the in-block row k of block column n."""
+    params = np.asarray(params, dtype=float).reshape(p - 1, q - 1)
+    base = to_complex(theorem1_build(all_identity(p, q)))
+    d = p * q
+    R = np.zeros((d, d))
+    for n in range(1, p):
+        for k in range(1, q):
+            Rm = np.zeros((d, d))
+            Rm[np.ix_([i * q + k for i in range(p)], range(n * q, (n + 1) * q))] = 1.0
+            R = R + params[n - 1, k - 1] * Rm
+    return ComplexMatrix(d, base.entries * np.exp(1j * R))
 
 
 class TestFamilies:
     def test_trivial_family_parameter_count(self):
-        fam = trivial_affine_family(3, 5)
-        assert fam.n_params == 8
-        assert is_unitary(fam.base)
+        H = trivial_family(3, 5, np.linspace(0.1, 0.8, 8))
+        assert H.d == 15 and is_unitary(H)
+        with pytest.raises(ValueError):
+            trivial_family(3, 5, np.zeros(9))
 
     def test_member_at_zero_is_base(self):
-        fam = trivial_affine_family(2, 3)
-        m = affine_member(fam, [0.0] * fam.n_params)
-        base = as_complex(fam.base)
-        assert np.allclose(m.entries, base.entries)
+        m = trivial_family(2, 3, [[0.0, 0.0]])
+        base = to_complex(theorem1_build(all_identity(2, 3)))
+        assert np.array_equal(m.entries, base.entries)
 
     def test_members_stay_unitary(self):
         rng = np.random.default_rng(2)
@@ -164,37 +163,21 @@ class TestFamilies:
         with pytest.raises(ValueError):
             trivial_family(2, 3, [0.1, 0.2, 0.3])
 
-
-class TestOtherConstructions:
-    def test_dita_matches_trivial_at_zero(self):
-        H = dita_build(fourier(2), [fourier(3), fourier(3)], np.zeros((1, 2)))
-        G = H.entries
-        assert np.max(np.abs(G @ G.conj().T - np.eye(6))) < 1e-12
-
-    def test_dita_parameter_count(self):
-        assert dita_parameter_count(2, 3) == 2
-        assert dita_parameter_count(4, 2, m=1, n=(1, 0, 2, 0)) == 7
-
-    def test_dita_with_phases_is_unitary(self):
-        rng = np.random.default_rng(0)
-        H = dita_build(
-            fourier(2),
-            [fourier(5), to_complex(fourier(5))],
-            rng.uniform(0, 2 * np.pi, (1, 4)),
-        )
-        assert is_unitary(H)
-
-    def test_hosoya_suzuki_block_form(self):
-        F2, F3 = fourier(2), fourier(3)
-        H = hosoya_suzuki_build([F2, F2, F2], [F3, F3])
-        assert H.entries.shape == (6, 6)
-        assert is_unitary(H)
+    @pytest.mark.parametrize(
+        "p,q", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (3, 5), (5, 3), (4, 7)]
+    )
+    def test_matches_reference_bit_for_bit(self, p, q):
+        rng = np.random.default_rng(p * 100 + q)
+        for scale in (0.0, 1.0, 2 * np.pi, 50.0):
+            params = rng.uniform(-scale, scale, size=(p - 1, q - 1))
+            got, ref = trivial_family(p, q, params), reference_trivial_family(p, q, params)
+            assert got.entries.tobytes() == ref.entries.tobytes()
 
 
 def test_dephased_build_matches_catalog_grid():
     from hadforge import catalog
 
-    built = theorem1_build(asn(3, 3, ("I", "I", "H1"), ("F", "F", "H2")), mode="exact")
+    built = theorem1_build(asn(3, 3, ("I", "I", "H1"), ("F", "F", "H2")))
     reduced = butson_min_root(dephase(built)[0])[1]
     assert reduced == catalog.entry("S9").literal
 
@@ -316,7 +299,7 @@ def test_block_exponents_match_reference_on_catalog_recipes(name):
             ref = reference_block_exponents(Ki, Lj, a.q, R, ref_cache)
             assert got.dtype == np.int64 and np.array_equal(got, ref), (i, j)
     assert cache == ref_cache
-    assert exact_product_equals(a, theorem1_build(a, mode="exact"))
+    assert exact_product_equals(a, theorem1_build(a))
 
 
 def negated_entry(H, rng):
@@ -350,7 +333,7 @@ def test_build_and_product_match_references_on_random_assignments(p, q):
     cache, ref_cache = {}, {}
     for _ in range(8):
         a = random_assignment(rng, p, q, mub)
-        H = theorem1_build(a, mode="exact", _cache=cache)
+        H = theorem1_build(a, _cache=cache)
         R = build_root(a)
         ref = np.vstack([
             np.hstack([
@@ -374,7 +357,7 @@ def test_product_certificate_refuses_a_negated_entry():
         (2, 2, ("I", "H1"), ("F", "F")),
     ]:
         a = asn(p, q, K, L)
-        H = theorem1_build(a, mode="exact")
+        H = theorem1_build(a)
         for _ in range(5):
             G = negated_entry(H, rng)
             assert not exact_product_equals(a, G)
@@ -401,7 +384,7 @@ def test_build_refuses_a_candidate_off_by_a_sign(monkeypatch):
         construct, "_candidate_exponents", lambda z, rz, R: (candidate(z, rz, R) + R // 2) % R
     )
     with pytest.raises(MonomializationError):
-        theorem1_build(asn(2, 5, ("I", "H1"), ("F", "H2")), mode="exact")
+        theorem1_build(asn(2, 5, ("I", "H1"), ("F", "H2")))
 
 
 def test_build_refuses_a_non_monomial_entry():

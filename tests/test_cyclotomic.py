@@ -1,5 +1,6 @@
 import cmath
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,11 +13,8 @@ from hadforge.cyclotomic import (
     CyclotomicInteger,
     _Reduction,
     InvalidRescaleError,
-    OrderMismatchError,
     RootExponent,
     cyclotomic_polynomial,
-    root_inverse,
-    root_mul,
     sums_vanish,
     vanishes,
 )
@@ -62,6 +60,54 @@ def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def poly_exact_div(num, den):
+    """Exact division of integer polynomials (monic-or-unit divisor leading
+    coefficient; remainder must vanish)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % lead != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        q = c // lead
+        out[i] = q
+        if q:
+            for j, dj in enumerate(den):
+                num[i + j] -= q * dj
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("non-exact polynomial division (remainder)")
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_polynomial(r):
+    """Reference: exact division of x^r - 1 by the product of Phi_m over the
+    proper divisors m of r."""
+    if r == 1:
+        return (-1, 1)
+    num = [0] * (r + 1)
+    num[0], num[r] = -1, 1
+    for m in range(1, r):
+        if r % m == 0:
+            num = poly_exact_div(num, list(reference_cyclotomic_polynomial(m)))
+    return tuple(num)
+
+
+@pytest.mark.parametrize("rs", [range(1, 401), [20010], [30030]], ids=["1-400", "20010", "30030"])
+def test_cyclotomic_polynomial_matches_reference(rs):
+    for r in rs:
+        got = cyclotomic_polynomial(r)
+        assert got == reference_cyclotomic_polynomial(r), r
+        assert all(type(c) is int for c in got)
+
+
+def test_cyclotomic_polynomial_refuses_r_below_one():
+    for r in (0, -6):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(r)
+
+
 @given(n=st.integers(min_value=1, max_value=60))
 def test_cyclotomic_factorization_of_x_n_minus_1(n):
     prod = [1]
@@ -81,15 +127,6 @@ class TestRootExponent:
         assert RootExponent(2, 4).canonical() == (1, 2)
         assert RootExponent(0, 9).canonical() == (0, 1)
         assert RootExponent(3, 9).canonical() == (1, 3)
-
-    def test_mul_requires_same_order(self):
-        with pytest.raises(OrderMismatchError):
-            root_mul(RootExponent(1, 3), RootExponent(1, 4))
-        assert root_mul(RootExponent(2, 5), RootExponent(4, 5)) == RootExponent(1, 5)
-
-    def test_inverse(self):
-        a = RootExponent(3, 7)
-        assert root_mul(a, root_inverse(a)) == RootExponent(0, 7)
 
     @given(k=st.integers(-50, 50), r=st.integers(1, 30))
     def test_to_complex_on_unit_circle(self, k, r):

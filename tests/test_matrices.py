@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadforge.construct import trivial_family
 from hadforge.matrices import (
+    FLOAT_ROOT_LIMIT,
     ComplexMatrix,
     DimensionMismatchError,
     EquivalenceMove,
@@ -104,6 +106,26 @@ def test_is_butson_divisibility():
     assert is_butson(F(3), 6)
     assert not is_butson(F(3), 2)
     assert is_butson(to_complex(F(4)), 4)
+
+
+def bh2(r, a):
+    """BH(2, r) with rows (1, 1) and (w^a, -w^a)."""
+    return ExponentMatrix(2, r, [[0, 0], [a, a + r // 2]])
+
+
+def test_is_butson_refuses_complex_input_above_the_float_limit():
+    # the float test read these as False at 10^10 and 10^12, and passed a
+    # member of the trivial family at 2^62, where every float is an integer
+    for r in (10**10, 10**12):
+        assert is_butson(bh2(r, 123456789), r)
+        with pytest.raises(ValueError):
+            is_butson(to_complex(bh2(r, 123456789)), r)
+    with pytest.raises(ValueError):
+        is_butson(trivial_family(2, 2, [1.0]), 2**62)
+    H = to_complex(bh2(FLOAT_ROOT_LIMIT, 123457))
+    assert is_butson(H, FLOAT_ROOT_LIMIT) and not is_butson(H, FLOAT_ROOT_LIMIT // 2)
+    with pytest.raises(ValueError):
+        is_butson(H, FLOAT_ROOT_LIMIT + 2)
 
 
 @pytest.mark.parametrize("r", [0, -4])
