@@ -37,6 +37,14 @@ written back.  Every update subtracts a product of two reduced entries, at
 most (l-1)^2 < 2^50, and an entry takes at most one update per pivot of its
 panel, so it stays within 2^25 + 256 * 2^50 < 2^63 in absolute value.
 
+The lift of the null basis works on whole arrays.  The coefficients mod
+each prime are stacked as one (n_null, n_cols, phi) array; `_lift_vectors`
+CRTs them into one object array of Python ints, `rational_reconstruct`
+runs the half-gcd walk on all of its entries at once (each step takes only
+the entries not yet below the bound), and each null vector is cleared of
+denominators by the `np.lcm.reduce` of its own.  That array goes to
+`_verify_null_vectors` as it is.  One path serves any number of primes.
+
 A system is a `System` of flat integer arrays with one element per term:
 term j adds coeff[j] * omega_r^exp[j] to entry (row[j], col[j]).
 """
@@ -44,8 +52,7 @@ term j adds coeff[j] * omega_r^exp[j] to entry (row[j], col[j]).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -77,9 +84,10 @@ assert _MODULUS_BOUND <= 2**31
 
 # Every rank computation draws its primes from Random(SEED), so a defect and
 # its evidence are reproducible; a null-vector certificate tries at most
-# _MAX_PRIMES primes per attempt.
+# _MAX_PRIMES primes per attempt, in at most _ATTEMPTS attempts.
 SEED = 20120521
 _MAX_PRIMES = 8
+_ATTEMPTS = 4
 
 
 class RankCertificationError(RuntimeError):
@@ -297,25 +305,27 @@ def null_basis_mod(R: np.ndarray, pivots: List[int], l: int) -> np.ndarray:
     return N
 
 
-def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
-    t = (res_b - res_a) % mod_b * pow(mod_a % mod_b, -1, mod_b) % mod_b
-    return res_a + mod_a * t
-
-
-def rational_reconstruct(c: int, L: int) -> Optional[Tuple[int, int]]:
-    """Find a/b = c (mod L) with |a|, b <= sqrt(L/2) via the half-gcd walk."""
-    if c % L == 0:
-        return (0, 1)
+def rational_reconstruct(c: np.ndarray, L: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Find a/b = c (mod L) with |a|, b <= sqrt(L/2) and b > 0 for every
+    entry of the object array c, by the half-gcd walk run on all entries at
+    once: each step takes the entries whose remainder is still above the
+    bound.  Returns (a, b) shaped as c, or None when some entry has no such
+    a/b."""
     bound = isqrt(L // 2)
-    r0, r1 = L, c % L
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if r1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+    r1 = c.reshape(-1) % L
+    r0 = np.full(r1.shape, L, dtype=object)
+    t0, t1 = np.zeros(r1.shape, dtype=object), np.ones(r1.shape, dtype=object)
+    i = np.flatnonzero(r1 > bound)
+    while i.size:
+        q = r0[i] // r1[i]
+        r0[i], r1[i] = r1[i], r0[i] - q * r1[i]
+        t0[i], t1[i] = t1[i], t0[i] - q * t1[i]
+        i = i[r1[i] > bound]
+    # a walk that ends at r1 = 0 has |t1| > 1 there, so gcd(0, t1) = |t1|
+    # refuses it; an entry 0 mod L never walks and stays 0/1
+    if ((abs(t1) > bound) | (np.gcd(r1, t1) != 1)).any():
         return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
+    return np.where(t1 > 0, r1, -r1).reshape(c.shape), abs(t1).reshape(c.shape)
 
 
 def _units(r: int) -> List[int]:
@@ -352,24 +362,17 @@ def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
         return rk0, ev
 
     # nullity candidate; recover the canonical null basis exactly
-    phi = len(_units(r))
-    attempts = 0
-    while attempts < 4:
-        attempts += 1
+    units = _units(r)
+    for _ in range(_ATTEMPTS):
         try:
             nverified, pivots, primes = _null_vector_certificate(
-                system, n_cols, r, phi, rng
+                system, n_cols, r, units, rng
             )
         except _RetryNeeded:
             continue
-        if pivots + nverified == n_cols:
-            return pivots, {
-                "pivot_count": pivots,
-                "primes": primes,
-                "null_vectors": nverified,
-            }
+        return pivots, {"pivot_count": pivots, "primes": primes, "null_vectors": nverified}
     raise RankCertificationError(
-        f"could not certify rank after {attempts} attempts (mod-l rank {rk0})"
+        f"could not certify rank after {_ATTEMPTS} attempts (mod-l rank {rk0})"
     )
 
 
@@ -381,35 +384,30 @@ def _null_vector_certificate(
     system: System,
     n_cols: int,
     r: int,
-    phi: int,
+    units: List[int],
     rng: random.Random,
 ) -> Tuple[int, int, List[int]]:
-    units = _units(r)
     pivot_ref: Optional[Tuple[int, ...]] = None
     per_prime: List[Tuple[int, np.ndarray]] = []  # (l, stacked coeff arrays)
-    primes: List[int] = []
-    n_null = None
 
     for _ in range(_MAX_PRIMES):
         l, g = find_embedding_prime(r, rng)
+        if any(l == p for p, _ in per_prime):
+            continue  # a repeated prime adds nothing to the CRT
         coeffs = _null_coeffs_one_prime(system, n_cols, r, units, l, g)
         if coeffs is None:
             raise _RetryNeeded  # mod-l pivot set unstable at this prime
         pivots, C = coeffs
         if pivot_ref is None:
             pivot_ref = pivots
-            n_null = C.shape[0]
-        elif pivots != pivot_ref or C.shape[0] != n_null:
+            free = sorted(set(range(n_cols)) - set(pivots))
+        elif pivots != pivot_ref:
             raise _RetryNeeded
-        primes.append(l)
         per_prime.append((l, C))
-        if len(primes) >= 2:
-            vectors = _lift_vectors(per_prime, n_null, n_cols, phi)
-            if vectors is not None:
-                pivot_set = set(pivot_ref)
-                free = [c for c in range(n_cols) if c not in pivot_set]
-                if _verify_null_vectors(system, vectors, free, r):
-                    return n_null, len(pivot_ref), primes
+        if len(per_prime) >= 2:
+            W = _lift_vectors(per_prime)
+            if W is not None and _verify_null_vectors(system, W, free, r):
+                return len(W), len(pivot_ref), [l for l, _ in per_prime]
     raise _RetryNeeded
 
 
@@ -446,56 +444,43 @@ def _null_coeffs_one_prime(
     return pivot_ref, np.tensordot(np.stack(bases), V_inv, axes=(0, 1)) % l
 
 
-def _lift_vectors(
-    per_prime: List[Tuple[int, np.ndarray]], n_null: int, n_cols: int, phi: int
-) -> Optional[List[List[List[int]]]]:
-    """CRT + rational reconstruction + denominator clearing.
+def _lift_vectors(per_prime: List[Tuple[int, np.ndarray]]) -> Optional[np.ndarray]:
+    """CRT + rational reconstruction + denominator clearing, on whole arrays.
 
-    Returns integer coefficient vectors (per null vector, per coordinate,
-    power-basis coeffs), or None when reconstruction fails (need more primes).
+    per_prime holds (l, C) with C the (n_null, n_cols, phi) coefficients mod
+    l.  Returns the integer coefficient vectors as one object array of that
+    shape, each null vector scaled by the lcm of its denominators, or None
+    when reconstruction fails (need more primes).
     """
-    L = 1
-    for l, _ in per_prime:
+    c, L = 0, 1
+    for l, C in per_prime:
+        c = c + L * ((C.astype(object) - c) * pow(L, -1, l) % l)
         L *= l
-    vectors: List[List[List[int]]] = []
-    for v in range(n_null):
-        entries: List[List[Fraction]] = []
-        for x in range(n_cols):
-            coeffs = []
-            for j in range(phi):
-                c, mod = int(per_prime[0][1][v, x, j]), per_prime[0][0]
-                for l, C in per_prime[1:]:
-                    c = _crt(c, mod, int(C[v, x, j]), l)
-                    mod *= l
-                rec = rational_reconstruct(c, L)
-                if rec is None:
-                    return None
-                coeffs.append(Fraction(rec[0], rec[1]))
-            entries.append(coeffs)
-        den = lcm(*(f.denominator for e in entries for f in e)) if entries else 1
-        vectors.append(
-            [[int(f * den) for f in e] for e in entries]
-        )
-    return vectors
+    rec = rational_reconstruct(c, L)
+    if rec is None:
+        return None
+    num, den = rec
+    scale = np.lcm.reduce(np.lcm.reduce(den, axis=2), axis=1, initial=1)
+    return num * (scale[:, None, None] // den)
 
 
-def _verify_null_vectors(system: System, vectors, free: List[int], r: int) -> bool:
-    """Exact check that every reconstructed vector satisfies M . w = 0 in
-    Z[omega_r], *and* that the family is linearly independent: vector #idx
+def _verify_null_vectors(system: System, W: np.ndarray, free: List[int], r: int) -> bool:
+    """Exact check that every reconstructed vector of W (an object array
+    (n_null, n_cols, phi), as `_lift_vectors` returns it) satisfies M . w = 0
+    in Z[omega_r], *and* that the family is linearly independent: vector #idx
     must be algebraically nonzero at its own free column and zero at every
     other free column (echelon structure)."""
     # entries hold phi(r) power-basis coefficients, a basis of Z[omega_r],
     # so an entry is zero exactly when all of its coefficients are
-    for idx, w in enumerate(vectors):
-        if [any(w[f]) for f in free] != [jdx == idx for jdx in range(len(free))]:
-            return False
-    if not system.row.size or not vectors:
+    nonzero = (W != 0).any(axis=2)
+    if not np.array_equal(nonzero[:, free], np.eye(len(W), len(free), dtype=bool)):
+        return False
+    if not system.row.size or not len(W):
         return True
     # (M . w)_i = sum over terms c * omega^e * w[col]: the term adds
     # c * w[col][k] * omega^(e + k) to row i, for every k where w[col] is not 0
-    W = np.array(vectors, dtype=object)
-    v, j = np.nonzero((W != 0).any(axis=2)[:, system.col])
+    v, j = np.nonzero(nonzero[:, system.col])
     rows = (v * system.n_rows + system.row[j])[:, None]
     exps = system.exp[j, None] + np.arange(W.shape[2])
     weight = system.coeff[j, None] * W[v, system.col[j]]
-    return bool(sums_vanish(len(vectors) * system.n_rows, rows, exps, r, weight).all())
+    return bool(sums_vanish(len(W) * system.n_rows, rows, exps, r, weight).all())

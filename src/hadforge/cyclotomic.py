@@ -122,9 +122,20 @@ class _Reduction:
     coefficients of x^k mod Phi_r, so that an unreduced coefficient row c
     reduces to c @ Red(r).  A row is built the first time it is asked for
     and kept, so a large r costs only the rows of the exponents that occur.
+
+    A squarefree r walks from x^(deg-1) to the rows above it.  Any other r
+    takes its rows from Red(s), s = rad(r): with e = r/s, x^(a e + b) is
+    (x^e)^a x^b and Phi_r(x) = Phi_s(x^e), so row a e + b of Red(r) is row a
+    of Red(s) spread over the columns b, b + e, b + 2e, ...
     """
 
     def __init__(self, r: int):
+        s = prod(_factorize(r))
+        self.stride = r // s
+        if self.stride > 1:
+            self.base = _reduction(s)
+            self.deg = self.base.deg * self.stride
+            return
         phi = cyclotomic_polynomial(r)
         self.deg = len(phi) - 1
         self.tail = np.array(phi[:-1], dtype=np.int64)  # Phi_r minus its monic top
@@ -135,6 +146,12 @@ class _Reduction:
 
     def rows(self, ks: np.ndarray) -> np.ndarray:
         """The rows ks (increasing, in [0, r)) of Red(r), as a new array."""
+        if self.stride > 1:
+            a, b = np.divmod(ks, self.stride)
+            a, inv = np.unique(a, return_inverse=True)
+            out = np.zeros((ks.size, self.base.deg, self.stride), dtype=np.int64)
+            out[np.arange(ks.size), :, b] = self.base.rows(a)[inv]
+            return out.reshape(ks.size, self.deg)
         new = ks[self.slot[ks] < 0]
         if new.size:
             add = np.zeros((new.size, self.deg), dtype=np.int64)

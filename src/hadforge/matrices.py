@@ -139,10 +139,6 @@ def to_complex(H: ExponentMatrix) -> ComplexMatrix:
     return ComplexMatrix(H.d, np.exp(2j * np.pi * H.exp / H.r) / sqrt(H.d))
 
 
-def as_complex(H: Matrix) -> ComplexMatrix:
-    return H if isinstance(H, ComplexMatrix) else to_complex(H)
-
-
 # ----------------------------------------------------------------------
 # equivalence moves
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hadforge._exactrank import (
     _PRIME_TEST_BOUND,
     System,
     _is_prime,
+    _lift_vectors,
     _null_coeffs_one_prime,
     _units,
     _verify_null_vectors,
@@ -344,16 +345,18 @@ class TestExactRank:
                     assert pow(g, t, l) != 1
 
     def test_rational_reconstruct_zero(self):
-        assert rational_reconstruct(0, 10**15) == (0, 1)
+        num, den = rational_reconstruct(np.zeros((2, 1), dtype=object), 10**15)
+        assert num.tolist() == [[0], [0]] and den.tolist() == [[1], [1]]
 
     @given(st.integers(-500, 500), st.integers(1, 500))
     @settings(max_examples=150, deadline=None)
     def test_rational_reconstruct_roundtrip(self, num, den):
         L = 999999937 * 999999893
         c = num * pow(den, -1, L) % L
-        got = rational_reconstruct(c, L)
+        got = rational_reconstruct(np.array([c], dtype=object), L)
         assert got is not None
-        assert Fraction(*got) == Fraction(num, den)
+        assert Fraction(int(got[0][0]), int(got[1][0])) == Fraction(num, den)
+        assert got[1][0] > 0
 
     def test_planted_rank_integers(self):
         rng = random.Random(3)
@@ -397,6 +400,85 @@ class TestExactRank:
     def test_certification_is_deterministic(self):
         rows = system_from_rows(sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
         assert certify_rank(rows, 3, 1) == certify_rank(rows, 3, 1)
+
+
+# two primes in the range find_embedding_prime draws from, and an r = 1
+# system of rank 2 with their product as a pivot entry: mod either prime its
+# rank drops to 1, and its canonical null basis there is wrong over Q
+BAD_PRIMES = tuple(find_embedding_prime(1, random.Random(seed))[0] for seed in (0, 1))
+BAD = BAD_PRIMES[0] * BAD_PRIMES[1]
+BAD_PIVOT_SYSTEM = system_from_rows(sparse_from_dense([[1, 0, 1], [0, BAD, BAD]]))
+
+
+def hand_out_primes(monkeypatch, bad):
+    """Make find_embedding_prime hand out a prime of BAD_PRIMES, in turn, at
+    the calls whose index (from 0) is in `bad`, or at every call when `bad`
+    is None, and draw as usual otherwise; returns the primes handed out."""
+    draw, handed = _exactrank.find_embedding_prime, []
+
+    def scripted(r, rng):
+        i = len(handed)
+        l, g = (BAD_PRIMES[i % 2], 1) if bad is None or i in bad else draw(r, rng)
+        handed.append(l)
+        return l, g
+
+    monkeypatch.setattr(_exactrank, "find_embedding_prime", scripted)
+    return handed
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and result of every call of _exactrank's
+    function `name`, as (args, result) pairs."""
+    calls, fn = [], getattr(_exactrank, name)
+
+    def recorded(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(_exactrank, name, recorded)
+    return calls
+
+
+class TestCertificateRetries:
+    def test_bad_first_certificate_prime_is_retried(self, monkeypatch):
+        # call 0 is the screen's prime; call 1 starts the first attempt, whose
+        # pivot set then differs at call 2, so a second attempt certifies
+        handed = hand_out_primes(monkeypatch, {1})
+        rank, ev = certify_rank(BAD_PIVOT_SYSTEM, 3, 1)
+        assert (rank, ev["null_vectors"]) == (2, 1)
+        assert handed[1] == BAD_PRIMES[1] and not set(BAD_PRIMES) & set(ev["primes"])
+        assert ev["primes"] == handed[-2:] and len(handed) == 5
+
+    def test_only_bad_primes_raise(self, monkeypatch):
+        # both primes agree on the wrong null basis, which the exact check
+        # refuses; every later draw repeats one of them and is skipped
+        handed = hand_out_primes(monkeypatch, None)
+        checks = spy(monkeypatch, "_verify_null_vectors")
+        with pytest.raises(_exactrank.RankCertificationError):
+            certify_rank(BAD_PIVOT_SYSTEM, 3, 1)
+        assert len(handed) == 1 + _exactrank._ATTEMPTS * _exactrank._MAX_PRIMES
+        assert [ok for _, ok in checks] == [False] * _exactrank._ATTEMPTS
+
+    def test_bad_screen_prime_leaves_no_null_vectors(self, monkeypatch):
+        # full rank over Q, rank 1 mod the screen's prime: the certificate
+        # lifts and checks an empty null basis
+        system = system_from_rows(sparse_from_dense([[1, 0], [0, BAD]]))
+        lifts = spy(monkeypatch, "_lift_vectors")
+        checks = spy(monkeypatch, "_verify_null_vectors")
+        handed = hand_out_primes(monkeypatch, {0})
+        rank, ev = certify_rank(system, 2, 1)
+        assert rank == 2 and ev == {"pivot_count": 2, "primes": handed[1:], "null_vectors": 0}
+        assert len(handed) == 3 and handed[0] == BAD_PRIMES[0]
+        assert [W.shape for _, W in lifts] == [(0, 2, 1)]
+        assert [(args[1] is lifts[0][1], ok) for args, ok in checks] == [(True, True)]
+
+    def test_empty_null_basis_is_lifted_and_verified(self):
+        system = system_from_rows(sparse_from_dense([[1, 0], [0, 1]]))
+        empty = np.zeros((0, 2, 1), dtype=np.int64)
+        W = _lift_vectors([(l, empty) for l in BAD_PRIMES])
+        assert W is not None and W.shape == (0, 2, 1) and W.dtype == object
+        assert _verify_null_vectors(system, W, [], 1)
+        assert _verify_null_vectors(System(0, *(np.zeros(0, np.int64),) * 4), W, [], 1)
 
 
 def trial_division_is_prime(n, small_primes):
@@ -702,6 +784,106 @@ def test_interpolation_matches_reference_on_random_deficient_systems(
 
 
 # ----------------------------------------------------------------------
+# the lift of the null basis against the per-coefficient Fraction loop
+# ----------------------------------------------------------------------
+
+def reference_rational_reconstruct(c, L):
+    """Reference: a/b = c (mod L) with |a|, b <= sqrt(L/2) by the half-gcd
+    walk, for one Python int c."""
+    if c % L == 0:
+        return (0, 1)
+    bound = isqrt(L // 2)
+    r0, r1 = L, c % L
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if r1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def reference_lift_vectors(per_prime, n_null, n_cols, phi):
+    """Reference lift: CRT, rational reconstruction to a Fraction and
+    denominator clearing, one coefficient at a time."""
+    L = 1
+    for l, _ in per_prime:
+        L *= l
+    vectors = []
+    for v in range(n_null):
+        entries = []
+        for x in range(n_cols):
+            coeffs = []
+            for j in range(phi):
+                c, mod = int(per_prime[0][1][v, x, j]), per_prime[0][0]
+                for l, C in per_prime[1:]:
+                    t = (int(C[v, x, j]) - c) % l * pow(mod % l, -1, l) % l
+                    c, mod = c + mod * t, mod * l
+                rec = reference_rational_reconstruct(c, L)
+                if rec is None:
+                    return None
+                coeffs.append(Fraction(rec[0], rec[1]))
+            entries.append(coeffs)
+        den = lcm(*(f.denominator for e in entries for f in e)) if entries else 1
+        vectors.append([[int(f * den) for f in e] for e in entries])
+    return vectors
+
+
+def assert_lift_matches_reference(per_prime):
+    shape = per_prime[0][1].shape
+    got, ref = _lift_vectors(per_prime), reference_lift_vectors(per_prime, *shape)
+    if ref is None:
+        assert got is None
+        return
+    assert got is not None and got.shape == shape and got.dtype == object
+    assert got.tolist() == ref and all(type(c) is int for c in got.ravel())
+
+
+@pytest.mark.parametrize("name", ["Sp10", "Sp14"])
+def test_lift_matches_reference_on_catalog_systems(name, monkeypatch):
+    H = reduced_grid(catalog.load(name))
+    lifts = spy(monkeypatch, "_lift_vectors")
+    certify_rank(_exact_rows(H), (H.d - 1) ** 2, H.r)
+    monkeypatch.undo()
+    assert lifts and lifts[-1][1] is not None
+    for (per_prime,), _ in lifts:
+        assert_lift_matches_reference(per_prime)
+
+
+LIFT_PRIMES = TOP_PRIMES + (find_embedding_prime(1, random.Random(2))[0],)
+
+
+@given(
+    n_primes=st.sampled_from([2, 3]),
+    shape=st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(1, 4)),
+    size=st.sampled_from([2**6, 2**22, 2**30, 2**40]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_lift_matches_reference_on_random_residues(n_primes, shape, size, data):
+    # rationals num/den with |num|, den <= size (zero and negative numerators
+    # among them) reconstruct while size is below sqrt(L/2): with 2 primes
+    # L is about 2^50, with 3 about 2^75.  Entries replaced by independent
+    # residues, and the larger sizes, make reconstruction fail.
+    primes = LIFT_PRIMES[:n_primes]
+    count = int(np.prod(shape))
+    fraction = st.tuples(
+        st.one_of(st.just(0), st.integers(-size, size)),
+        st.integers(1, size).filter(lambda den: all(den % l for l in primes)),
+    )
+    values = data.draw(st.lists(fraction, min_size=count, max_size=count))
+    C = np.array(
+        [[num * pow(den, -1, l) % l for num, den in values] for l in primes], dtype=np.int64
+    ).reshape((n_primes,) + shape)
+    for _ in range(data.draw(st.integers(0, 2)) if count else 0):
+        at = np.unravel_index(data.draw(st.integers(0, count - 1)), shape)
+        for i, l in enumerate(primes):
+            C[(i,) + at] = data.draw(st.integers(0, l - 1))
+    assert_lift_matches_reference([(l, C[i]) for i, l in enumerate(primes)])
+
+
+# ----------------------------------------------------------------------
 # the exact null-vector check against the per-vector accumulation
 # ----------------------------------------------------------------------
 
@@ -711,7 +893,7 @@ def reference_verify_null_vectors(system, vectors, free, r):
     for idx, w in enumerate(vectors):
         if [any(w[f]) for f in free] != [jdx == idx for jdx in range(len(free))]:
             return False
-    if not system.row.size or not vectors:
+    if not system.row.size or not len(vectors):
         return True
     W = np.zeros((len(vectors[0]), r), dtype=object)
     targets = (system.row[:, None], (system.exp[:, None] + np.arange(r)) % r)
@@ -747,13 +929,12 @@ def assert_null_check_matches_reference(system, vectors, free, r, rng):
     for delta in (1, -1, 2**70):
         coords = [rng.randrange(len(vectors[0]))] + ([rng.choice(pivots)] if pivots else [])
         for x in coords:
-            w = [[list(c) for c in v] for v in vectors]
-            w[rng.randrange(len(w))][x][rng.randrange(len(w[0][x]))] += delta
+            w = vectors.copy()
+            w[rng.randrange(len(w)), x, rng.randrange(w.shape[2])] += delta
             got = _verify_null_vectors(system, w, free, r)
             assert got == reference_verify_null_vectors(system, w, free, r)
     # a multiple of a null vector is one: the Python-int path says so too
-    w = [[[c * 2**70 for c in coeffs] for coeffs in v] for v in vectors]
-    assert _verify_null_vectors(system, w, free, r) == expect
+    assert _verify_null_vectors(system, vectors * 2**70, free, r) == expect
     return expect
 
 
@@ -767,8 +948,8 @@ def test_null_check_matches_reference_on_catalog_systems(name, monkeypatch):
     for system, vectors, free, r in checks:
         assert assert_null_check_matches_reference(system, vectors, free, r, rng)
         # a corrupted coordinate of a pivot column breaks M . w = 0
-        w = [[list(c) for c in v] for v in vectors]
-        w[0][min(set(range(n)) - set(free))][0] += 1
+        w = vectors.copy()
+        w[0, min(set(range(n)) - set(free)), 0] += 1
         assert not _verify_null_vectors(system, w, free, r)
         assert not reference_verify_null_vectors(system, w, free, r)
 

@@ -149,6 +149,16 @@ class TestUnitary:
         assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
         assert time.perf_counter() - start < 5
 
+    def test_root_with_a_high_prime_power_gives_a_verdict_quickly(self, capsys, tmp_path):
+        # Phi_(10^6) has degree 400000; x^500000 is reached from Red(10)
+        # rather than by 10^5 steps of a walk from x^399999
+        path = tmp_path / "prime_power_root.json"
+        path.write_text('{"d": 2, "root": 1000000, "exponents": [[0, 0], [0, 500000]]}')
+        start = time.perf_counter()
+        code, out = jrun(capsys, "unitary", str(path))
+        assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
+        assert time.perf_counter() - start < 5
+
     def test_large_root_gives_a_verdict_in_little_memory(self, capsys, tmp_path):
         # all 20011 x 20010 coefficients of x^k mod Phi_20011 would take
         # 3.2 GB; only the rows of the two exponents that occur are built

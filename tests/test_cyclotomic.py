@@ -245,12 +245,49 @@ def test_vanishes_matches_reference_on_sparse_rows(r, seed, terms):
     assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
 
 
+def reference_reduction_rows(r):
+    """Reference Red(r): x^k mod Phi_r for k = 0 .. r-1, one power of x at a
+    time in Python ints."""
+    phi = cyclotomic_polynomial(r)
+    deg = len(phi) - 1
+    rows = []
+    for k in range(r):
+        if k < deg:
+            row = [int(j == k) for j in range(deg)]
+        else:
+            top = row[-1]
+            row = [a - top * c for a, c in zip([0] + row[:-1], phi[:-1])]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8, 9, 12, 18, 30, 50, 72, 360, 384, 1000])
+def test_reduction_rows_match_the_walk(r):
+    # r not squarefree takes its rows from Red(rad(r)); r in {1, 2, 30} walks
+    assert _Reduction(r).rows(np.arange(r)).tolist() == reference_reduction_rows(r)
+    ks = np.unique(np.random.default_rng(r).integers(0, r, 7))
+    assert _Reduction(r).rows(ks).tolist() == [reference_reduction_rows(r)[k] for k in ks]
+
+
+def test_reduction_rows_of_a_large_prime_power_multiple():
+    # 10^6 = 10 * 10^5: x^500000 = y^5 = -1 mod Phi_10(y), y = x^(10^5)
+    red = _Reduction(10**6)
+    R = red.rows(np.array([3, 500000, 999999]))
+    assert R.shape == (3, 400000)
+    assert R[0].nonzero()[0].tolist() == [3] and R[0, 3] == 1
+    assert R[1].nonzero()[0].tolist() == [0] and R[1, 0] == -1
+    # x^999999 = y^9 x^99999, and y^9 = 1 - y + y^2 - y^3 mod Phi_10
+    cols = R[2].nonzero()[0]
+    assert cols.tolist() == [99999 + 100000 * j for j in range(4)]
+    assert R[2, cols].tolist() == [1, -1, 1, -1]
+
+
 def test_reduction_walk_refuses_to_leave_int64():
-    red = _Reduction(12)  # Phi_12 = x^4 - x^2 + 1: rows 4 to 11 are walked
-    assert red.rows(np.array([4])).tolist() == [[-1, 0, 1, 0]]
+    red = _Reduction(6)  # Phi_6 = x^2 - x + 1: rows 2 to 5 are walked
+    assert red.rows(np.array([2])).tolist() == [[-1, 1]]
     red.limit = 1
     with pytest.raises(OverflowError):
-        red.rows(np.array([11]))
+        red.rows(np.array([5]))
 
 
 def test_vanishes_does_not_wrap_int64():
