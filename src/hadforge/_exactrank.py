@@ -129,15 +129,23 @@ def _is_prime(n: int) -> bool:
 
 
 def find_embedding_prime(r: int, rng: random.Random) -> Tuple[int, int]:
-    """A prime l = 1 (mod r) in [2^24, 2^25) and an element g of order r in F_l."""
-    while True:
-        k = rng.randrange((_MODULUS_BOUND // 2) // r, _MODULUS_BOUND // r)
+    """A prime l = k r + 1 in [2^24, 2^25) and an element g of order r in F_l.
+
+    Raises RankCertificationError when no k of the range gives a prime: at
+    once when the range is empty, else once every k has been drawn.
+    """
+    lo, hi = (_MODULUS_BOUND // 2) // r, _MODULUS_BOUND // r
+    composite = set()
+    while len(composite) < hi - lo:
+        k = rng.randrange(lo, hi)
         l = k * r + 1
         if not _is_prime(l):
+            composite.add(k)
             continue
         g = _element_of_order(r, l, rng)
         if g is not None:
             return l, g
+    raise RankCertificationError(f"no prime l = 1 (mod {r}) in [2^24, 2^25) to embed omega_{r} in")
 
 
 def _element_of_order(r: int, l: int, rng: random.Random) -> Optional[int]:
@@ -421,7 +429,10 @@ def _null_coeffs_one_prime(
     """
     phi = len(units)
     # each interpolated coefficient sums phi products below (l-1)^2 in int64
-    assert phi * (l - 1) ** 2 < 2**63
+    if phi * (l - 1) ** 2 >= 2**63:
+        raise RankCertificationError(
+            f"phi({r}) = {phi} coefficients per entry overflow the int64 interpolation mod {l}"
+        )
     bases = []
     pivot_ref: Optional[Tuple[int, ...]] = None
     for t in units:

@@ -14,6 +14,7 @@ import time
 from typing import Optional
 
 from . import catalog as cat
+from ._exactrank import RankCertificationError
 from .analyze import (
     IndeterminateRankError,
     assignment_search,
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MUPreconditionError, NotHadamardFormError) as exc:
+    except (MUPreconditionError, NotHadamardFormError, RankCertificationError) as exc:
         print(f"hadforge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -10,11 +10,11 @@ Two carriers:
 
 Every exact identity in the package goes through :func:`sums_vanish`, a
 zero test of sums of roots given as terms, which accumulates the terms into
-unreduced coefficient rows for :func:`vanishes`; that reduces the rows
-modulo Phi_r with one integer matrix product, which takes the rows of the
-reduction table x^k mod Phi_r only for the exponents k that occur.  The
-exact build takes only its candidate exponents from floats.  Coefficients
-of a :class:`CyclotomicInteger` are Python ints, so they never overflow.
+unreduced coefficient rows for :func:`vanishes`; that tests each row in the
+tensor basis of Z[omega_r] over the primes dividing r, with no table of
+x^k mod Phi_r.  The exact build takes only its candidate exponents from
+floats.  Coefficients of a :class:`CyclotomicInteger` are Python ints, so
+they never overflow.
 """
 
 from __future__ import annotations
@@ -117,92 +117,36 @@ def cyclotomic_polynomial(r: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class _Reduction:
-    """Rows of Red(r), the r x phi(r) matrix whose row k holds the
-    coefficients of x^k mod Phi_r, so that an unreduced coefficient row c
-    reduces to c @ Red(r).  A row is built the first time it is asked for
-    and kept, so a large r costs only the rows of the exponents that occur.
-
-    A squarefree r walks from x^(deg-1) to the rows above it.  Any other r
-    takes its rows from Red(s), s = rad(r): with e = r/s, x^(a e + b) is
-    (x^e)^a x^b and Phi_r(x) = Phi_s(x^e), so row a e + b of Red(r) is row a
-    of Red(s) spread over the columns b, b + e, b + 2e, ...
-    """
-
-    def __init__(self, r: int):
-        s = prod(_factorize(r))
-        self.stride = r // s
-        if self.stride > 1:
-            self.base = _reduction(s)
-            self.deg = self.base.deg * self.stride
-            return
-        phi = cyclotomic_polynomial(r)
-        self.deg = len(phi) - 1
-        self.tail = np.array(phi[:-1], dtype=np.int64)  # Phi_r minus its monic top
-        # entries below this bound keep each step of the walk within int64
-        self.limit = (1 << 62) // (int(np.abs(self.tail).max()) + 1)
-        self.slot = np.full(r, -1, dtype=np.int64)  # index into self.table, or -1
-        self.table = np.zeros((0, self.deg), dtype=np.int64)
-
-    def rows(self, ks: np.ndarray) -> np.ndarray:
-        """The rows ks (increasing, in [0, r)) of Red(r), as a new array."""
-        if self.stride > 1:
-            a, b = np.divmod(ks, self.stride)
-            a, inv = np.unique(a, return_inverse=True)
-            out = np.zeros((ks.size, self.base.deg, self.stride), dtype=np.int64)
-            out[np.arange(ks.size), :, b] = self.base.rows(a)[inv]
-            return out.reshape(ks.size, self.deg)
-        new = ks[self.slot[ks] < 0]
-        if new.size:
-            add = np.zeros((new.size, self.deg), dtype=np.int64)
-            low = new < self.deg
-            add[low.nonzero()[0], new[low]] = 1  # x^k itself
-            k, row = self.deg - 1, np.zeros(self.deg, dtype=np.int64)
-            row[-1] = 1  # x^(deg-1), where the walk to the higher rows starts
-            for i in (~low).nonzero()[0]:
-                while k < new[i]:
-                    # x * row, with x^deg replaced by -(Phi_r - x^deg)
-                    if np.abs(row).max() >= self.limit:
-                        raise OverflowError(f"x^{k + 1} mod Phi_r leaves int64")
-                    row = np.concatenate(([0], row[:-1])) - row[-1] * self.tail
-                    k += 1
-                add[i] = row
-            self.slot[new] = len(self.table) + np.arange(new.size)
-            self.table = np.concatenate((self.table, add))
-        return self.table[self.slot[ks]]
-
-
-@lru_cache(maxsize=None)
-def _reduction(r: int) -> _Reduction:
-    return _Reduction(r)
-
-
 def vanishes(C, r: int) -> np.ndarray:
     """Exact zero test in Z[omega_r] for each row of C.
 
     C holds unreduced coefficient rows (shape n x r): an integer ndarray or
-    nested lists of Python ints of any size.  Row i is zero exactly when its
-    row of C @ Red(r) is; only the rows of Red(r) for the columns k where C
-    is nonzero enter the product.  It runs in int64 when no sum can
-    overflow it, that is when max|C| * (columns used) * max|Red(r)| < 2^63,
-    and in Python ints otherwise.
+    nested lists of Python ints of any size.  With s the product of the
+    primes p dividing r and e = r/s, each row is rewritten in a basis:
+    1. omega_r^(e a + b) = omega_s^a omega_r^b, and Phi_r(x) = Phi_s(x^e)
+       makes the omega_r^b, b < e, a basis over Z[omega_s]: a row is an
+       (s, e) array whose column b is the coefficient of omega_r^b.
+    2. Z[omega_s] is the tensor product of the Z[omega_p], omega_s^a being
+       the product of the omega_p^j_p for a = sum of j_p s/p (mod s).
+    3. On each prime axis, omega_p^(p-1) = -(1 + ... + omega_p^(p-2))
+       subtracts the last slice from the others.
+    A row is zero exactly when nothing nonzero is left.  Each subtraction at
+    most doubles an entry, so the rows stay int64 while
+    max|C| < 2^(63 - number of primes), and are Python ints otherwise.
     """
     try:
         C = np.asarray(C, dtype=np.int64)
     except OverflowError:
         C = np.asarray(C, dtype=object)
-    if C.shape[0] == 0:
-        return np.ones(0, dtype=bool)
-    ks = C.any(axis=0).nonzero()[0]
-    if not ks.size:
-        return np.ones(C.shape[0], dtype=bool)
-    C, red = C[:, ks], _reduction(r).rows(ks)
-    bound = max(-int(C.min()), int(C.max())) * ks.size * int(np.abs(red).max())
-    if bound < 2**63:  # so C is int64: had it overflowed, max|C| alone is >= 2^63
-        reduced = C @ red
-    else:
-        reduced = C.astype(object) @ red.astype(object)
-    return ~reduced.any(axis=1)
+    primes = _factorize(r)
+    s = prod(primes)
+    big = C.size and max(-int(C.min()), int(C.max())) >= 2 ** (63 - len(primes))
+    T = C.astype(object if big else np.int64, copy=False).reshape(len(C), s, r // s)
+    a = sum(np.ix_(*(np.arange(p) * (s // p) for p in primes))) % s
+    T = T[:, a]  # axes: row, one per prime, then b
+    for _ in primes:
+        T = np.moveaxis(T[:, :-1] - T[:, -1:], 1, -1)
+    return ~T.any(axis=tuple(range(1, T.ndim)))
 
 
 def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
@@ -228,7 +172,7 @@ class CyclotomicInteger:
     """Sum_{k<r} coeffs[k] * omega_r^k with integer coefficients.
 
     The vector is kept unreduced (length exactly r); the exact zero test
-    `is_zero` reduces it modulo Phi_r through `vanishes`.
+    `is_zero` goes through `vanishes`.
     """
 
     __slots__ = ("r", "coeffs")

@@ -344,6 +344,16 @@ class TestExactRank:
                 if r % t == 0:
                     assert pow(g, t, l) != 1
 
+    @pytest.mark.parametrize(
+        "r",
+        # every k r + 1 for k in [59, 118) is composite; for r in
+        # (2^24, 2^25) the range is {0}; for r >= 2^25 it is empty
+        [281992, 2**24 + 1, 2**25, 2**40],
+    )
+    def test_embedding_prime_refuses_a_range_without_primes(self, r):
+        with pytest.raises(_exactrank.RankCertificationError, match="no prime"):
+            find_embedding_prime(r, random.Random(0))
+
     def test_rational_reconstruct_zero(self):
         num, den = rational_reconstruct(np.zeros((2, 1), dtype=object), 10**15)
         assert num.tolist() == [[0], [0]] and den.tolist() == [[1], [1]]

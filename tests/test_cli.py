@@ -159,6 +159,16 @@ class TestUnitary:
         assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
         assert time.perf_counter() - start < 5
 
+    def test_root_with_seven_primes_gives_a_verdict_quickly(self, capsys, tmp_path):
+        # 510510 = 2 * 3 * 5 * 7 * 11 * 13 * 17: the zero test reduces one
+        # coefficient row along seven prime axes, with no table of x^k mod Phi_r
+        path = tmp_path / "seven_primes_root.json"
+        path.write_text('{"d": 2, "root": 510510, "exponents": [[0, 0], [0, 255255]]}')
+        start = time.perf_counter()
+        code, out = jrun(capsys, "unitary", str(path))
+        assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
+        assert time.perf_counter() - start < 5
+
     def test_large_root_gives_a_verdict_in_little_memory(self, capsys, tmp_path):
         # all 20011 x 20010 coefficients of x^k mod Phi_20011 would take
         # 3.2 GB; only the rows of the two exponents that occur are built
@@ -273,6 +283,27 @@ class TestDefect:
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err.startswith("hadforge: cannot read matrix") and "order must be positive" in err
+
+    @pytest.mark.parametrize(
+        "root, message",
+        [
+            # no k in [59, 118) makes k * 281992 + 1 prime
+            (281992, "no prime l = 1 (mod 281992)"),
+            # phi(10^6) = 400000 coefficients per entry of a null vector
+            (10**6, "phi(1000000) = 400000"),
+        ],
+    )
+    def test_uncertifiable_large_root_is_usage_error(self, capsys, tmp_path, root, message):
+        # a member of the F4 family, which has defect 1 at every root
+        q, h = root // 4, root // 2
+        rows = [[0, 0, 0, 0], [0, q + 1, h, 3 * q + 1], [0, h, 0, h], [0, 3 * q + 1, h, q + 1]]
+        path = tmp_path / "f4_family.json"
+        path.write_text(json.dumps({"d": 4, "root": root, "exponents": rows}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "defect", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("hadforge: ") and message in err and err.count("\n") == 1
+        assert time.perf_counter() - start < 10
 
     def test_indeterminate_exit(self, capsys, f4_float, monkeypatch):
         def murky_svd(M, compute_uv=True):

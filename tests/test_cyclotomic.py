@@ -11,7 +11,6 @@ import pytest
 
 from hadforge.cyclotomic import (
     CyclotomicInteger,
-    _Reduction,
     InvalidRescaleError,
     RootExponent,
     cyclotomic_polynomial,
@@ -245,49 +244,67 @@ def test_vanishes_matches_reference_on_sparse_rows(r, seed, terms):
     assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
 
 
-def reference_reduction_rows(r):
-    """Reference Red(r): x^k mod Phi_r for k = 0 .. r-1, one power of x at a
-    time in Python ints."""
-    phi = cyclotomic_polynomial(r)
-    deg = len(phi) - 1
+def test_vanishes_at_a_high_prime_power_multiple():
+    # 10^6 = 10 * 10^5, and y = omega^(10^5) is a primitive 10th root:
+    # omega^500000 = y^5 = -1, and omega^999999 = y^9 omega^99999 with
+    # y^9 = 1 - y + y^2 - y^3
+    r = 10**6
+    rows = np.zeros((3, r), dtype=np.int64)
+    rows[0, [0, 500000]] = 1
+    rows[1, [999999, 199999, 399999]] = 1
+    rows[1, [99999, 299999]] = -1
+    rows[2] = rows[1]
+    rows[2, 399999] = 0
+    assert vanishes(rows, r).tolist() == [True, True, False]
+
+
+def test_vanishes_on_cosets_at_seven_primes():
+    # r = 2 * 3 * 5 * 7 * 11 * 13 * 17: omega^k times the p-th roots of
+    # unity sums to zero for every p | r; one term more or less leaves a
+    # single root, which is a unit
+    r, rng = 510510, random.Random(7)
+    rows = np.zeros((14, r), dtype=np.int64)
+    for i, p in enumerate((2, 3, 5, 7, 11, 13, 17)):
+        k = rng.randrange(r)
+        coset = [(k + j * (r // p)) % r for j in range(p)]
+        rows[2 * i : 2 * i + 2, coset] = 3
+        rows[2 * i + 1, coset[i % p]] += 1 if i % 2 else -1
+    assert vanishes(rows, r).tolist() == [True, False] * 7
+
+
+def test_vanishes_leaves_int64_before_a_coordinate_can_wrap():
+    # at r = 6 this row's coordinate on 1 (tensor index (0, 0)) is
+    # 2^62 + 2^62 + 2^62 + 2^62 = 2^64, which wraps to 0 in int64, and its
+    # other coordinate is 0; the element is 2^62 * 4, not zero
+    row = [2**62, 2**62, -(2**62), -(2**62), -(2**62), 2**62]
+    assert not reference_is_zero(row, 6)
+    assert vanishes([row], 6).tolist() == [False]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.sampled_from([30, 210, 2310]),
+    seed=st.integers(0, 2**32),
+    shift=st.integers(-2, 2),
+)
+def test_vanishes_matches_reference_around_the_int64_bound(r, seed, shift):
+    # weighted coset sums with weights near 2^(63 - number of primes), where
+    # vanishes leaves int64 for Python ints; half of the rows perturbed
+    rng = random.Random(seed)
+    primes = [p for p in (2, 3, 5, 7, 11) if r % p == 0]
+    bound = 2 ** (63 - len(primes))
     rows = []
-    for k in range(r):
-        if k < deg:
-            row = [int(j == k) for j in range(deg)]
-        else:
-            top = row[-1]
-            row = [a - top * c for a, c in zip([0] + row[:-1], phi[:-1])]
+    for i in range(4):
+        row = [0] * r
+        for _ in range(rng.randint(1, 3)):
+            p, k = rng.choice(primes), rng.randrange(r)
+            c = rng.choice((-1, 1)) * (bound + shift)
+            for j in range(p):
+                row[(k + j * r // p) % r] += c
+        if i % 2:
+            row[rng.randrange(r)] += rng.choice((-1, 1))
         rows.append(row)
-    return rows
-
-
-@pytest.mark.parametrize("r", [1, 2, 4, 8, 9, 12, 18, 30, 50, 72, 360, 384, 1000])
-def test_reduction_rows_match_the_walk(r):
-    # r not squarefree takes its rows from Red(rad(r)); r in {1, 2, 30} walks
-    assert _Reduction(r).rows(np.arange(r)).tolist() == reference_reduction_rows(r)
-    ks = np.unique(np.random.default_rng(r).integers(0, r, 7))
-    assert _Reduction(r).rows(ks).tolist() == [reference_reduction_rows(r)[k] for k in ks]
-
-
-def test_reduction_rows_of_a_large_prime_power_multiple():
-    # 10^6 = 10 * 10^5: x^500000 = y^5 = -1 mod Phi_10(y), y = x^(10^5)
-    red = _Reduction(10**6)
-    R = red.rows(np.array([3, 500000, 999999]))
-    assert R.shape == (3, 400000)
-    assert R[0].nonzero()[0].tolist() == [3] and R[0, 3] == 1
-    assert R[1].nonzero()[0].tolist() == [0] and R[1, 0] == -1
-    # x^999999 = y^9 x^99999, and y^9 = 1 - y + y^2 - y^3 mod Phi_10
-    cols = R[2].nonzero()[0]
-    assert cols.tolist() == [99999 + 100000 * j for j in range(4)]
-    assert R[2, cols].tolist() == [1, -1, 1, -1]
-
-
-def test_reduction_walk_refuses_to_leave_int64():
-    red = _Reduction(6)  # Phi_6 = x^2 - x + 1: rows 2 to 5 are walked
-    assert red.rows(np.array([2])).tolist() == [[-1, 1]]
-    red.limit = 1
-    with pytest.raises(OverflowError):
-        red.rows(np.array([5]))
+    assert vanishes(rows, r).tolist() == [reference_is_zero(row, r) for row in rows]
 
 
 def test_vanishes_does_not_wrap_int64():
