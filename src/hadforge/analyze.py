@@ -20,7 +20,6 @@ import numpy as np
 
 from ._exactrank import SEED, System, certify_rank, screen_rank
 from .construct import BlockAssignment, theorem1_build
-from .cyclotomic import RootExponent
 from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
@@ -236,8 +235,10 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
             else:
                 phases.append(np.unique((D[:, :, None] - D[:, None, :]) % r))
         ks = np.flatnonzero(hit[:r] | hit[r:]) if table else np.unique(np.concatenate(phases))
-        # every member shares the root r, so increasing k is increasing k / r
-        members = tuple(RootExponent(int(k), r).canonical() for k in ks)
+        # every member shares the root r, so increasing k is increasing k / r;
+        # k / r in lowest terms, with k = 0 as 0 / 1
+        g = np.gcd(ks, r)
+        members = tuple(zip((ks // g).tolist(), (r // g).tolist()))
         return HaagerupSet(members=members, r=r)
     Hc = H.entries
     seen: set = set()

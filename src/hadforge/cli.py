@@ -129,6 +129,8 @@ def _cmd_butson(args) -> int:
 
 def _cmd_haagerup(args) -> int:
     H = _read_matrix(args.matrix)
+    if not is_unitary(H):
+        raise NotHadamardFormError("matrix is not unitary, so it has no Haagerup set")
     hs = haagerup_set(H)
     out = {"d": H.d, "size": len(hs)}
     if hs.exact:
@@ -359,7 +361,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MUPreconditionError, NotHadamardFormError, RankCertificationError) as exc:
+    except (
+        MemoryError,
+        MUPreconditionError,
+        NotHadamardFormError,
+        RankCertificationError,
+    ) as exc:
         print(f"hadforge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, sums_vanish
+from .cyclotomic import sums_vanish
 from .matrices import ComplexMatrix, ExponentMatrix, add_mod, to_complex
 from .mub import IdentityBasis, MubSet, complete_mub_set, fourier, is_mu_pair
 
@@ -42,7 +42,7 @@ class MonomializationError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# sqrt(q) as an exact cyclotomic integer
+# sqrt(q) as a sum of roots of unity
 # ----------------------------------------------------------------------
 
 def _sqrt_exponents(q: int) -> np.ndarray:
@@ -56,11 +56,6 @@ def _sqrt_exponents(q: int) -> np.ndarray:
         return np.array([1, 7], dtype=np.int64)
     k = np.arange(q, dtype=np.int64)
     return (4 * k * k + (0 if q % 4 == 1 else 3 * q)) % (4 * q)
-
-
-def sqrt_as_cyclotomic(q: int) -> CyclotomicInteger:
-    """sqrt(q) as an element of Z[omega_{4q}], for prime q."""
-    return CyclotomicInteger(4 * q, np.bincount(_sqrt_exponents(q), minlength=4 * q).tolist())
 
 
 # ----------------------------------------------------------------------

@@ -1,70 +1,28 @@
-"""Exact arithmetic with roots of unity.
+"""Exact zero tests for sums of roots of unity.
 
-Two carriers:
+A sum of r-th roots of unity is given in one of two forms:
 
-* :class:`RootExponent` — a single root of unity ``omega_r^k`` stored as the
-  pair ``(k, r)``; `rescale` lifts it to a multiple of its order.
-* :class:`CyclotomicInteger` — an integer combination of all r-th roots,
-  stored as an *unreduced* length-r coefficient vector.  Multiplication is a
-  cyclic convolution.
+* terms for :func:`sums_vanish`: per term a sum index, an exponent and an
+  optional integer weight;
+* a dense row of length r for :func:`vanishes`, whose entry k is the
+  (unreduced) coefficient of omega_r^k.
 
-Every exact identity in the package goes through :func:`sums_vanish`, a
-zero test of sums of roots given as terms, which accumulates the terms into
-unreduced coefficient rows for :func:`vanishes`; that tests each row in the
-tensor basis of Z[omega_r] over the primes dividing r, with no table of
+Every exact identity in the package goes through :func:`sums_vanish`, which
+accumulates its terms into rows for :func:`vanishes`; that tests each row in
+the tensor basis of Z[omega_r] over the primes dividing r, with no table of
 x^k mod Phi_r.  The exact build takes only its candidate exponents from
-floats.  Coefficients of a :class:`CyclotomicInteger` are Python ints, so
-they never overflow.
+floats.  :func:`cyclotomic_polynomial` stays public, though no zero test
+needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 from typing import List, Tuple
 
 import numpy as np
-
-
-class OrderMismatchError(ValueError):
-    """Raised when combining roots of different orders without rescaling."""
-
-
-class InvalidRescaleError(ValueError):
-    """Raised when the target order is not a multiple of the current one."""
-
-
-@dataclass(frozen=True)
-class RootExponent:
-    """The root of unity omega_r^k = exp(2*pi*i*k/r), canonicalized mod r."""
-
-    k: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("root order must be positive")
-        object.__setattr__(self, "k", self.k % self.r)
-
-    def to_complex(self) -> complex:
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.k / self.r)
-
-    def canonical(self) -> Tuple[int, int]:
-        """Reduced form (k/g, r/g): the same root at its minimal order."""
-        g = gcd(self.k, self.r)
-        if self.k == 0:
-            return (0, 1)
-        return (self.k // g, self.r // g)
-
-
-def rescale(a: RootExponent, r_new: int) -> RootExponent:
-    if r_new % a.r != 0:
-        raise InvalidRescaleError(f"{r_new} is not a multiple of {a.r}")
-    return RootExponent(a.k * (r_new // a.r), r_new)
 
 
 def _factorize(n: int) -> List[int]:
@@ -149,14 +107,23 @@ def vanishes(C, r: int) -> np.ndarray:
     return ~T.any(axis=tuple(range(1, T.ndim)))
 
 
+MAX_CELLS = 2**26
+
+
 def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
     """Exact zero test of n sums of roots of unity, given as terms: term j
     adds weight[j] * omega_r^exp[j] (exp read mod r; weight 1 when None) to
     sum row[j], where row and exp broadcast together and weight to their
     shape.  The coefficient rows for `vanishes` are counts for unit weights,
     int64 sums when max|weight| times the number of terms is below 2^63, and
-    Python-int sums otherwise.
+    Python-int sums otherwise.  Raises MemoryError, before allocating, when
+    the n x r rows would exceed MAX_CELLS = 2^26 coefficients.
     """
+    if n * r > MAX_CELLS:
+        raise MemoryError(
+            f"an exact zero test of {n} x {r} = {n * r} coefficients is above "
+            f"the bound of {MAX_CELLS}"
+        )
     cells = np.asarray(row, dtype=np.int64) * r + np.asarray(exp, dtype=np.int64) % r
     if weight is None:
         counts = np.bincount(cells.ravel(), minlength=n * r)
@@ -166,135 +133,3 @@ def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
         counts = np.zeros(n * r, dtype=object if big else np.int64)
         np.add.at(counts, cells.ravel(), w if big else w.astype(np.int64))
     return vanishes(counts.reshape(n, r), r)
-
-
-class CyclotomicInteger:
-    """Sum_{k<r} coeffs[k] * omega_r^k with integer coefficients.
-
-    The vector is kept unreduced (length exactly r); the exact zero test
-    `is_zero` goes through `vanishes`.
-    """
-
-    __slots__ = ("r", "coeffs")
-
-    def __init__(self, r: int, coeffs=None):
-        if r <= 0:
-            raise ValueError("root order must be positive")
-        self.r = r
-        if coeffs is None:
-            self.coeffs = [0] * r
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != r:
-                raise ValueError(f"need exactly {r} coefficients, got {len(coeffs)}")
-            self.coeffs = coeffs
-
-    # --- constructors -------------------------------------------------
-    @staticmethod
-    def zero(r: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(r)
-
-    @staticmethod
-    def one(r: int) -> "CyclotomicInteger":
-        z = CyclotomicInteger(r)
-        z.coeffs[0] = 1
-        return z
-
-    @staticmethod
-    def from_integer(n: int, r: int) -> "CyclotomicInteger":
-        z = CyclotomicInteger(r)
-        z.coeffs[0] = n
-        return z
-
-    @staticmethod
-    def from_root(a: RootExponent, r: int | None = None) -> "CyclotomicInteger":
-        r = r if r is not None else a.r
-        a = rescale(a, r) if r != a.r else a
-        z = CyclotomicInteger(r)
-        z.coeffs[a.k] = 1
-        return z
-
-    # --- ring operations ----------------------------------------------
-    def _check(self, other: "CyclotomicInteger") -> None:
-        if self.r != other.r:
-            raise OrderMismatchError(
-                f"orders differ: {self.r} vs {other.r}; rescale both to a common order first"
-            )
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check(other)
-        return CyclotomicInteger(
-            self.r, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check(other)
-        return CyclotomicInteger(
-            self.r, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.r, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInteger(self.r, [other * a for a in self.coeffs])
-        self._check(other)
-        r = self.r
-        out = [0] * r
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % r] += a * b
-        return CyclotomicInteger(r, out)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "CyclotomicInteger":
-        """Multiplication by omega_r^k (cheap cyclic shift)."""
-        k %= self.r
-        return CyclotomicInteger(self.r, self.coeffs[-k:] + self.coeffs[:-k] if k else list(self.coeffs))
-
-    def conj(self) -> "CyclotomicInteger":
-        out = [0] * self.r
-        for k, a in enumerate(self.coeffs):
-            out[(-k) % self.r] += a
-        return CyclotomicInteger(self.r, out)
-
-    def rescaled(self, r_new: int) -> "CyclotomicInteger":
-        if r_new % self.r != 0:
-            raise InvalidRescaleError(f"{r_new} is not a multiple of {self.r}")
-        step = r_new // self.r
-        out = [0] * r_new
-        for k, a in enumerate(self.coeffs):
-            out[k * step] = a
-        return CyclotomicInteger(r_new, out)
-
-    # --- predicates ----------------------------------------------------
-    def is_zero(self) -> bool:
-        """Exact zero test: the coefficient polynomial vanishes modulo Phi_r."""
-        return bool(vanishes([self.coeffs], self.r)[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInteger):
-            return NotImplemented
-        if self.r != other.r:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("CyclotomicInteger is unhashable (equality is algebraic)")
-
-    def to_complex(self) -> complex:
-        import cmath
-
-        return sum(
-            a * cmath.exp(2j * cmath.pi * k / self.r)
-            for k, a in enumerate(self.coeffs)
-            if a
-        )
-
-    def __repr__(self) -> str:
-        terms = [f"{a}*w{self.r}^{k}" for k, a in enumerate(self.coeffs) if a]
-        return "CyclotomicInteger(" + (" + ".join(terms) or "0") + ")"

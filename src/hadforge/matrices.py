@@ -317,16 +317,20 @@ def is_dephased(H: Matrix, tol: float = ENTRY_TOL) -> bool:
 def is_unitary(H: Matrix) -> bool:
     """Exact Gram test for exponent matrices, float test otherwise.
 
-    Exact mode: for every row pair i < j the unscaled inner product
+    Exact mode tests the dephased grid at its minimal root, as dephasing
+    keeps unitarity: for every row pair i < j the unscaled inner product
     sum_k omega^{e_ik - e_jk} must be algebraically zero; its coefficient
     vector counts the exponent differences.  All d(d-1)/2 count vectors go
     through one `sums_vanish` call.  Diagonal entries are d by construction.
+    Float mode gives False, without overflow warnings, on entries whose
+    Gram matrix overflows.
     """
     if isinstance(H, ComplexMatrix):
-        G = H.entries @ H.entries.conj().T
-        return bool(np.max(np.abs(G - np.eye(H.d))) <= UNITARY_TOL * H.d)
-    d, r = H.d, H.r
-    E = H.exp
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = H.entries @ H.entries.conj().T
+            return bool(np.max(np.abs(G - np.eye(H.d))) <= UNITARY_TOL * H.d)
+    r, H = butson_min_root(dephase(H)[0])
+    d, E = H.d, H.exp
     i, j = np.triu_indices(d, 1)
     return bool(sums_vanish(len(i), np.arange(len(i))[:, None], E[i] - E[j], r).all())
 

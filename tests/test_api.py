@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import hadforge
 
 # The public names; adding or deleting one is an API change that edits this
@@ -5,7 +10,6 @@ import hadforge
 PUBLIC = [
     "BlockAssignment",
     "ComplexMatrix",
-    "CyclotomicInteger",
     "DefectReport",
     "EquivalenceMove",
     "ExponentMatrix",
@@ -17,8 +21,6 @@ PUBLIC = [
     "MonomializationError",
     "MubSet",
     "NotHadamardFormError",
-    "OrderMismatchError",
-    "RootExponent",
     "SearchFinding",
     "SearchResult",
     "apply_equivalence",
@@ -45,7 +47,6 @@ PUBLIC = [
     "matrix_from_json",
     "matrix_to_json",
     "random_move",
-    "sqrt_as_cyclotomic",
     "standard_diagonal",
     "tensor",
     "theorem1_build",
@@ -57,3 +58,27 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(hadforge.__all__) == PUBLIC
     assert all(hasattr(hadforge, name) for name in PUBLIC)
+
+
+def load_perfbench(name, monkeypatch):
+    """A module of perfbench/ (not a package), loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_exist(monkeypatch):
+    # every function the benchmark traces, and every workload's inputs and
+    # warm-up (cyclotomic_polynomial, analyze.defect in exact mode, ...)
+    tracing = load_perfbench("tracing", monkeypatch)
+    for boundary in tracing.BOUNDARIES:
+        module = importlib.import_module(boundary.module)
+        assert callable(getattr(module, boundary.attr, None)), boundary.name
+    workloads = load_perfbench("workloads", monkeypatch)
+    assert workloads.WORKLOADS
+    for name in workloads.WORKLOADS:
+        items = workloads.build(name, 0)
+        assert items and all(callable(item.run) for item in items), name

@@ -31,6 +31,8 @@ from hadforge.mub import fourier
 
 S9_JSON = '{"p":3,"q":3,"K":["I","I","H1"],"L":["F","F","H2"]}'
 EMPTY_GRID = '{"d": 0, "root": 4, "exponents": []}'
+TWIN_ROWS = '{"d": 3, "root": 3, "exponents": [[0, 0, 0], [0, 1, 2], [0, 1, 2]]}'
+OVERFLOWING = '{"d": 2, "re": [[1e200, 1], [1, -1]], "im": [[0, 0], [0, 0]]}'
 
 
 def run(capsys, *argv):
@@ -139,9 +141,16 @@ class TestUnitary:
         code, out = jrun(capsys, "unitary", str(path))
         assert code == 1 and out["unitary"] is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_float_grid_is_not_unitary(self, capsys, tmp_path):
+        path = tmp_path / "overflowing.json"
+        path.write_text(OVERFLOWING)
+        code, out = jrun(capsys, "unitary", str(path))
+        assert code == 1 and out == {"unitary": False, "mode": "float", "d": 2}
+
     def test_composite_large_root_gives_a_verdict_quickly(self, capsys, tmp_path):
-        # Phi_20010 has degree 4928; 20010 = 2 * 3 * 5 * 23 * 29 has 31
-        # proper divisors, so a division by each one's Phi would take seconds
+        # F2 written at root 20010 = 2 * 3 * 5 * 23 * 29; the exact test
+        # runs on the dephased grid at its minimal root 2
         path = tmp_path / "composite_root.json"
         path.write_text('{"d": 2, "root": 20010, "exponents": [[0, 0], [0, 10005]]}')
         start = time.perf_counter()
@@ -150,8 +159,7 @@ class TestUnitary:
         assert time.perf_counter() - start < 5
 
     def test_root_with_a_high_prime_power_gives_a_verdict_quickly(self, capsys, tmp_path):
-        # Phi_(10^6) has degree 400000; x^500000 is reached from Red(10)
-        # rather than by 10^5 steps of a walk from x^399999
+        # F2 written at root 10^6 = 2^6 * 5^6, tested at its minimal root 2
         path = tmp_path / "prime_power_root.json"
         path.write_text('{"d": 2, "root": 1000000, "exponents": [[0, 0], [0, 500000]]}')
         start = time.perf_counter()
@@ -160,8 +168,8 @@ class TestUnitary:
         assert time.perf_counter() - start < 5
 
     def test_root_with_seven_primes_gives_a_verdict_quickly(self, capsys, tmp_path):
-        # 510510 = 2 * 3 * 5 * 7 * 11 * 13 * 17: the zero test reduces one
-        # coefficient row along seven prime axes, with no table of x^k mod Phi_r
+        # F2 written at root 510510 = 2 * 3 * 5 * 7 * 11 * 13 * 17, tested at
+        # its minimal root 2
         path = tmp_path / "seven_primes_root.json"
         path.write_text('{"d": 2, "root": 510510, "exponents": [[0, 0], [0, 255255]]}')
         start = time.perf_counter()
@@ -169,9 +177,48 @@ class TestUnitary:
         assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("root", [20010, 10**6, 510510])
+    def test_large_minimal_root_gives_a_verdict_quickly(self, capsys, tmp_path, root):
+        # a member of the F4 family whose minimal root is the root itself, so
+        # the zero test runs at that root along five, two and seven prime
+        # axes; one changed entry breaks unitarity
+        h = root // 2
+        rows = [[0, 0, 0, 0], [0, 1, h, h + 1], [0, h, 0, h], [0, h + 1, h, 1]]
+        path = tmp_path / "f4_family.json"
+        start = time.perf_counter()
+        for entry, code_want in ((0, 0), (1, 1)):
+            rows[2][2] = entry
+            path.write_text(json.dumps({"d": 4, "root": root, "exponents": rows}))
+            code, out = jrun(capsys, "unitary", str(path))
+            assert code == code_want and out["unitary"] is (code_want == 0)
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("root", [2**40, 2**62])
+    def test_fourier_at_a_huge_root_is_unitary_and_isolated(self, capsys, tmp_path, root):
+        # F2 written at root 2^40 or 2^62, with and without row and column
+        # phases: n * r coefficient rows at that root would not fit in memory
+        path = tmp_path / "f2.json"
+        for rows in ([[0, 0], [0, root // 2]], [[0, 0], [1, 1 + root // 2]]):
+            path.write_text(json.dumps({"d": 2, "root": root, "exponents": rows}))
+            code, out = jrun(capsys, "unitary", str(path))
+            assert code == 0 and out == {"unitary": True, "mode": "exact", "d": 2}
+            code, out = jrun(capsys, "defect", str(path))
+            assert code == 0 and out["defect"] == 0 and out["evidence"]["root"] == 2
+
+    def test_zero_test_above_the_cell_bound_is_usage_error(self, capsys, tmp_path):
+        # the minimal root of [[0, 0], [0, 1]] at 2^40 is 2^40 itself
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "root": 2**40, "exponents": [[0, 0], [0, 1]]}))
+        start = time.perf_counter()
+        for command in ("unitary", "defect", "haagerup"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("hadforge: ") and "bound" in err and err.count("\n") == 1
+        assert time.perf_counter() - start < 5
+
     def test_large_root_gives_a_verdict_in_little_memory(self, capsys, tmp_path):
-        # all 20011 x 20010 coefficients of x^k mod Phi_20011 would take
-        # 3.2 GB; only the rows of the two exponents that occur are built
+        # 20011 is prime and the grid's minimal root, so the zero test runs on
+        # one row of 20011 coefficients, with no table of x^k mod Phi_20011
         path = tmp_path / "large_root.json"
         path.write_text('{"d": 2, "root": 20011, "exponents": [[0, 0], [0, 10005]]}')
         tracemalloc.start()
@@ -236,6 +283,17 @@ class TestHaagerup:
         code, out = jrun(capsys, "haagerup", f4_float)
         assert code == 0 and len(out["angles"]) == out["size"] == 4
         assert "fingerprint" not in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", [TWIN_ROWS, OVERFLOWING], ids=["twin_rows", "overflowing"])
+    def test_non_unitary_grid_is_refused(self, capsys, tmp_path, grid):
+        # rows 1 and 2 of TWIN_ROWS are equal; OVERFLOWING's Gram matrix
+        # overflows to inf, and its quadruple products would too
+        path = tmp_path / "grid.json"
+        path.write_text(grid)
+        code, out, err = run(capsys, "haagerup", str(path))
+        assert code == 2 and out == ""
+        assert err == "hadforge: matrix is not unitary, so it has no Haagerup set\n"
 
 
 class TestDefect:
@@ -584,6 +642,11 @@ COMMAND_INPUTS = st.one_of(
 @example((["gen"], [{"p": 2, "q": 3, "K": 5, "L": 7}]))
 @example((["defect"], [json.loads(EMPTY_GRID)]))
 @example((["haagerup"], [json.loads(EMPTY_GRID)]))
+@example((["unitary"], [{"d": 2, "root": 2**40, "exponents": [[0, 0], [0, 2**39]]}]))
+@example((["defect"], [{"d": 2, "root": 2**40, "exponents": [[0, 0], [0, 2**39]]}]))
+@example((["unitary"], [{"d": 2, "root": 2**62, "exponents": [[0, 0], [0, 2**61]]}]))
+@example((["defect"], [{"d": 2, "root": 2**62, "exponents": [[0, 0], [0, 2**61]]}]))
+@example((["compare"], [{"d": 2, "root": 2**40, "exponents": [[0, 0], [0, 1]]}] * 2))
 @settings(max_examples=200, deadline=None)
 def test_json_commands_never_show_a_traceback(command_inputs):
     command, objs = command_inputs

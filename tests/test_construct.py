@@ -12,11 +12,10 @@ from hadforge.construct import (
     MonomializationError,
     MUPreconditionError,
     exact_product_equals,
-    sqrt_as_cyclotomic,
     theorem1_build,
     trivial_family,
 )
-from hadforge.cyclotomic import CyclotomicInteger, vanishes
+from hadforge.cyclotomic import sums_vanish, vanishes
 from hadforge.matrices import (
     ComplexMatrix,
     ExponentMatrix,
@@ -33,12 +32,14 @@ def asn(p, q, K, L):
     return BlockAssignment.from_labels(p, q, K, L)
 
 
-def test_sqrt_as_cyclotomic_squares_to_q():
+def test_sqrt_exponents_square_to_q():
     for q in (2, 3, 5, 7, 11, 13):
-        z = sqrt_as_cyclotomic(q)
-        sq = z * z
-        assert (sq - CyclotomicInteger.from_integer(q, sq.r)).is_zero()
-        assert abs(z.to_complex() - q**0.5) < 1e-9
+        e = construct._sqrt_exponents(q)
+        # the q^2 products of two terms, and -q as q terms omega^(2q) = -1
+        square = (e[:, None] + e).ravel()
+        assert sums_vanish(1, 0, np.append(square, [2 * q] * q), 4 * q).all()
+        assert not sums_vanish(1, 0, np.append(square, [2 * q] * (q - 1)), 4 * q).any()
+        assert abs(np.exp(2j * np.pi * e / (4 * q)).sum() - q**0.5) < 1e-9
 
 
 class TestBlockAssignment:
@@ -186,40 +187,53 @@ def test_dephased_build_matches_catalog_grid():
 # the exact build and product certificate against the squaring references
 # ----------------------------------------------------------------------
 
+# sums of r-th roots of unity as length-r coefficient rows: the product is
+# a cyclic convolution, and a root of order r is one of order m * r at the
+# m-th multiple of its exponent
+
+def cyclic_product(a, b):
+    r = len(a)
+    return np.append(np.convolve(a, b), 0).reshape(2, r).sum(axis=0)
+
+
+def rescaled(a, r_new):
+    out = np.zeros(r_new, dtype=np.int64)
+    out[:: r_new // len(a)] = a
+    return out
+
+
 def reference_sqrt_as_cyclotomic(q):
-    """Reference: the Gauss sum built one coefficient at a time."""
+    """Reference: the Gauss sum built one coefficient at a time, at root 4q."""
     if q == 1:
-        return CyclotomicInteger.one(4)
+        return np.array([1, 0, 0, 0])
     if q == 2:
-        z = CyclotomicInteger(8)
-        z.coeffs[1] += 1
-        z.coeffs[7] += 1
+        z = np.zeros(8, dtype=np.int64)
+        z[[1, 7]] = 1  # omega_8 + omega_8^7
         return z
     r = 4 * q
-    g = CyclotomicInteger(r)
+    g = np.zeros(r, dtype=np.int64)
     for k in range(q):
-        g.coeffs[(4 * (k * k)) % r] += 1
+        g[(4 * (k * k)) % r] += 1
     if q % 4 == 1:
         return g
-    return g.shifted(3 * q)
+    return np.roll(g, 3 * q)  # times omega^(3q) = -i
 
 
 def reference_monomialize(z, q, R):
     """Reference: e with z = sqrt(q) * omega_R^e, from z^2 = q omega^(2e)
-    plus a float sign check."""
-    if R % z.r != 0:
+    plus a float sign check; z is a coefficient row."""
+    if R % len(z) != 0:
         raise ValueError("target root must be a multiple of the operand root")
-    zc = z.to_complex()
+    zc = (z * np.exp(2j * np.pi * np.arange(len(z)) / len(z))).sum()
     if abs(abs(zc) ** 2 - q) > 1e-6 * q:
         raise MonomializationError(f"|z|^2 = {abs(zc)**2:.6f} != {q}")
     e = round(cmath.phase(zc) * R / (2 * cmath.pi)) % R
     target = cmath.exp(2j * cmath.pi * e / R) * sqrt(q)
     if abs(zc - target) > 1e-6 * sqrt(q):
         raise MonomializationError("argument does not round to a root of unity")
-    z2 = (z * z).rescaled(R) if z.r != R else z * z
-    check = CyclotomicInteger(R)
-    check.coeffs[(2 * e) % R] = q
-    if not (z2 - check).is_zero():
+    z2 = rescaled(cyclic_product(z, z), R)
+    z2[(2 * e) % R] -= q
+    if not vanishes([z2], R)[0]:
         raise MonomializationError("z^2 != q * omega^(2e): entry is not monomial")
     return e
 
@@ -237,8 +251,8 @@ def reference_block_exponents(Ki, Lj, q, R, cache):
         key = (R, rz, tuple(cell))
         e = cache.get(key)
         if e is None:
-            counts = np.bincount(cell, minlength=rz).tolist()
-            e = cache[key] = reference_monomialize(CyclotomicInteger(rz, counts), q, R)
+            counts = np.bincount(cell, minlength=rz)
+            e = cache[key] = reference_monomialize(counts, q, R)
         out.append(e)
     return np.array(out, dtype=np.int64).reshape(q, q)
 
@@ -249,7 +263,7 @@ def reference_exact_product_equals(a, H):
     roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
     R = lcm(p, 4 * q, H.r, *roots)
     E = H.rescaled(R).exp
-    g = np.array(reference_sqrt_as_cyclotomic(q).rescaled(R).coeffs)
+    g = rescaled(reference_sqrt_as_cyclotomic(q), R)
     ks = np.arange(R)
     rootq = g[(ks[None, :] - ks[:, None]) % R]  # row e: sqrt(q) * omega^e
     cells = np.arange(q * q).reshape(q, q)
@@ -275,10 +289,9 @@ def reference_exact_product_equals(a, H):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 11, 13])
-def test_sqrt_as_cyclotomic_matches_reference(q):
-    got, ref = sqrt_as_cyclotomic(q), reference_sqrt_as_cyclotomic(q)
-    assert got.r == ref.r and got.coeffs == ref.coeffs
-    assert all(type(c) is int for c in got.coeffs)
+def test_sqrt_exponents_match_reference(q):
+    got = np.bincount(construct._sqrt_exponents(q), minlength=4 * q)
+    assert np.array_equal(got, reference_sqrt_as_cyclotomic(q))
 
 
 def build_root(a):
