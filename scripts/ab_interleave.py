@@ -12,23 +12,28 @@ the timed rounds are not traced.
 
 A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
 `verify:NAME` (`catalog.verify(NAME)`), `build:NAME`
-(`catalog.build(NAME)`) or `defect:P:Q:K1,K2,..:L1,L2,..`
+(`catalog.build(NAME)`), `defect:P:Q:K1,K2,..:L1,L2,..`
 (`analyze.defect(H, mode="exact")`, H the assignment with those K and L
-block labels, built and dephased once per side outside the timing).  The
-script prints the seconds of every round, then per call each side's median,
-the ratio b/a and each side's wins out of the rounds.  The warm-up calls'
-results are compared: for a search its `examined`, `partial`, classes and
-findings (K and L labels and fingerprint of each), for a verify its verdict
-and defect, for a build the root and the sha256 of the exponent grid, for a
-defect the defect, its mode and its evidence.  The number of orbit
-representatives each side analysed is printed for every search; it may
-differ between the sides.  With `--json PATH` the seconds of every round
+block labels, built and dephased once per side outside the timing) or
+`examine:P:Q:K1,K2,..:L1,L2,..` (`analyze._examine` of that assignment,
+which the search calls once per representative, with a fresh build cache
+every time; the assignment and its complete MUB set are made once per side
+outside the timing).  The script prints the seconds of every round, then
+per call each side's median, the ratio b/a and each side's wins out of the
+rounds.  The warm-up calls' results are compared: for a search its
+`examined`, `partial`, classes and findings (K and L labels and
+fingerprint of each), for a verify its verdict and defect, for a build the
+root and the sha256 of the exponent grid, for a defect the defect, its mode
+and its evidence, for an examine the root, fingerprint, defect and mode.
+The number of orbit representatives each side analysed is printed for
+every search; it may differ between the sides.  With `--json PATH` the seconds of every round
 are also written to PATH, per call and side.  The exit status is 1 when
 some call's results differ, after the timed rounds, and 0 otherwise.
 
 Example:
     python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
-        search:3:5 search:2:7 verify:S35 build:S91 defect:3:5:I,I,I:F,F,F
+        search:3:5 search:2:7 verify:S35 build:S91 defect:3:5:I,I,I:F,F,F \\
+        examine:2:47:I,H1:F,H2
 """
 
 import argparse
@@ -60,22 +65,26 @@ class Side:
         self.catalog = importlib.import_module(f"{self.name}.catalog")
         self.construct = importlib.import_module(f"{self.name}.construct")
         self.matrices = importlib.import_module(f"{self.name}.matrices")
-        self.grids = {}  # defect call -> its dephased grid, built once
+        self.inputs = {}  # defect or examine call -> its input, made once
 
-    def grid(self, call: str):
-        if call not in self.grids:
-            _, p, q, K, L = call.split(":")
+    def input(self, call: str):
+        """The assignment of an examine call, the dephased build of a
+        defect call."""
+        if call not in self.inputs:
+            kind, p, q, K, L = call.split(":")
             a = self.construct.BlockAssignment.from_labels(
                 int(p), int(q), K.split(","), L.split(",")
             )
-            self.grids[call] = self.matrices.dephase(self.construct.theorem1_build(a))[0]
-        return self.grids[call]
+            if kind == "defect":
+                a = self.matrices.dephase(self.construct.theorem1_build(a))[0]
+            self.inputs[call] = a
+        return self.inputs[call]
 
     def run(self, call: str):
         """Run one call; return (seconds, a summary of its result, the
         number of orbit representatives of a search or None)."""
         kind, *args = call.split(":")
-        H = self.grid(call) if kind == "defect" else None
+        x = self.input(call) if kind in ("defect", "examine") else None
         t0 = time.perf_counter()
         if kind == "search":
             res = self.analyze.assignment_search(int(args[0]), int(args[1]))
@@ -86,8 +95,12 @@ class Side:
             out = (res.examined, res.partial, tuple(res.classes), findings)
             reps = len(res.representatives)
         elif kind == "defect":
-            rep = self.analyze.defect(H, mode="exact")
+            rep = self.analyze.defect(x, mode="exact")
             out = (rep.defect, rep.mode, tuple(sorted(rep.evidence.items())))
+            reps = None
+        elif kind == "examine":
+            root, fp, rep = self.analyze._examine(x, {})
+            out = (root, fp, rep.defect, rep.mode)
             reps = None
         elif kind == "verify":
             rep = self.catalog.verify(args[0])
@@ -116,11 +129,16 @@ def parse_call(text: str) -> str:
     ok = (
         (kind == "search" and len(args) == 2 and all(a.isdigit() for a in args))
         or (kind in ("verify", "build") and len(args) == 1 and args[0])
-        or (kind == "defect" and len(args) == 4 and all(a.isdigit() for a in args[:2]))
+        or (
+            kind in ("defect", "examine")
+            and len(args) == 4
+            and all(a.isdigit() for a in args[:2])
+        )
     )
     if not ok:
         raise argparse.ArgumentTypeError(
-            f"not search:P:Q, verify:NAME, build:NAME or defect:P:Q:K..:L..: {text!r}"
+            f"not search:P:Q, verify:NAME, build:NAME, defect:P:Q:K..:L.. "
+            f"or examine:P:Q:K..:L..: {text!r}"
         )
     return text
 

@@ -16,9 +16,15 @@ unconditional bounds:
 Both bounds rest on one elimination kernel over F_l, `_echelon`, behind
 `rank_mod` (echelon form) and `rref_mod` (the unique RREF).  An image mod l
 is one int32 array with entries in [0, l), as `evaluate_rows` returns it.
-The kernel reduces that array in place: it overwrites its input and returns
-it as R, so the image is the only full-size array of a rank or an RREF.  It
-works on column panels of 256.  Each panel is copied to an int64 work array,
+The kernel takes a stack of images, an array (B, m, n), and eliminates all
+B matrices together: each column is one step whose pivot search, swaps,
+scaling and row updates are numpy calls over every matrix that pivots
+there, so the q^2 character blocks of a build's defect system (`_weyl`)
+take p^2 steps in all.  A 2-D image is the stack of one, and `rank_mod`
+returns the ranks of a stack as an array.  The kernel reduces its input in
+place: it overwrites it and returns it as R, so the image is the only
+full-size array of a rank or an RREF.  It works on column panels of 256.
+Each panel is copied to an int64 work array,
 eliminated there column by column, and written back reduced; the row
 operations are recorded as coefficients on the panel's pivot rows.  The
 trailing columns then take those coefficients in float64 dgemms, 64 columns
@@ -46,14 +52,16 @@ denominators by the `np.lcm.reduce` of its own.  That array goes to
 `_verify_null_vectors` as it is.  One path serves any number of primes.
 
 A system is a `System` of flat integer arrays with one element per term:
-term j adds coeff[j] * omega_r^exp[j] to entry (row[j], col[j]).
+term j adds coeff[j] * omega_r^exp[j] to entry (row[j], col[j]).  The
+arrays may be of any integer dtype; the defect systems keep row, col and
+exp as int32 and coeff as int8, and every product widens them to int64.
 """
 
 from __future__ import annotations
 
 import random
 from math import gcd, isqrt
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -173,8 +181,9 @@ def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.nda
     pow_table = [1] * r
     for k in range(1, r):
         pow_table[k] = pow_table[k - 1] * g % l
-    terms = system.coeff % l * np.array(pow_table, dtype=np.int64)[system.exp % r] % l
-    cells = system.row * n_cols + system.col
+    # the term arrays may be narrow (int32, int8): widen before the products
+    terms = system.coeff.astype(np.int64) % l * np.array(pow_table, dtype=np.int64)[system.exp % r] % l
+    cells = system.row.astype(np.int64) * n_cols + system.col
     order = np.argsort(cells, kind="stable")
     cells, terms = cells[order], terms[order]
     first = np.flatnonzero(np.diff(cells, prepend=-1))
@@ -186,102 +195,170 @@ def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.nda
     return M.reshape(system.n_rows, n_cols)
 
 
-def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
-    """Row echelon form of M over F_l by column panels, worked in place: M
-    is overwritten and returned as R.
+def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Row echelon form of every matrix of a stack M (B, m, n) over F_l,
+    by column panels, worked in place: M is overwritten and returned as R.
 
-    Pivot rule: leftmost column, first nonzero row.  Each panel is copied to
-    an int64 work array; inside it the elimination runs column by column,
-    reducing mod l only the entries it reads, and the row operations are
-    recorded as coefficients on the panel's pivot rows, one column per pivot
-    (the block W).  The panel is written back reduced, and the trailing
-    columns then take W in float64 dgemms.  With `reduced`, rows above each
-    pivot are cleared too and R is the unique RREF.  Returns
-    (R, pivot_columns).
+    Pivot rule, in each matrix: leftmost column, first nonzero row.  Each
+    panel of the stack is copied to one int64 work array A of B * h rows,
+    matrix b in rows b*h to (b+1)*h - 1.  Inside it the elimination runs
+    column by column, reducing mod l only the entries it reads, and the row
+    operations are recorded as coefficients on the panel's pivot rows, one
+    column per pivot (the block W).  The panel is written back reduced, and
+    the trailing columns then take W in float64 dgemms.  With `reduced`,
+    rows above each pivot are cleared too and R is the unique RREF.
+    Returns (R, pivots), pivots a (B, n) bool array marking each matrix's
+    pivot columns.
+
+    A column is one step for the whole stack: the pivot search, the swaps,
+    the scaling and the row updates each take one numpy call over every
+    matrix that pivots there.  A stack of one takes the same step with
+    scalar indices: on a small system the index bookkeeping of the stacked
+    step would cost about as much as the elimination itself.
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
     M %= l
-    m, n = M.shape
-    pivots: List[int] = []
+    B, m, n = M.shape
+    pivots = np.zeros((B, n), dtype=bool)
+    top = np.zeros(B, dtype=np.int64)  # pivots so far, per matrix
     for c0 in range(0, n, _PANEL):
-        top = len(pivots)
-        if top >= m:
+        if top.min() >= m:
             break
         c1 = min(c0 + _PANEL, n)
         w = c1 - c0
-        first = 0 if reduced else top  # rows above `first` stay as they are
+        # rows above `first` stay as they are: finished pivot rows of every
+        # matrix, unless the RREF clears above its pivots
+        first = 0 if reduced else int(top.min())
+        h = m - first
         trailing = c1 < n
-        A = np.zeros((m - first, 2 * w if trailing else w), dtype=np.int64)
-        A[:, :w] = M[first:, c0:c1]
-        perm = np.arange(m - first)
-        row = top - first
-        t = 0
+        A = np.zeros((B * h, 2 * w if trailing else w), dtype=np.int64)
+        A[:, :w].reshape(B, h, w)[...] = M[:, first:, c0:c1]
+        perm = np.arange(B * h)
+        row = np.arange(B) * h + top - first  # the next pivot row of each matrix
+        # open[i]: row i is not yet a pivot row; the echelon form updates
+        # only those
+        open_ = (np.arange(h) >= (top - first)[:, None]).reshape(-1)
+        t = np.zeros(B, dtype=np.int64)  # pivots of each matrix in this panel
+        k = 0  # columns of this panel with a pivot: W has k columns
+        r0 = int(row[0])
         for c in range(w):
-            if row >= A.shape[0]:
-                break
-            A[row:, c] %= l
-            nz = A[row:, c].nonzero()[0]
-            if nz.size == 0:
-                continue
-            sel = row + int(nz[0])
-            if sel != row:
-                A[row], A[sel] = A[sel], A[row].copy()
-                perm[row], perm[sel] = perm[sel], perm[row]
-            # the swap moved a zero to sel, so the rows below to update are
-            # row + nz[1:]
-            idx = row + nz[1:]
-            if reduced:
-                A[:row, c] %= l
-                idx = np.concatenate((A[:row, c].nonzero()[0], idx))
-            end = w
-            if trailing:
-                # the trailing part of a row is its own original row, unless
-                # it is a pivot row, plus W[row] @ pivot rows: from here on
-                # this row is pivot t, and its own row a term of W
-                A[row, w + t] = 1
-                end = w + t + 1
-            P = A[row, c:end]
-            P %= l
-            P *= pow(int(P[0]), -1, l)
-            P %= l
-            if idx.size:
-                U = A[idx, c:end]
-                U -= U[:, :1] * P
-                A[idx, c:end] = U
-            pivots.append(c0 + c)
-            row += 1
-            t += 1
+            col = A[:, c]
+            end = w + k + 1 if trailing else w
+            if B == 1:
+                prow = r0 + k
+                if prow >= h:
+                    break
+                col[prow:] %= l
+                nz = col[prow:].nonzero()[0]
+                if nz.size == 0:
+                    continue
+                sel = prow + int(nz[0])
+                if sel != prow:
+                    A[prow], A[sel] = A[sel], A[prow].copy()
+                    perm[prow], perm[sel] = perm[sel], perm[prow]
+                # the swap moved a zero to sel, so the rows below to update
+                # are prow + nz[1:]
+                idx = prow + nz[1:]
+                if reduced:
+                    col[:prow] %= l
+                    idx = np.concatenate((col[:prow].nonzero()[0], idx))
+                if trailing:
+                    # the trailing part of a row is its own original row,
+                    # unless it is a pivot row, plus W[row] @ pivot rows:
+                    # from here on this row is pivot k, and its own row a
+                    # term of W
+                    A[prow, w + k] = 1
+                P = A[prow, c:end]
+                P %= l
+                P *= pow(int(P[0]), -1, l)
+                P %= l
+                if idx.size:
+                    U = A[idx, c:end]
+                    U -= U[:, :1] * P
+                    A[idx, c:end] = U
+                pivots[0, c0 + c] = True
+            else:
+                col %= l
+                nz = np.flatnonzero(col)
+                cand = nz[open_[nz]]
+                if not cand.size:
+                    continue
+                seg = cand // h
+                head = np.flatnonzero(np.diff(seg, prepend=-1))
+                b, sel = seg[head], cand[head]
+                prow = row[b]
+                moved = sel != prow
+                if moved.any():
+                    ps = np.stack((prow[moved], sel[moved]))
+                    A[ps] = A[ps[::-1]]
+                    perm[ps] = perm[ps[::-1]]
+                if reduced:
+                    # every nonzero row of a matrix that pivots here but its
+                    # pivot row; the swap moved a zero to sel
+                    has = np.zeros(B, dtype=bool)
+                    has[b] = True
+                    idx = np.delete(nz, np.searchsorted(nz, sel))
+                    idx = idx[has[idx // h]]
+                else:
+                    idx = np.delete(cand, head)  # the rows below each pivot
+                if trailing:
+                    A[prow, w + t[b]] = 1  # as for a stack of one
+                P = A[prow, c:end]
+                P %= l
+                P *= np.array([pow(int(x), -1, l) for x in P[:, 0]], dtype=np.int64)[:, None]
+                P %= l
+                A[prow, c:end] = P
+                if idx.size:
+                    U = A[idx, c:end]
+                    U -= U[:, :1] * P[np.searchsorted(b, idx // h)]
+                    A[idx, c:end] = U
+                open_[prow] = False
+                pivots[b, c0 + c] = True
+                row[b] += 1
+                t[b] += 1
+            k += 1
+        if B == 1:
+            t[0] = k
         A %= l
-        M[first:, c0:c1] = A[:, :w]
-        if trailing and t:
-            W = A[:, w : w + t].astype(np.float64)
-            del A, P  # the panel, which P views, is written back: free it
-            _apply_panel(M[first:, c1:], W, perm, top - first, l)
+        M[:, first:, c0:c1] = A[:, :w].reshape(B, h, w)
+        if trailing and k:
+            W = A[:, w : w + k].astype(np.float64).reshape(B, h, k)
+            del A, P, col  # the panel, which P and col view, is written back: free it
+            _apply_panel(M[:, first:, c1:], W, perm.reshape(B, h) % h, top - first, t, l)
+        top += t
     return M, pivots
 
 
-def _apply_panel(T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: int, l: int) -> None:
-    """T <- the panel's row operations applied to T, in place.
+def _apply_panel(
+    T: np.ndarray, W: np.ndarray, perm: np.ndarray, p0: np.ndarray, t: np.ndarray, l: int
+) -> None:
+    """T <- the panel's row operations applied to T (B, m, n'), in place.
 
-    Row i of the result is W[i] @ S plus, unless i is a pivot row, row
-    perm[i] of T, where S holds the t = W.shape[1] pivot rows perm[p0:p0+t]
-    of T.  S is split in a 12-bit low and a 13-bit high limb, so each float
-    dgemm sums at most 256 products below 2^25 * 2^13 and stays exact, and
-    the recombined int64 sum stays below 2^46 * 2^12 + 2^45 + 2^25 < 2^63.
+    Row i of matrix b of the result is W[b, i] @ S_b plus, unless i is a
+    pivot row, row perm[b, i] of T[b], where S_b holds the t[b] pivot rows
+    perm[b, p0[b]:p0[b]+t[b]] of T[b]; W's columns past t[b] are zero in
+    matrix b.  S is split in a 12-bit low and a 13-bit high limb, so each
+    float dgemm sums at most 256 products below 2^25 * 2^13 and stays exact,
+    and the recombined int64 sum stays below 2^46 * 2^12 + 2^45 + 2^25 <
+    2^63.
     """
-    t = W.shape[1]
-    for j in range(0, T.shape[1], _BLOCK):
-        B = T[:, j : j + _BLOCK][perm].astype(np.int64, copy=False)
-        S = B[p0 : p0 + t]
+    k = W.shape[2]
+    real = np.arange(k) < t[:, None]
+    pb, pt = np.nonzero(real)
+    slots = np.where(real, p0[:, None] + np.arange(k), 0)
+    stack = np.arange(len(T))[:, None]
+    for j in range(0, T.shape[2], _BLOCK):
+        B = T[:, :, j : j + _BLOCK][stack, perm].astype(np.int64, copy=False)
+        S = B[stack, slots]
         hi = (W @ (S >> _LIMB).astype(np.float64)).astype(np.int64)
         lo = (W @ (S & ((1 << _LIMB) - 1)).astype(np.float64)).astype(np.int64)
-        B[p0 : p0 + t] = 0
+        B[pb, slots[pb, pt]] = 0
         hi <<= _LIMB
         B += hi
         B += lo
         B %= l
-        T[:, j : j + _BLOCK] = B
+        T[:, :, j : j + _BLOCK] = B
 
 
 def rref_mod(M: np.ndarray, l: int) -> Tuple[np.ndarray, List[int]]:
@@ -290,15 +367,19 @@ def rref_mod(M: np.ndarray, l: int) -> Tuple[np.ndarray, List[int]]:
 
     M, an int32 or int64 array, is overwritten: R is M itself, holding the
     RREF.  Pass a copy to keep M."""
-    return _echelon(M, l, True)
+    pivots = _echelon(M[None], l, True)[1]
+    return M, np.flatnonzero(pivots[0]).tolist()
 
 
-def rank_mod(M: np.ndarray, l: int) -> int:
-    """Row echelon rank over F_l (no back-substitution; cheaper than rref).
+def rank_mod(M: np.ndarray, l: int) -> Union[int, np.ndarray]:
+    """Row echelon rank over F_l (no back-substitution; cheaper than rref)
+    of a matrix, or the int array of ranks of a stack (B, m, n) of
+    matrices, all eliminated together.
 
     M, an int32 or int64 array, is overwritten with an echelon form.  Pass
     a copy to keep M."""
-    return len(_echelon(M, l, False)[1])
+    ranks = _echelon(M if M.ndim == 3 else M[None], l, False)[1].sum(axis=1)
+    return ranks if M.ndim == 3 else int(ranks[0])
 
 
 def null_basis_mod(R: np.ndarray, pivots: List[int], l: int) -> np.ndarray:
@@ -364,21 +445,28 @@ def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
     and the number of exactly verified null vectors (when rank < n_cols).
     The first prime is `screen_rank`'s, drawn from Random(SEED).
     """
+    rank, evidence, _ = certify_null_space(system, n_cols, r)
+    return rank, evidence
+
+
+def certify_null_space(system: System, n_cols: int, r: int) -> Tuple[int, dict, np.ndarray]:
+    """`certify_rank`'s rank and evidence, and the null basis it verified:
+    an object array (n_cols - rank, n_cols, phi(r)) of power-basis
+    coefficients, as `_lift_vectors` returns it."""
     rng = random.Random(SEED)
     rk0, ev = screen_rank(system, n_cols, r, rng)
+    units = _units(r)
     if rk0 == n_cols:
-        return rk0, ev
+        return rk0, ev, np.zeros((0, n_cols, len(units)), dtype=object)
 
     # nullity candidate; recover the canonical null basis exactly
-    units = _units(r)
     for _ in range(_ATTEMPTS):
         try:
-            nverified, pivots, primes = _null_vector_certificate(
-                system, n_cols, r, units, rng
-            )
+            W, pivots, primes = _null_vector_certificate(system, n_cols, r, units, rng)
         except _RetryNeeded:
             continue
-        return pivots, {"pivot_count": pivots, "primes": primes, "null_vectors": nverified}
+        evidence = {"pivot_count": pivots, "primes": primes, "null_vectors": len(W)}
+        return pivots, evidence, W
     raise RankCertificationError(
         f"could not certify rank after {_ATTEMPTS} attempts (mod-l rank {rk0})"
     )
@@ -394,7 +482,7 @@ def _null_vector_certificate(
     r: int,
     units: List[int],
     rng: random.Random,
-) -> Tuple[int, int, List[int]]:
+) -> Tuple[np.ndarray, int, List[int]]:
     pivot_ref: Optional[Tuple[int, ...]] = None
     per_prime: List[Tuple[int, np.ndarray]] = []  # (l, stacked coeff arrays)
 
@@ -415,7 +503,7 @@ def _null_vector_certificate(
         if len(per_prime) >= 2:
             W = _lift_vectors(per_prime)
             if W is not None and _verify_null_vectors(system, W, free, r):
-                return len(W), len(pivot_ref), [l for l, _ in per_prime]
+                return W, len(pivot_ref), [l for l, _ in per_prime]
     raise _RetryNeeded
 
 
@@ -493,5 +581,5 @@ def _verify_null_vectors(system: System, W: np.ndarray, free: List[int], r: int)
     v, j = np.nonzero(nonzero[:, system.col])
     rows = (v * system.n_rows + system.row[j])[:, None]
     exps = system.exp[j, None] + np.arange(W.shape[2])
-    weight = system.coeff[j, None] * W[v, system.col[j]]
+    weight = system.coeff[j, None].astype(np.int64) * W[v, system.col[j]]
     return bool(sums_vanish(len(W) * system.n_rows, rows, exps, r, weight).all())

@@ -1,0 +1,319 @@
+"""The Weyl-Heisenberg split of the defect system of a build.
+
+The build of a block assignment (K, L) over the complete set {I, F, H_j}
+in prime dimension q has block (i, j) = omega_p^(ij) K_i^dagger L_j /
+sqrt(p).  Let X|k> = |k + 1> and Z|k> = omega_q^k |k>.  Every basis B of
+the set is an eigenbasis of some Weyl operator X^a Z^b, because the
+diagonal D of H_j = D^j F is quadratic (Wootters and Fields, Ann. Phys.
+191, 1989; Durt, Englert, Bengtsson and Zyczkowski, IJQI 8, 2010).  So
+W B = B P_B for W = X and W = Z, with P_B monomial: column t of W B is a
+root of unity times column pi_B(t) of B.  Then (W K)^dagger (W L) =
+K^dagger L gives K^dagger L = P_K^dagger (K^dagger L) P_L, and
+(pi_1, pi_2) = (sum of the pi_(K_i), sum of the pi_(L_j)), acting inside
+each block row and block column, satisfies
+
+    E[pi_1 u, pi_2 v] - E[u, v] = a_u + b_v  (mod r)               (*)
+
+on the exponent grid E of the build, for integer vectors a and b; so does
+the dephased grid at its minimal root, since row and column phases only
+change a and b.  Nothing below trusts this derivation: `weyl_split` reads
+the permutations of X and Z off the exponent grids of the bases with exact
+integer arithmetic, and checks (*) exactly on the grid it is given, as well
+as the group structure and freeness stated next.  When a check fails it
+returns None and the caller takes the unsplit system.
+
+The group.  The two permutation pairs commute, and each has order q, so
+g = (a, b) -> sigma_g = sigma_X^a sigma_Z^b is an action of G = Z_q^2 on
+the d^2 cells (u, k), by (u, k) -> (pi_1 u, pi_2 k).  The action keeps each
+q x q block, and it is free: the q^2 images of the block's first cell are
+its q^2 cells.  (For the construction: pi_B shifts the labels by a linear
+form of (a, b) whose kernel is the line of B in Z_q^2, and K_i != L_j makes
+the two lines of a block differ.)
+
+The split.  The first-order unitarity system of a unitary H has one
+variable x_c per cell and one row rho_uv per ordered pair u != v of rows:
+rho_uv(x) = sum_k omega^(E[u,k] - E[v,k]) (x_(u,k) - x_(v,k)).  Over
+Q(omega_r) these rows span the same space as the conjugation-symmetric
+pairs of `analyze._exact_rows` (the plus and minus rows are rho_uv -+
+rho_vu).  The defect (Tadej and Zyczkowski, Linear Algebra Appl. 429,
+2008) is its nullity minus 2d - 1.  By (*), M[tau_g r, sigma_g c] =
+lambda_g(r) M[r, c], with tau_g (u, v) = (pi_1 u, pi_1 v) and the root of
+unity lambda_g(u, v) = omega^(a_u - a_v): M intertwines the permutation
+action of G on the variables with a monomial action on the rows.  Work
+over Q(omega_r'), r' = lcm(r, q), which holds the characters chi(a, b) =
+omega_q^(s a + t b); a field extension does not change a rank.  With one
+base cell c_o per block o, the vectors e_(o,chi) = sum_g chi(g) e_(sigma_g c_o)
+are a basis of the variables, and M e_(o,chi) lies in the chi-isotypic part
+of the row action, so
+
+    rank M = sum over chi of rank M_chi,  M_chi = [M e_(o,chi)]_o,
+
+a matrix with p^2 columns.  Its rows need only one row pair per tau-orbit:
+(M e_(o,chi))[tau_h r] = chi(h) lambda_h(r) (M e_(o,chi))[r].  A pair of
+rows whose stabiliser h != 1 (both rows in block rows with the same line)
+is zero in M_chi unless chi(h) lambda_h(r) = 1, so it is kept only in those
+q characters.  Row (u, v) of M_chi is, over the columns k,
+
+    omega^(E[u,k] - E[v,k]) (chi(g_(u,k)) e_(o(u,k)) - chi(g_(v,k)) e_(o(v,k))),
+
+with g_c the group element that carries the base cell of c's block to c.
+
+The trivial null vectors.  Unitarity makes x_(u,k) = alpha_u + beta_k a
+null vector for every alpha and beta, a space of dimension 2d - 1.  The
+functions of the rows of block row i are, as a G-module, the characters
+trivial on the stabiliser S_i of those rows, once each; likewise for block
+column j.  So in character chi the trivial vectors span a space T_chi of
+dimension |I_chi| + |J_chi| - [chi = 1], with I_chi the block rows and J_chi
+the block columns whose stabiliser chi is trivial on.  For chi != 1, I_chi
+and J_chi are not both nonempty: ker chi is one line, and freeness gives
+S_i != S'_j.  In the coordinates e_(o,chi), a vector of T_chi coming from
+block row i is nonzero on every block (i, j) and zero off block row i (and
+likewise for columns).  Fixing the gauge, the coordinates of the blocks
+(i, 0) for i in I_chi and (0, j) for j in J_chi, meets T_chi in 0 and has
+dim T_chi coordinates (for chi = 1, the 2p - 1 blocks of block row and
+block column 0).  So every null vector of M_chi is a vector of T_chi plus
+one that vanishes on the gauge, and
+
+    defect = sum over chi of nullity of M_chi without its gauge columns;
+
+the gauge-free columns number (d - 1)^2 over all chi, as the unsplit
+system's do.  A rank of every M_chi mod one prime is a lower bound, so
+(d - 1)^2 minus the sum of those ranks bounds the defect from above, and
+it is exact when every M_chi has rank p^2 - dim T_chi mod that prime.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ._exactrank import System
+from .cyclotomic import sums_vanish
+from .construct import BlockAssignment
+from .matrices import ExponentMatrix
+from .mub import IdentityBasis
+
+
+class WeylSplit(NamedTuple):
+    """The q^2 character blocks of the defect system of a build.
+
+    `system` stacks them: block chi holds rows chi*m to (chi+1)*m - 1 (rows
+    past its own count are empty), and column o = i*p + j is the block
+    (i, j) of the grid.  `gauge[chi]` marks the columns fixed by the trivial
+    null vectors of block chi.  Character chi = s*q + t is
+    (a, b) -> omega_q^(s a + t b) of the group element (a, b), and
+    `group[u, k]` is the element that carries the first cell of the block of
+    (u, k) to it.
+    """
+
+    p: int
+    q: int
+    r: int  # lcm of the grid's root and q
+    system: System
+    m: int
+    gauge: np.ndarray  # (q^2, p^2) bool
+    group: np.ndarray  # (d, d) int: a*q + b
+
+
+def _permutations(B, q: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(pi_X, pi_Z) with column t of W B a root of unity times column
+    pi_W(t) of B, for W = X and W = Z, read exactly off the exponent grid of
+    B; None when W B is not B times a monomial matrix."""
+    k = np.arange(q)
+    if isinstance(B, IdentityBasis):
+        return (k + 1) % q, k
+    R = lcm(B.r, q)
+    E = B.rescaled(R).exp
+    out = []
+    for U in (E[(k - 1) % q], E + (k * (R // q))[:, None]):  # X B and Z B
+        diff = (U[:, :, None] - E[:, None, :]) % R
+        match = (diff == diff[:1]).all(axis=0)  # (t, t'): a constant difference
+        pi = match.argmax(axis=1)
+        if not (match.sum(axis=1) == 1).all() or not np.bincount(pi, minlength=q).all():
+            return None
+        out.append(pi)
+    return out[0], out[1]
+
+
+def _powers(pi: np.ndarray, q: int) -> Optional[np.ndarray]:
+    """pi^0 ... pi^(q-1) as rows, or None when pi^q is not the identity."""
+    out = [np.arange(len(pi))]
+    for _ in range(q):
+        out.append(pi[out[-1]])
+    return np.stack(out[:q]) if np.array_equal(out[q], out[0]) else None
+
+
+def weyl_split(a: BlockAssignment, H: ExponentMatrix) -> Optional[WeylSplit]:
+    """The character blocks of the defect system of H, a unitary grid with
+    the automorphisms of the build of a, or None when a check fails: the
+    bases are not Weyl-covariant, (*) does not hold on H, or the group does
+    not act freely on the cells of each block (see the module docstring)."""
+    p, q, d = a.p, a.q, a.d
+    if H.d != d:
+        return None
+    perms = [_permutations(B, q) for B in (*a.K, *a.L)]
+    if any(x is None for x in perms):
+        return None
+    off = q * np.arange(p)
+    # (generator, side): X and Z on the rows (K side) and columns (L side)
+    pi = [
+        [np.concatenate([o + x[w] for o, x in zip(off, side)]) for side in (perms[:p], perms[p:])]
+        for w in (0, 1)
+    ]
+    E, r = H.exp, H.r
+    for rows, cols in pi:
+        D = (E[rows][:, cols] - E) % r
+        if ((D - D[:, :1] - D[:1] + D[0, 0]) % r).any():
+            return None  # (*) fails
+    if any(not np.array_equal(pi[0][s][pi[1][s]], pi[1][s][pi[0][s]]) for s in (0, 1)):
+        return None  # X and Z do not commute
+    powers = [[_powers(pi[w][s], q) for s in (0, 1)] for w in (0, 1)]
+    if any(x is None for row in powers for x in row):
+        return None
+    # element g = a*q + b acts as X^a Z^b: (q^2, d) images of the rows and columns
+    act = [powers[0][s][:, powers[1][s]].reshape(q * q, d) for s in (0, 1)]
+    rows, cols = act[0][:, off], act[1][:, off]  # images of each block's first row, column
+    cells = (rows % q)[:, :, None] * q + (cols % q)[:, None, :]  # (g, i, j)
+    if not (np.sort(cells, axis=0) == np.arange(q * q)[:, None, None]).all():
+        return None  # not free on the cells of some block
+    group = np.empty((d, d), dtype=np.int64)
+    group[rows[:, :, None], cols[:, None, :]] = np.arange(q * q)[:, None, None]
+    return _blocks(p, q, E, r, act, group)
+
+
+def _pairing(chi, g, q: int):
+    """chi(g) as a multiple of 1/q of a turn: s a + t b (mod q) for the
+    character chi = s*q + t and the element g = a*q + b."""
+    (s, t), (a, b) = divmod(chi, q), divmod(g, q)
+    return (s * a + t * b) % q
+
+
+def _stabilisers(act: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """A generator of the stabiliser of each block row (or column): the
+    least element g != 0 that fixes its first row.  The stabiliser has
+    prime order q, since G moves the q rows of a block freely onto each
+    other, so any g != 0 in it generates it."""
+    fixes = act[1:, off] == off
+    return 1 + fixes.argmax(axis=0)
+
+
+def _blocks(p, q, E, r, act, group) -> WeylSplit:
+    """The stacked character blocks of the grid E at root r, given the
+    (q^2, d) actions `act` on rows and columns and the cell table `group`
+    that `weyl_split` checked.  Term arrays are int32 and int8 as in
+    `analyze._exact_rows`: a root that reaches a rank is below 2^25."""
+    d = p * q
+    R = lcm(r, q)
+    off = q * np.arange(p)
+    chars = np.arange(q * q)[:, None]
+    h_row, h_col = _stabilisers(act[0], off), _stabilisers(act[1], off)
+    # (chi, block row or column): chi is trivial on its stabiliser
+    t_row, t_col = (_pairing(chars, h, q) == 0 for h in (h_row, h_col))
+    gauge = np.zeros((q * q, p, p), dtype=bool)
+    gauge[:, :, 0] = t_row
+    gauge[:, 0, :] |= t_col
+
+    # one row pair per orbit: (i q, i' q) when the block rows i and i' have
+    # different stabilisers, else (i q, v) for every v of block row i',
+    # kept in the characters with chi(h) lambda_h = 1
+    same = act[0][h_row][:, off] == off  # same[i, i']: h_i fixes block row i'
+    i, i2 = np.nonzero(~same)
+    free_u, free_v = off[i], off[i2]
+    i, i2 = np.nonzero(same)
+    stab_u = np.repeat(off[i], q)
+    stab_v = (off[i2][:, None] + np.arange(q)).reshape(-1)
+    h = np.repeat(h_row[i], q)
+    keep = stab_u != stab_v
+    stab_u, stab_v, h = stab_u[keep], stab_v[keep], h[keep]
+    # lambda_h(u, v) at column 0, at root R
+    k = act[1][h, 0]
+    lam = (E[stab_u, k] - E[stab_v, k] - E[stab_u, 0] + E[stab_v, 0]) * (R // r)
+    chi, j = np.nonzero((_pairing(chars, h, q) * (R // q) + lam) % R == 0)
+
+    n_free = free_u.size
+    chi_all = np.concatenate([np.repeat(np.arange(q * q), n_free), chi])
+    U = np.concatenate([np.tile(free_u, q * q), stab_u[j]])
+    V = np.concatenate([np.tile(free_v, q * q), stab_v[j]])
+    order = np.argsort(chi_all, kind="stable")
+    chi_all, U, V = chi_all[order], U[order], V[order]
+    counts = np.bincount(chi_all, minlength=q * q)
+    m = int(counts.max())
+    local = np.arange(chi_all.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    row = chi_all * m + local
+
+    # terms (row, side, k): omega^(E[u,k] - E[v,k]) chi(g) on the block of
+    # (u or v, k), with sign + for u and - for v
+    cell_rows = np.stack([U, V], axis=1)[:, :, None]  # (n, 2, 1)
+    ks = np.arange(d)
+    g = group[cell_rows, ks]  # (n, 2, d)
+    delta = (E[U] - E[V]) % r * (R // r)  # (n, d)
+    exp = (delta[:, None, :] + _pairing(chi_all[:, None, None], g, q) * (R // q)) % R
+    col = (cell_rows // q) * p + ks // q
+    shape = exp.shape
+    system = System(
+        q * q * m,
+        np.broadcast_to(row[:, None, None], shape).astype(np.int32).reshape(-1),
+        np.broadcast_to(col, shape).astype(np.int32).reshape(-1),
+        exp.astype(np.int32).reshape(-1),
+        np.broadcast_to(np.array([1, -1], dtype=np.int8)[:, None], shape).reshape(-1),
+    )
+    return WeylSplit(p, q, R, system, m, gauge.reshape(q * q, p * p), group)
+
+
+def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
+    """Block chi on its gauge-free columns, as a System of `split.m` rows,
+    and the block columns o it keeps, in order.  It has the rank of the
+    whole block, and its nullity is the block's share of the defect."""
+    s, m = split.system, split.m
+    lo, hi = np.searchsorted(s.row, [chi * m, (chi + 1) * m])
+    cols = np.flatnonzero(~split.gauge[chi])
+    renumber = np.full(split.gauge.shape[1], -1)
+    renumber[cols] = np.arange(cols.size)
+    col = renumber[s.col[lo:hi]]
+    keep = col >= 0
+    return (
+        System(m, s.row[lo:hi][keep] - chi * m, col[keep], s.exp[lo:hi][keep], s.coeff[lo:hi][keep]),
+        cols,
+    )
+
+
+def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
+    """Exact check that null vectors of character blocks, mapped back to
+    the d^2 variables, are null vectors of the whole first-order system of
+    H, every one of its d(d - 1) rows, in one `sums_vanish` call.
+
+    `blocks` holds (chi, cols, W) with W the (n_null, cols.size, phi)
+    power-basis coefficients of null vectors of `block_system(split, chi)`.
+    Vector w maps to x[c] = chi(g_c) w[o(c)] on the cells c of the blocks
+    o in cols, and to 0 on the gauge.
+    """
+    p, q, R = split.p, split.q, split.r
+    d = p * q
+    E = H.exp * (R // H.r)
+    cells = np.arange(d * d)
+    u, k = np.divmod(cells, d)
+    o = (u // q) * p + k // q
+    X, shift = [], []
+    for chi, cols, W in blocks:
+        full = np.zeros((len(W), p * p, W.shape[2]), dtype=object)
+        full[:, cols] = W
+        X.append(full[:, o])
+        chi_g = _pairing(chi, split.group.reshape(-1), q) * (R // q)
+        shift.append(np.broadcast_to(chi_g, (len(W), d * d)))
+    X, shift = np.concatenate(X), np.concatenate(shift)
+    z, c, j = np.nonzero(X != 0)
+    if not z.size:
+        return True
+    # column c = (u, k) of the system: +omega^(E[u,k] - E[v,k]) in row
+    # (u, v) and -omega^(E[v,k] - E[u,k]) in row (v, u), for every v (the
+    # two terms of v = u cancel)
+    uc, kc, v = u[c][:, None], k[c][:, None], np.arange(d)
+    delta = E[uc, kc] - E[v, kc]
+    base = (shift[z, c] + j)[:, None]
+    row0 = (z * d * d)[:, None]
+    rows = np.stack([row0 + uc * d + v, row0 + v * d + uc])
+    exps = np.stack([delta + base, -delta + base])
+    weight = X[z, c, j][:, None]
+    return bool(sums_vanish(len(X) * d * d, rows, exps, R, np.stack([weight, -weight])).all())

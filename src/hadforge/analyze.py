@@ -18,7 +18,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._exactrank import SEED, System, certify_rank, screen_rank
+from ._exactrank import (
+    SEED,
+    RankCertificationError,
+    System,
+    certify_null_space,
+    certify_rank,
+    evaluate_rows,
+    find_embedding_prime,
+    rank_mod,
+)
+from ._weyl import block_system, lift_is_null, weyl_split
 from .construct import BlockAssignment, theorem1_build
 from .matrices import (
     ComplexMatrix,
@@ -111,12 +121,14 @@ def _exact_rows(H: ExponentMatrix) -> System:
     row = 2 * np.arange(iu.size)[:, None] + np.arange(2)
     col = block[:, None, :] * (d - 1) + np.arange(d - 1)[:, None]
     exp = np.stack([delta, -delta % r], axis=-1)
+    # narrow term arrays: a root that reaches a rank is below 2^25
+    # (find_embedding_prime), and every index is below d^2
     return System(
         d * (d - 1),
-        flat(row[:, :, None, None, None]),
-        flat(col[:, None, :, :, None]),
-        flat(exp[:, None, :, None, :]),
-        flat(_EXACT_COEFFS[None, :, None]),
+        flat(row[:, :, None, None, None].astype(np.int32)),
+        flat(col[:, None, :, :, None].astype(np.int32)),
+        flat(exp[:, None, :, None, :].astype(np.int32)),
+        flat(_EXACT_COEFFS[None, :, None].astype(np.int8)),
     )
 
 
@@ -155,6 +167,60 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
         return DefectReport(0, 0, 0, "exact", {"root": r})
     rank, ev = certify_rank(_exact_rows(E), n, r)
     ev["root"] = r
+    return DefectReport(n - rank, n, rank, "exact", ev)
+
+
+def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> DefectReport:
+    """Defect of H, the dephased build of a at its minimal root, through the
+    Weyl-Heisenberg split of `_weyl` whenever `weyl_split` verifies its
+    automorphisms on H, and by `_defect_exact` otherwise.
+
+    All q^2 character blocks are imaged mod one prime, the first that
+    Random(SEED) draws for the split's root, and eliminated together.  When
+    every block has the rank of its gauge-free columns, H is certified
+    isolated (mode "exact").  Otherwise the ranks give a certified upper
+    bound on the defect: mode "bound" without `certify`; with it, each short
+    block goes to `certify_null_space` on its gauge-free columns, and the
+    null vectors of all of them, mapped back to the d^2 variables, are
+    checked against the whole system (`lift_is_null`) before the defect is
+    reported as exact.  H must be unitary, which a build is.
+    """
+    split = weyl_split(a, H)
+    if split is None:
+        return _defect_exact(H)
+    n = (H.d - 1) ** 2
+    p2 = a.p * a.p
+    l, g = find_embedding_prime(split.r, random.Random(SEED))
+    image = evaluate_rows(split.system, p2, l, g, split.r).reshape(-1, split.m, p2)
+    ranks = rank_mod(image, l)
+    full = p2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
+    if (ranks > full).any():
+        raise RankCertificationError("a character block outranks its gauge-free columns")
+    rank = int(ranks.sum())
+    ev = {
+        "root": H.r,
+        "blocks": len(ranks),
+        "block_columns": p2,
+        "pivot_count": rank,
+        "primes": [l],
+        "null_vectors": 0,
+    }
+    short = np.flatnonzero(ranks < full).tolist()
+    if not short:
+        return DefectReport(0, n, n, "exact", ev)
+    if not certify:
+        return DefectReport(n - rank, n, rank, "bound", ev)
+    blocks = []
+    for chi in short:
+        system, cols = block_system(split, chi)
+        rk, bev, W = certify_null_space(system, cols.size, split.r)
+        ev["primes"] += [x for x in bev["primes"] if x not in ev["primes"]]
+        rank += rk - int(ranks[chi])
+        blocks.append((chi, cols, W))
+    if not lift_is_null(split, H, blocks):
+        raise RankCertificationError("a block null vector is not a null vector of the system")
+    ev["pivot_count"] = rank
+    ev["null_vectors"] = n - rank
     return DefectReport(n - rank, n, rank, "exact", ev)
 
 
@@ -379,22 +445,17 @@ def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
 def _examine(a: BlockAssignment, cache: dict):
     """Butson root, Haagerup fingerprint and defect report of one assignment.
 
-    The defect comes from one rank of the exact defect system mod the prime
-    that `certify_rank` draws first.  Full rank certifies isolation, with
-    `certify_rank`'s own report (mode "exact"); a lower rank gives a
-    certified upper bound on the defect (mode "bound").
+    The defect is `_build_defect`'s without the certificate: one rank mod a
+    prime of every Weyl-Heisenberg block of the build, all q^2 eliminated
+    together.  Every block at full gauge-free rank certifies isolation
+    (mode "exact"); otherwise the ranks give a certified upper bound on the
+    defect (mode "bound").
     """
     H = theorem1_build(a, _cache=cache)
     Hd, _ = dephase(H)
     root, reduced = butson_min_root(Hd)
     fp = haagerup_set(reduced).digest()
-    d = reduced.d
-    n = (d - 1) ** 2
-    system = _exact_rows(reduced)
-    rank, ev = screen_rank(system, n, root, random.Random(SEED))
-    ev["root"] = root
-    rep = DefectReport(n - rank, n, rank, "exact" if rank == n else "bound", ev)
-    return root, fp, rep
+    return root, fp, _build_defect(a, reduced, certify=False)
 
 
 def assignment_search(
@@ -409,6 +470,14 @@ def assignment_search(
     Classes are keyed by (Haagerup fingerprint, defect), where the defect
     of a class that is not isolated is `_examine`'s certified upper bound.
     Output order is the canonical enumeration order of `_candidate_indices`.
+
+    Defects.  `_examine` splits the defect system of each representative's
+    build into q^2 Weyl-Heisenberg blocks of p^2 columns (`_weyl`), after
+    checking the automorphisms exactly on the dephased grid, and ranks all
+    blocks mod one prime in one stacked elimination.  That certifies an
+    isolated class, and bounds the defect of any other from above.  The
+    split uses the same covariance of the complete set under X and Z that
+    the orbits below use under the Clifford relabellings.
 
     Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
     Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,

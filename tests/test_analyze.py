@@ -1132,15 +1132,27 @@ def test_exact_and_float_defects_agree_on_search_grids(p, q):
         assert_defects_agree(reduced_grid(theorem1_build(a)))
 
 
-@pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 3), (3, 5), (5, 3), (2, 7)])
 def test_examine_screen_matches_the_exact_defect(p, q):
+    """The screen is one rank mod a prime of each Weyl-Heisenberg block of
+    the build, so its evidence describes the split, not the unsplit
+    certificate."""
     cache: dict = {}
     for a in _candidate_assignments(p, complete_mub_set(q)):
-        _, _, rep = _examine(a, cache)
+        root, _, rep = _examine(a, cache)
         exact = _defect_exact(reduced_grid(theorem1_build(a)))
         assert rep.defect == exact.defect
+        l = find_embedding_prime(lcm(root, q), random.Random(_exactrank.SEED))[0]
+        assert rep.evidence == {
+            "root": root,
+            "blocks": q * q,
+            "block_columns": p * p,
+            "pivot_count": rep.rank,
+            "primes": [l],
+            "null_vectors": 0,
+        }
         if exact.defect == 0:
-            assert rep == exact and rep.evidence == exact.evidence
+            assert rep == exact
         else:
             assert rep.mode == "bound" and rep.rank == exact.rank
 

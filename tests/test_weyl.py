@@ -1,0 +1,204 @@
+"""The Weyl-Heisenberg split of the defect system of a build."""
+
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadforge import catalog
+from hadforge._exactrank import _echelon, rank_mod, rref_mod
+from hadforge._weyl import weyl_split
+from hadforge.analyze import _build_defect, _defect_exact, assignment_search
+from hadforge.construct import BlockAssignment, theorem1_build
+from hadforge.matrices import EquivalenceMove, apply_equivalence, butson_min_root, dephase
+from hadforge.mub import IdentityBasis, complete_mub_set
+
+RECIPES = [n for n in catalog.names() if catalog.entry(n).recipe is not None]
+RECIPES_UP_TO_49 = [n for n in RECIPES if catalog.entry(n).d <= 49]
+
+
+def reduced_build(a):
+    return butson_min_root(dephase(theorem1_build(a))[0])[1]
+
+
+# ----------------------------------------------------------------------
+# the automorphism, witnessed on the build
+# ----------------------------------------------------------------------
+
+def weyl_witness(B, W, q):
+    """(sigma, theta, r) with column t of W B equal to omega_r^theta[t]
+    times column sigma[t] of B, for W = "X" (|k> -> |k+1>) or "Z"
+    (|k> -> omega_q^k |k>), found one column at a time."""
+    if isinstance(B, IdentityBasis):
+        if W == "X":
+            return [(t + 1) % q for t in range(q)], [0] * q, 1
+        return list(range(q)), list(range(q)), q
+    r = lcm(B.r, q)
+    E = B.rescaled(r).exp.tolist()
+    if W == "X":
+        UB = [E[(k - 1) % q] for k in range(q)]
+    else:
+        UB = [[e + k * (r // q) for e in E[k]] for k in range(q)]
+    sigma, theta = [], []
+    for t in range(q):
+        for t2 in range(q):
+            diffs = {(UB[k][t] - E[k][t2]) % r for k in range(q)}
+            if len(diffs) == 1:
+                sigma.append(t2)
+                theta.append(diffs.pop())
+                break
+        else:
+            raise AssertionError(f"{W} B is not B times a monomial matrix")
+    return sigma, theta, r
+
+
+def weyl_move(a, W, r):
+    """The move whose result is the build of a itself: block (i, j) is
+    K_i^dagger L_j / sqrt(p) up to its phase, and <W K_s, W L_t> =
+    <K_s, L_t> makes entry (s, t) equal to conj(c_s) d_t times entry
+    (sigma_K s, sigma_L t), for W K_s = c_s K_(sigma_K s) and W L_t =
+    d_t L_(sigma_L t)."""
+    q = a.q
+    perms, phases = ([], []), ([], [])
+    for side, sign, bases in ((0, -1, a.K), (1, 1, a.L)):
+        for i, B in enumerate(bases):
+            sigma, theta, rw = weyl_witness(B, W, q)
+            perms[side].extend(i * q + s for s in sigma)
+            phases[side].extend(sign * x * (r // rw) % r for x in theta)
+    return EquivalenceMove(*map(tuple, perms), *map(tuple, phases), r)
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_weyl_operators_are_exact_monomial_automorphisms_of_every_recipe(name):
+    a = catalog.assignment(name)
+    H = theorem1_build(a)
+    r = lcm(H.r, 4 * a.q)
+    for W in ("X", "Z"):
+        move = weyl_move(a, W, r)
+        assert move.row_perm != tuple(range(a.d)) or move.col_perm != tuple(range(a.d))
+        assert apply_equivalence(H, move) == H, W
+    assert weyl_split(a, catalog.build(name)) is not None
+
+
+# ----------------------------------------------------------------------
+# the split defect against the unsplit certificate
+# ----------------------------------------------------------------------
+
+def assert_split_matches_exact(a, H):
+    split = _build_defect(a, H, certify=True)
+    exact = _defect_exact(H)
+    assert split == exact  # defect, variables, rank and mode
+    ev = split.evidence
+    assert ev["blocks"] == a.q**2 and ev["block_columns"] == a.p**2
+    assert ev["pivot_count"] == split.rank and ev["null_vectors"] == split.defect
+    assert ev["root"] == H.r
+    bound = _build_defect(a, H, certify=False)
+    assert bound.defect >= split.defect
+    assert bound.mode == ("exact" if bound.defect == 0 else "bound")
+
+
+@pytest.mark.parametrize("name", RECIPES_UP_TO_49)
+def test_split_defect_matches_the_certificate_on_catalog_recipes(name):
+    assert_split_matches_exact(catalog.assignment(name), catalog.build(name))
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7)])
+def test_split_defect_matches_the_certificate_on_search_representatives(p, q):
+    for a in assignment_search(p, q).representatives:
+        assert_split_matches_exact(a, reduced_build(a))
+
+
+@st.composite
+def valid_assignments(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.integers(1, 21 // q))
+    mub = complete_mub_set(q)
+    # no basis on both sides: K and L draw from two disjoint parts of the set
+    labels = draw(st.permutations(mub.labels))
+    cut = draw(st.integers(1, len(labels) - 1))
+    K = [draw(st.sampled_from(labels[:cut])) for _ in range(p)]
+    L = [draw(st.sampled_from(labels[cut:])) for _ in range(p)]
+    return BlockAssignment.from_labels(p, q, K, L, mub=mub)
+
+
+@given(a=valid_assignments())
+@settings(max_examples=25, deadline=None)
+def test_split_defect_matches_the_certificate_on_random_assignments(a):
+    assert_split_matches_exact(a, reduced_build(a))
+
+
+@pytest.mark.parametrize("name", ["S9", "Sp10", "S15"])
+def test_a_grid_that_is_not_the_build_fails_the_check_and_keeps_its_defect(name):
+    a = catalog.assignment(name)
+    H = catalog.build(name)
+    # swap two rows of different block rows, then dephase again
+    rows = list(range(H.d))
+    rows[1], rows[H.d - 1] = rows[H.d - 1], rows[1]
+    move = EquivalenceMove(tuple(rows), tuple(range(H.d)), (0,) * H.d, (0,) * H.d, 1)
+    moved = butson_min_root(dephase(apply_equivalence(H, move))[0])[1]
+    assert moved != H
+    assert weyl_split(a, moved) is None
+    exact = _defect_exact(moved)
+    for certify in (True, False):
+        rep = _build_defect(a, moved, certify=certify)
+        assert rep == exact and rep.evidence == exact.evidence
+
+
+# ----------------------------------------------------------------------
+# the stacked elimination kernel against one matrix at a time
+# ----------------------------------------------------------------------
+
+TOP_PRIME = 33554393
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 6),
+    shape=st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        st.tuples(st.integers(200, 280), st.sampled_from([255, 257, 300, 520])),
+    ),
+    planted=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_kernel_matches_each_matrix_alone(seed, B, shape, planted):
+    """Random stacks, and stacks whose matrices have a planted rank, zero
+    columns or repeated rows, against rank_mod and rref_mod of each
+    matrix; both modes, across panel boundaries."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    l = TOP_PRIME
+    S = rng.integers(0, l, (B, m, n))
+    for b in range(B):
+        if planted[b]:
+            k = int(rng.integers(0, min(m, n) + 1))
+            S[b] = rng.integers(0, l, (m, k)) @ rng.integers(0, l, (k, n)) % l
+            S[b, :, rng.integers(0, n, 3)] = 0
+            S[b, rng.integers(0, m, 2)] = S[b, rng.integers(0, m)]
+    ranks = rank_mod(S.astype(np.int32), l)
+    R, pivots = _echelon(S.copy(), l, True)
+    echelon = _echelon(S.copy(), l, False)[0]
+    for b in range(B):
+        assert ranks[b] == rank_mod(S[b].copy(), l)
+        R1, p1 = rref_mod(S[b].copy(), l)
+        assert np.array_equal(R[b], R1)
+        assert np.flatnonzero(pivots[b]).tolist() == p1
+        # the same row operations as for the matrix alone, bit for bit
+        alone = S[b].copy()
+        rank_mod(alone, l)
+        assert np.array_equal(echelon[b], alone)
+
+
+def test_stacked_kernel_keeps_each_matrix_apart():
+    # one matrix of the stack is zero and one is full rank: a pivot of one
+    # must not touch the rows of the other
+    l = TOP_PRIME
+    S = np.zeros((3, 4, 4), dtype=np.int64)
+    S[1] = np.eye(4, dtype=np.int64)[::-1]
+    S[2, :, 2] = 5
+    assert rank_mod(S.copy(), l).tolist() == [0, 4, 1]
+    R, pivots = _echelon(S, l, True)
+    assert np.array_equal(R[1], np.eye(4))
+    assert pivots.sum(axis=1).tolist() == [0, 4, 1]
