@@ -21,14 +21,16 @@ every time; the assignment and its complete MUB set are made once per side
 outside the timing).  The script prints the seconds of every round, then
 per call each side's median, the ratio b/a and each side's wins out of the
 rounds.  The warm-up calls' results are compared: for a search its
-`examined`, `partial`, classes and findings (K and L labels and
-fingerprint of each), for a verify its verdict and defect, for a build the
-root and the sha256 of the exponent grid, for a defect the defect, its mode
-and its evidence, for an examine the root, fingerprint, defect and mode.
-The number of orbit representatives each side analysed is printed for
-every search; it may differ between the sides.  With `--json PATH` the seconds of every round
-are also written to PATH, per call and side.  The exit status is 1 when
-some call's results differ, after the timed rounds, and 0 otherwise.
+`examined`, `partial`, classes, the K and L labels of every orbit
+representative, and every finding (its labels, Butson root, fingerprint
+and full report: defect, rank, mode and evidence), so that equal results
+mean an identical search; for a verify its verdict and defect, for a
+build the root and the sha256 of the exponent grid, for a defect the full
+report, for an examine the root, fingerprint and full report.  The number
+of orbit representatives each side analysed is printed for every search.
+With `--json PATH` the seconds of every round are also written to PATH,
+per call and side.  The exit status is 1 when some call's results differ,
+after the timed rounds, and 0 otherwise.
 
 Example:
     python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
@@ -89,18 +91,19 @@ class Side:
         if kind == "search":
             res = self.analyze.assignment_search(int(args[0]), int(args[1]))
             findings = tuple(
-                (f.assignment.K_labels, f.assignment.L_labels, f.fingerprint)
+                (f.assignment.K_labels, f.assignment.L_labels, f.butson_root, f.fingerprint)
+                + report(f.report)
                 for f in res.findings
             )
-            out = (res.examined, res.partial, tuple(res.classes), findings)
+            labels = tuple((a.K_labels, a.L_labels) for a in res.representatives)
+            out = (res.examined, res.partial, tuple(res.classes), labels, findings)
             reps = len(res.representatives)
         elif kind == "defect":
-            rep = self.analyze.defect(x, mode="exact")
-            out = (rep.defect, rep.mode, tuple(sorted(rep.evidence.items())))
+            out = report(self.analyze.defect(x, mode="exact"))
             reps = None
         elif kind == "examine":
             root, fp, rep = self.analyze._examine(x, {})
-            out = (root, fp, rep.defect, rep.mode)
+            out = (root, fp) + report(rep)
             reps = None
         elif kind == "verify":
             rep = self.catalog.verify(args[0])
@@ -122,6 +125,11 @@ class Side:
         finally:
             tracemalloc.stop()
         return out, reps, peak / 2**20
+
+
+def report(rep) -> tuple:
+    """A defect report in full: defect, rank, mode and evidence."""
+    return rep.defect, rep.rank, rep.mode, json.dumps(rep.evidence, sort_keys=True)
 
 
 def parse_call(text: str) -> str:

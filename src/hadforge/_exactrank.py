@@ -19,11 +19,12 @@ is one int32 array with entries in [0, l), as `evaluate_rows` returns it.
 The kernel takes a stack of images, an array (B, m, n), and eliminates all
 B matrices together: each column is one step whose pivot search, swaps,
 scaling and row updates are numpy calls over every matrix that pivots
-there, so the q^2 character blocks of a build's defect system (`_weyl`)
-take p^2 steps in all.  A 2-D image is the stack of one, and `rank_mod`
-returns the ranks of a stack as an array.  The kernel reduces its input in
-place: it overwrites it and returns it as R, so the image is the only
-full-size array of a rank or an RREF.  It works on column panels of 256.
+there, so the q^2 character blocks of a build's defect system (`_weyl`),
+or those of many builds of one search, take p^2 steps in all.  A 2-D
+image is the stack of one, and `rank_mod` returns the ranks of a stack as
+an array.  The kernel reduces its input in place: it overwrites it and
+returns it as R, so the image is the only full-size array of a rank or an
+RREF.  It works on column panels of 256.
 Each panel is copied to an int64 work array,
 eliminated there column by column, and written back reduced; the row
 operations are recorded as coefficients on the panel's pivot rows.  The
@@ -211,10 +212,11 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     pivot columns.
 
     A column is one step for the whole stack: the pivot search, the swaps,
-    the scaling and the row updates each take one numpy call over every
-    matrix that pivots there.  A stack of one takes the same step with
-    scalar indices: on a small system the index bookkeeping of the stacked
-    step would cost about as much as the elimination itself.
+    the scaling (the pivot inverses by `_inverses`) and the row updates
+    each take one numpy call over every matrix that pivots there.  A stack
+    of one takes the same step with scalar indices: on a small system the
+    index bookkeeping of the stacked step would cost about as much as the
+    elimination itself.
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
@@ -306,7 +308,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
                     A[prow, w + t[b]] = 1  # as for a stack of one
                 P = A[prow, c:end]
                 P %= l
-                P *= np.array([pow(int(x), -1, l) for x in P[:, 0]], dtype=np.int64)[:, None]
+                P *= _inverses(P[:, 0], l)[:, None]
                 P %= l
                 A[prow, c:end] = P
                 if idx.size:
@@ -328,6 +330,24 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
             _apply_panel(M[:, first:, c1:], W, perm.reshape(B, h) % h, top - first, t, l)
         top += t
     return M, pivots
+
+
+def _inverses(x: np.ndarray, l: int) -> np.ndarray:
+    """x^(l - 2) mod l of every entry of the int64 array x, by square and
+    multiply: the inverse of each nonzero x in F_l.  The entries are
+    reduced, below l < 2^25, so every product is below 2^50."""
+    out = np.ones_like(x)
+    x = x.copy()
+    e = l - 2
+    while True:
+        if e & 1:
+            out *= x
+            out %= l
+        e >>= 1
+        if not e:
+            return out
+        x *= x
+        x %= l
 
 
 def _apply_panel(

@@ -84,8 +84,9 @@ it is exact when every M_chi has rank p^2 - dim T_chi mod that prime.
 
 from __future__ import annotations
 
+import weakref
 from math import lcm
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -117,10 +118,31 @@ class WeylSplit(NamedTuple):
     group: np.ndarray  # (d, d) int: a*q + b
 
 
-def _permutations(B, q: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+# (pi_X, pi_Z) of every basis read so far, by the basis object: the bases of
+# a search or a recipe are the q + 1 members of one cached MubSet, so each
+# is read once, not once per build.  An entry leaves with its basis, so the
+# id of a live basis is never a stale key.
+_READ: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _permutations(B) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """`_read_permutations(B)`, read once per basis object; the arrays are
+    read-only, as every build of the basis shares them."""
+    key = id(B)
+    if key not in _READ:
+        weakref.finalize(B, _READ.pop, key, None)
+        perms = _read_permutations(B)
+        for pi in perms or ():
+            pi.setflags(write=False)
+        _READ[key] = perms
+    return _READ[key]
+
+
+def _read_permutations(B) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """(pi_X, pi_Z) with column t of W B a root of unity times column
     pi_W(t) of B, for W = X and W = Z, read exactly off the exponent grid of
     B; None when W B is not B times a monomial matrix."""
+    q = B.d
     k = np.arange(q)
     if isinstance(B, IdentityBasis):
         return (k + 1) % q, k
@@ -153,7 +175,7 @@ def weyl_split(a: BlockAssignment, H: ExponentMatrix) -> Optional[WeylSplit]:
     p, q, d = a.p, a.q, a.d
     if H.d != d:
         return None
-    perms = [_permutations(B, q) for B in (*a.K, *a.L)]
+    perms = [_permutations(B) for B in (*a.K, *a.L)]
     if any(x is None for x in perms):
         return None
     off = q * np.arange(p)

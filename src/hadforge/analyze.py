@@ -8,6 +8,8 @@ screening, and exhaustive search over mutually unbiased block assignments.
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -170,51 +172,117 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
     return DefectReport(n - rank, n, rank, "exact", ev)
 
 
-def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> DefectReport:
-    """Defect of H, the dephased build of a at its minimal root, through the
-    Weyl-Heisenberg split of `_weyl` whenever `weyl_split` verifies its
-    automorphisms on H, and by `_defect_exact` otherwise.
+# The character blocks of a stream of builds (a search) are imaged one
+# build at a time and queued by prime and block shape; a queue that holds
+# _STACK block matrices is ranked in one stacked elimination.  The bound
+# keeps the stacked work arrays small: at (5, 3), 108 blocks of 25 x 25
+# peak at about 2 MB of traced allocations.
+_STACK = 100
 
-    All q^2 character blocks are imaged mod one prime, the first that
-    Random(SEED) draws for the split's root, and eliminated together.  When
-    every block has the rank of its gauge-free columns, H is certified
-    isolated (mode "exact").  Otherwise the ranks give a certified upper
-    bound on the defect: mode "bound" without `certify`; with it, each short
-    block goes to `certify_null_space` on its gauge-free columns, and the
-    null vectors of all of them, mapped back to the d^2 variables, are
-    checked against the whole system (`lift_is_null`) before the defect is
-    reported as exact.  H must be unitary, which a build is.
+
+@functools.lru_cache(maxsize=None)
+def _block_prime(r: int) -> Tuple[int, int]:
+    """(l, g) of `find_embedding_prime(r, Random(SEED))`: the draw is
+    deterministic, so it is made once per root."""
+    return find_embedding_prime(r, random.Random(SEED))
+
+
+class _Pending:
+    """A build on its way through `_defects`: its character blocks imaged
+    mod l until a stacked elimination ranks them, then its report."""
+
+    __slots__ = ("tag", "report", "image", "l", "full", "n", "root", "split")
+
+    def __init__(self, tag) -> None:
+        self.tag, self.report = tag, None
+
+
+def _defects(builds, certify: bool):
+    """(tag, defect report) of every (a, H, tag) of `builds`, in their
+    order, with H the dephased build of a at its minimal root (so unitary).
+
+    The defect goes through the Weyl-Heisenberg split of `_weyl` whenever
+    `weyl_split` verifies its automorphisms on H, and through
+    `_defect_exact` otherwise.  The q^2 character blocks of a split are
+    imaged mod one prime, the first that Random(SEED) draws for the split's
+    root, and the split itself is dropped unless `certify` needs it.  The
+    images wait in a queue per (prime, block shape); a queue is ranked by
+    one `rank_mod` of its stacked blocks once it holds _STACK of them, and
+    every queue at the end of `builds`.  Each build's slice of the ranks
+    makes its report (`_block_report`).  A batch of one build is
+    `_build_defect`; a stream is the search.
     """
-    split = weyl_split(a, H)
-    if split is None:
-        return _defect_exact(H)
-    n = (H.d - 1) ** 2
-    p2 = a.p * a.p
-    l, g = find_embedding_prime(split.r, random.Random(SEED))
-    image = evaluate_rows(split.system, p2, l, g, split.r).reshape(-1, split.m, p2)
-    ranks = rank_mod(image, l)
-    full = p2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
-    if (ranks > full).any():
+    queues: Dict[tuple, List[_Pending]] = {}
+    order: collections.deque = collections.deque()
+
+    def flush(key) -> None:
+        batch = queues.pop(key)
+        ranks = rank_mod(np.concatenate([x.image for x in batch]), key[0])
+        at = 0
+        for x in batch:
+            blocks = len(x.image)
+            x.report = _block_report(x, ranks[at : at + blocks], certify)
+            x.image = x.split = None
+            at += blocks
+
+    for a, H, tag in builds:
+        x = _Pending(tag)
+        order.append(x)
+        split = weyl_split(a, H)
+        if split is None:
+            x.report = _defect_exact(H)
+        else:
+            p2 = a.p * a.p
+            x.l, g = _block_prime(split.r)
+            x.image = evaluate_rows(split.system, p2, x.l, g, split.r).reshape(-1, split.m, p2)
+            x.full = p2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
+            x.n, x.root = (H.d - 1) ** 2, H.r
+            x.split = (split, H) if certify else None
+            key = (x.l, *x.image.shape)
+            queue = queues.setdefault(key, [])
+            queue.append(x)
+            if len(queue) * len(x.image) >= _STACK:
+                flush(key)
+        while order and order[0].report is not None:
+            done = order.popleft()
+            yield done.tag, done.report
+    for key in list(queues):
+        flush(key)
+    for done in order:
+        yield done.tag, done.report
+
+
+def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport:
+    """The report of a build from the ranks of its character blocks mod one
+    prime.  When every block has the rank of its gauge-free columns, H is
+    certified isolated (mode "exact").  Otherwise the ranks give a certified
+    upper bound on the defect: mode "bound" without `certify`; with it,
+    each short block goes to `certify_null_space` on its gauge-free
+    columns, and the null vectors of all of them, mapped back to the d^2
+    variables, are checked against the whole system (`lift_is_null`)
+    before the defect is reported as exact."""
+    if (ranks > x.full).any():
         raise RankCertificationError("a character block outranks its gauge-free columns")
-    rank = int(ranks.sum())
+    n, rank = x.n, int(ranks.sum())
     ev = {
-        "root": H.r,
+        "root": x.root,
         "blocks": len(ranks),
-        "block_columns": p2,
+        "block_columns": x.image.shape[2],
         "pivot_count": rank,
-        "primes": [l],
+        "primes": [x.l],
         "null_vectors": 0,
     }
-    short = np.flatnonzero(ranks < full).tolist()
+    short = np.flatnonzero(ranks < x.full).tolist()
     if not short:
         return DefectReport(0, n, n, "exact", ev)
     if not certify:
         return DefectReport(n - rank, n, rank, "bound", ev)
+    split, H = x.split
     blocks = []
     for chi in short:
         system, cols = block_system(split, chi)
         rk, bev, W = certify_null_space(system, cols.size, split.r)
-        ev["primes"] += [x for x in bev["primes"] if x not in ev["primes"]]
+        ev["primes"] += [y for y in bev["primes"] if y not in ev["primes"]]
         rank += rk - int(ranks[chi])
         blocks.append((chi, cols, W))
     if not lift_is_null(split, H, blocks):
@@ -222,6 +290,15 @@ def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> Defec
     ev["pivot_count"] = rank
     ev["null_vectors"] = n - rank
     return DefectReport(n - rank, n, rank, "exact", ev)
+
+
+def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> DefectReport:
+    """Defect of H, the dephased build of a at its minimal root: the batch
+    of one build of `_defects`, whose docstring has the method.  With
+    `certify` (`catalog.verify`), a build that is not isolated gets its
+    exact defect from the null vectors of its short blocks; without it, the
+    one-prime bound."""
+    return next(_defects([(a, H, None)], certify))[1]
 
 
 def defect(H: Matrix, mode: str = "auto") -> DefectReport:
@@ -442,20 +519,33 @@ def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
     }
 
 
-def _examine(a: BlockAssignment, cache: dict):
-    """Butson root, Haagerup fingerprint and defect report of one assignment.
+def _examine_all(assignments, cache: dict):
+    """(a, Butson root, Haagerup fingerprint, defect report) of every
+    assignment a, in order.
 
-    The defect is `_build_defect`'s without the certificate: one rank mod a
-    prime of every Weyl-Heisenberg block of the build, all q^2 eliminated
-    together.  Every block at full gauge-free rank certifies isolation
-    (mode "exact"); otherwise the ranks give a certified upper bound on the
-    defect (mode "bound").
+    Each build is dephased and brought to its minimal root, and its digest
+    taken, as it comes; its defect is `_defects`' without the certificate,
+    so the character blocks of many builds are ranked mod their prime in
+    one stacked elimination.  Every block at full gauge-free rank certifies
+    isolation (mode "exact"); otherwise the ranks give a certified upper
+    bound on the defect (mode "bound").
     """
-    H = theorem1_build(a, _cache=cache)
-    Hd, _ = dephase(H)
-    root, reduced = butson_min_root(Hd)
-    fp = haagerup_set(reduced).digest()
-    return root, fp, _build_defect(a, reduced, certify=False)
+
+    def builds():
+        for a in assignments:
+            H = theorem1_build(a, _cache=cache)
+            root, reduced = butson_min_root(dephase(H)[0])
+            yield a, reduced, (a, root, haagerup_set(reduced).digest())
+
+    for (a, root, fp), rep in _defects(builds(), certify=False):
+        yield a, root, fp, rep
+
+
+def _examine(a: BlockAssignment, cache: dict):
+    """Butson root, Haagerup fingerprint and defect report of one
+    assignment: the batch of one of `_examine_all`, so the same report, to
+    its evidence, that the search makes for a."""
+    return next(_examine_all([a], cache))[1:]
 
 
 def assignment_search(
@@ -471,13 +561,18 @@ def assignment_search(
     of a class that is not isolated is `_examine`'s certified upper bound.
     Output order is the canonical enumeration order of `_candidate_indices`.
 
-    Defects.  `_examine` splits the defect system of each representative's
-    build into q^2 Weyl-Heisenberg blocks of p^2 columns (`_weyl`), after
-    checking the automorphisms exactly on the dephased grid, and ranks all
-    blocks mod one prime in one stacked elimination.  That certifies an
-    isolated class, and bounds the defect of any other from above.  The
-    split uses the same covariance of the complete set under X and Z that
-    the orbits below use under the Clifford relabellings.
+    Defects.  Each representative's build is dephased, brought to its
+    minimal root and digested in turn, and its defect system split into q^2
+    Weyl-Heisenberg blocks of p^2 columns (`_weyl`), after an exact check
+    of the automorphisms on that grid.  Only the blocks' image mod one
+    prime is kept, not the split; the images of many representatives wait
+    in one queue per (prime, rows per block) and are ranked together, one
+    stacked elimination per _STACK blocks (`_examine_all`).  Every report
+    is the one `_examine` gives the representative alone, evidence
+    included.  Full rank certifies an isolated class, and the ranks bound
+    the defect of any other from above.  The split uses the same
+    covariance of the complete set under X and Z that the orbits below use
+    under the Clifford relabellings.
 
     Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
     Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,
@@ -515,8 +610,9 @@ def assignment_search(
 
     `budget` caps `examined`: a representative is analysed only when its
     whole orbit fits in what is left of it.  `time_limit` (seconds) caps
-    wall time.  Stopping short of the end for either sets `stopped_by`
-    ("budget" or "time limit") and so `partial`.  Bad input raises
+    wall time: no representative is taken after it, and the blocks still
+    queued are then ranked.  Stopping short of the end for either sets
+    `stopped_by` ("budget" or "time limit") and so `partial`.  Bad input raises
     ValueError before any work: p < 1, a q that is not prime
     (NotPrimeError), or a negative budget or time limit.
     """
@@ -529,23 +625,26 @@ def assignment_search(
     mub = complete_mub_set(q)
     multipliers = _orbit_multipliers(q)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    cache: dict = {}
     res = SearchResult([], [], 0, [])
+
+    def representatives():
+        for kc, lc in _candidate_indices(p, q):
+            orbit = _orbit(kc, lc, q, multipliers)
+            if min(orbit) != (kc, lc):
+                continue
+            if budget is not None and res.examined + len(orbit) > budget:
+                res.stopped_by = "budget"
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                res.stopped_by = "time limit"
+                return
+            a = _assignment(p, kc, lc, mub)
+            res.examined += len(orbit)
+            res.representatives.append(a)
+            yield a
+
     seen: set = set()
-    for kc, lc in _candidate_indices(p, q):
-        orbit = _orbit(kc, lc, q, multipliers)
-        if min(orbit) != (kc, lc):
-            continue
-        if budget is not None and res.examined + len(orbit) > budget:
-            res.stopped_by = "budget"
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            res.stopped_by = "time limit"
-            break
-        a = _assignment(p, kc, lc, mub)
-        root, fp, rep = _examine(a, cache)
-        res.examined += len(orbit)
-        res.representatives.append(a)
+    for a, root, fp, rep in _examine_all(representatives(), {}):
         key = (fp, rep.defect)
         if key not in seen:
             seen.add(key)

@@ -162,18 +162,39 @@ def _build_set(q: int, diagonal: str) -> MubSet:
 
 
 def _verify_set(s: MubSet) -> None:
-    for label, b in s.hadamard_members():
-        if not is_unitary(b):
-            raise MubConstructionError(
-                f"non-unitary basis {label} in dimension {s.q}"
-            )
-    n = len(s.bases)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not is_mu_pair(s.bases[a], s.bases[b]):
-                raise MubConstructionError(
-                    f"bases {s.labels[a]}, {s.labels[b]} not MU in dimension {s.q}"
-                )
+    """Prove the set {I, F, H_1 ... H_(q-1)} pairwise MU exactly, with q
+    pairs tested instead of all (q + 1) q / 2.
+
+    First, an exact integer check of the form: at the common root R of the
+    set, H_1 - F is constant along each row, the exponent vector s of a
+    diagonal D, and every H_j - F is j s (mod R), so H_j = D^j F.  (For
+    q = 2 that is H_1 = diag(1, i) F at R = 4.)  Then F is unitary, and so
+    is every H_j, D being unimodular.  I is unbiased to every other basis,
+    whose entries are unimodular.  For 1 <= a < b <= q - 1,
+
+        H_a^dagger H_b = F^dagger D^(b - a) F = F^dagger H_(b - a),
+
+    with 1 <= b - a <= q - 2, so every inner product of the pair
+    (H_a, H_b) is one of the pair (F, H_(b - a)).  So the pairs
+    (F, H_c) for c = 1 ... q - 1, tested by `is_mu_pair`, are all the
+    pairs that need a test.  A set that fails raises MubConstructionError.
+    """
+    q = s.q
+    if len(s.bases) != q + 1 or not isinstance(s.bases[0], IdentityBasis):
+        raise MubConstructionError(f"the set in dimension {q} is not I, F and q - 1 more")
+    F, fanned = s.bases[1], s.bases[2:]
+    R = lcm(F.r, *(b.r for b in fanned))
+    E = F.rescaled(R).exp
+    shift = (fanned[0].rescaled(R).exp - E) % R
+    j = np.arange(1, q)[:, None, None]
+    grids = np.stack([b.rescaled(R).exp for b in fanned])
+    if (shift != shift[:, :1]).any() or ((grids - E - j * shift[:, :1]) % R).any():
+        raise MubConstructionError(f"the bases H_j are not D^j F in dimension {q}")
+    if not is_unitary(F):
+        raise MubConstructionError(f"non-unitary basis F in dimension {q}")
+    for label, b in zip(s.labels[2:], fanned):
+        if not is_mu_pair(F, b):
+            raise MubConstructionError(f"bases F, {label} not MU in dimension {q}")
 
 
 def is_mu_pair(

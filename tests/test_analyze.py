@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadforge import _exactrank, catalog
+from hadforge import _exactrank, analyze, catalog
 from hadforge._exactrank import (
     _PRIME_TEST_BOUND,
     System,
@@ -35,6 +35,7 @@ from hadforge.analyze import (
     _defect_exact,
     _defect_float,
     _examine,
+    _examine_all,
     _exact_rows,
     _float_system,
     _orbit,
@@ -1470,3 +1471,71 @@ def test_budget_matches_full_enumeration_when_orbits_are_single(p, q):
     for budget in range(total + 1):
         res = assignment_search(p, q, budget=budget)
         assert search_summary(res) == reference_assignment_search(p, q, budget)
+
+
+# ----------------------------------------------------------------------
+# the search's stacked eliminations against one build at a time
+# ----------------------------------------------------------------------
+
+def full_summary(res):
+    """Everything a SearchResult holds, the findings' evidence included."""
+    findings = [
+        (f.assignment.to_json(), f.report, f.report.evidence, f.butson_root, f.fingerprint)
+        for f in res.findings
+    ]
+    reps = [a.to_json() for a in res.representatives]
+    return res.classes, res.examined, res.stopped_by, reps, findings
+
+
+def one_at_a_time_search(p, q):
+    """The search's result with every representative examined alone, by
+    `_examine`, in enumeration order."""
+    mub = complete_mub_set(q)
+    cache: dict = {}
+    res = analyze.SearchResult([], [], 0, [])
+    seen = set()
+    for (kc, lc), size in orbits(p, q):
+        a = _assignment(p, kc, lc, mub)
+        root, fp, rep = _examine(a, cache)
+        res.examined += size
+        res.representatives.append(a)
+        if (fp, rep.defect) not in seen:
+            seen.add((fp, rep.defect))
+            res.classes.append((fp, rep.defect))
+            if rep.defect == 0:
+                res.findings.append(analyze.SearchFinding(a, rep, root, fp))
+    return res
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
+def test_stacked_search_matches_each_representative_alone(p, q):
+    res = assignment_search(p, q)
+    batched = list(_examine_all(res.representatives, {}))
+    assert [x[0] for x in batched] == res.representatives
+    cache: dict = {}
+    for a, root, fp, rep in batched:
+        root1, fp1, rep1 = _examine(a, cache)
+        assert (root, fp, rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
+    assert full_summary(res) == full_summary(one_at_a_time_search(p, q))
+
+
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7)])
+def test_search_does_not_depend_on_the_stack_size(p, q, stack, monkeypatch):
+    full = full_summary(assignment_search(p, q))
+    monkeypatch.setattr(analyze, "_STACK", stack)
+    assert full_summary(assignment_search(p, q)) == full
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3)])
+def test_a_search_cut_by_its_budget_is_a_prefix_of_the_whole(p, q):
+    full = assignment_search(p, q)
+    sizes = [size for _, size in orbits(p, q)]
+    for k in (1, 2, 5, len(sizes) // 2, len(sizes) - 1):
+        res = assignment_search(p, q, budget=sum(sizes[:k]))
+        assert res.stopped_by == "budget" and len(res.representatives) == k
+        assert res.classes == full.classes[: len(res.classes)]
+        assert full_summary(res)[4] == full_summary(full)[4][: len(res.findings)]
+        # the classes of the first k representatives, each at first sight
+        keys = [(fp, rep.defect) for _, _, fp, rep in _examine_all(full.representatives[:k], {})]
+        assert res.classes == list(dict.fromkeys(keys))

@@ -115,3 +115,84 @@ def test_catalog_builds_verify_their_set_once(monkeypatch):
     monkeypatch.setattr(mub, "_verify_set", lambda s: (verified.append(s.q), verify(s))[1])
     assert catalog.build("S91") == catalog.build("S91")
     assert verified == [13]
+
+
+# ----------------------------------------------------------------------
+# the set's verification: the form H_j = D^j F and q - 1 pairs
+# ----------------------------------------------------------------------
+
+def changed(s, label, cell, by):
+    """s with the exponent of one entry of basis `label` moved by `by`."""
+    i = s.labels.index(label)
+    B = s.bases[i]
+    E = B.exp.copy()
+    E[cell] += by
+    return mub.MubSet(s.q, s.labels, s.bases[:i] + (ExponentMatrix(B.d, B.r, E),) + s.bases[i + 1:])
+
+
+def fanned(q, diag):
+    """{I, F, D^j F} for the diagonal exponents diag at root q."""
+    bases = (IdentityBasis(q), fourier(q)) + tuple(mub._fanned_basis(q, j, diag) for j in range(1, q))
+    return mub.MubSet(q, ("I", "F") + tuple(f"H{j}" for j in range(1, q)), bases)
+
+
+def verifies(s):
+    try:
+        mub._verify_set(s)
+    except mub.MubConstructionError:
+        return False
+    return True
+
+
+def every_pair_verifies(s):
+    """The check the form replaces: every basis unitary, every pair MU."""
+    return all(is_unitary(b) for _, b in s.hadamard_members()) and all(
+        is_mu_pair(a, b) for i, a in enumerate(s.bases) for b in s.bases[i + 1:]
+    )
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_one_changed_entry_in_h3_is_rejected(q):
+    s = complete_mub_set(q)
+    assert verifies(s)
+    with pytest.raises(mub.MubConstructionError):
+        mub._verify_set(changed(s, "H3", (2, 1), 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_form_check_agrees_with_every_pair(q):
+    rng = np.random.default_rng(q)
+    sets = [complete_mub_set(q)]
+    if q > 2:
+        sets.append(complete_mub_set(q, "triangular"))
+        # fanned sets whose diagonal is not quadratic: the form holds, and
+        # the q - 1 pairs with F decide as all pairs do
+        sets += [fanned(q, tuple(rng.integers(0, q, q).tolist())) for _ in range(3)]
+    base = sets[0]
+    for label in base.labels[1:]:
+        cell = tuple(rng.integers(0, q, 2).tolist())
+        sets.append(changed(base, label, cell, int(rng.integers(1, base[label].r))))
+    verdicts = [(verifies(s), every_pair_verifies(s)) for s in sets]
+    assert all(a == b for a, b in verdicts), verdicts
+    assert verdicts[0] == (True, True)
+    assert all(v == (False, False) for v in verdicts[len(sets) - q :])
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_a_complete_set_not_of_the_form_is_rejected(q):
+    """Every pair of these sets is MU, but H_j = D^j F fails, on which the
+    q - 1 pair tests rest: H_2 and H_3 swapped, or one column of H_3 times
+    a root of unity."""
+    s = complete_mub_set(q)
+    i, j = s.labels.index("H2"), s.labels.index("H3")
+    swapped = list(s.bases)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    E = s["H3"].exp.copy()
+    E[:, 1] += 1
+    column = list(s.bases)
+    column[j] = ExponentMatrix(q, q, E)
+    for bases in (swapped, column):
+        t = mub.MubSet(q, s.labels, tuple(bases))
+        assert every_pair_verifies(t)
+        with pytest.raises(mub.MubConstructionError):
+            mub._verify_set(t)

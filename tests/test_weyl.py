@@ -1,5 +1,6 @@
 """The Weyl-Heisenberg split of the defect system of a build."""
 
+import random
 from math import lcm
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadforge import catalog
-from hadforge._exactrank import _echelon, rank_mod, rref_mod
+from hadforge._exactrank import _echelon, _inverses, find_embedding_prime, rank_mod, rref_mod
 from hadforge._weyl import weyl_split
 from hadforge.analyze import _build_defect, _defect_exact, assignment_search
 from hadforge.construct import BlockAssignment, theorem1_build
@@ -202,3 +203,27 @@ def test_stacked_kernel_keeps_each_matrix_apart():
     R, pivots = _echelon(S, l, True)
     assert np.array_equal(R[1], np.eye(4))
     assert pivots.sum(axis=1).tolist() == [0, 4, 1]
+
+
+@pytest.mark.parametrize("l", [TOP_PRIME, 16777259, 7])
+def test_vectorised_pivot_inverses_match_pow(l):
+    rng = np.random.default_rng(l)
+    x = np.concatenate([[1, 2, l - 1, l - 2], rng.integers(1, l, 200)]).astype(np.int64)
+    kept = x.copy()
+    assert _inverses(x, l).tolist() == [pow(int(v), -1, l) for v in x]
+    assert np.array_equal(x, kept)  # the pivots themselves are left as they are
+
+
+@given(seed=st.integers(0, 2**32 - 1), B=st.integers(50, 160), n=st.sampled_from([4, 9, 25]))
+@settings(max_examples=15, deadline=None)
+def test_stacked_kernel_on_many_small_blocks_matches_each_block_alone(seed, B, n):
+    """Stacks the size of the search's queues, of blocks with planted
+    ranks, at the primes the split draws, against rank_mod of each block."""
+    rng = np.random.default_rng(seed)
+    l = find_embedding_prime(int(rng.choice([14, 15, 30, 66])), random.Random(seed))[0]
+    m = int(rng.integers(n // 2 + 1, 2 * n + 1))
+    ranks = rng.integers(0, min(m, n) + 1, B)
+    S = np.stack([rng.integers(0, l, (m, k)) @ rng.integers(0, l, (k, n)) % l for k in ranks])
+    got = rank_mod(S.astype(np.int32), l)
+    assert got.tolist() == [rank_mod(S[b].copy(), l) for b in range(B)]
+    assert (got <= ranks).all()
