@@ -16,9 +16,9 @@ A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
 (`analyze.defect(H, mode="exact")`, H the assignment with those K and L
 block labels, built and dephased once per side outside the timing) or
 `examine:P:Q:K1,K2,..:L1,L2,..` (`analyze._examine` of that assignment,
-which the search calls once per representative, with a fresh build cache
-every time; the assignment and its complete MUB set are made once per side
-outside the timing).  The script prints the seconds of every round, then
+the batch of one of the stream `_examine_all` that the search runs over
+its representatives, with a fresh build cache every time; the assignment
+and its complete MUB set are made once per side outside the timing).  The script prints the seconds of every round, then
 per call each side's median, the ratio b/a and each side's wins out of the
 rounds.  The warm-up calls' results are compared: for a search its
 `examined`, `partial`, classes, the K and L labels of every orbit

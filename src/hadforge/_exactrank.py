@@ -22,9 +22,9 @@ scaling and row updates are numpy calls over every matrix that pivots
 there, so the q^2 character blocks of a build's defect system (`_weyl`),
 or those of many builds of one search, take p^2 steps in all.  A 2-D
 image is the stack of one, and `rank_mod` returns the ranks of a stack as
-an array.  The kernel reduces its input in place: it overwrites it and
-returns it as R, so the image is the only full-size array of a rank or an
-RREF.  It works on column panels of 256.
+an array; an RREF takes a stack of one.  The kernel reduces its input in
+place: it overwrites it and returns it as R, so the image is the only
+full-size array of a rank or an RREF.  It works on column panels of 256.
 Each panel is copied to an int64 work array,
 eliminated there column by column, and written back reduced; the row
 operations are recorded as coefficients on the panel's pivot rows.  The
@@ -207,7 +207,8 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     operations are recorded as coefficients on the panel's pivot rows, one
     column per pivot (the block W).  The panel is written back reduced, and
     the trailing columns then take W in float64 dgemms.  With `reduced`,
-    rows above each pivot are cleared too and R is the unique RREF.
+    rows above each pivot are cleared too and R is the unique RREF, of a
+    stack of one only (B > 1 raises ValueError).
     Returns (R, pivots), pivots a (B, n) bool array marking each matrix's
     pivot columns.
 
@@ -220,8 +221,10 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
-    M %= l
     B, m, n = M.shape
+    if reduced and B > 1:
+        raise ValueError(f"the RREF takes a stack of one matrix, not {B}")
+    M %= l
     pivots = np.zeros((B, n), dtype=bool)
     top = np.zeros(B, dtype=np.int64)  # pivots so far, per matrix
     for c0 in range(0, n, _PANEL):
@@ -295,15 +298,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
                     ps = np.stack((prow[moved], sel[moved]))
                     A[ps] = A[ps[::-1]]
                     perm[ps] = perm[ps[::-1]]
-                if reduced:
-                    # every nonzero row of a matrix that pivots here but its
-                    # pivot row; the swap moved a zero to sel
-                    has = np.zeros(B, dtype=bool)
-                    has[b] = True
-                    idx = np.delete(nz, np.searchsorted(nz, sel))
-                    idx = idx[has[idx // h]]
-                else:
-                    idx = np.delete(cand, head)  # the rows below each pivot
+                idx = np.delete(cand, head)  # the rows below each pivot
                 if trailing:
                     A[prow, w + t[b]] = 1  # as for a stack of one
                 P = A[prow, c:end]
@@ -443,27 +438,12 @@ def _units(r: int) -> List[int]:
     return [t for t in range(1, r) if gcd(t, r) == 1]
 
 
-def screen_rank(
-    system: System, n_cols: int, r: int, rng: random.Random
-) -> Tuple[int, dict]:
-    """Rank of the system's image mod the next prime drawn from rng, with
-    evidence.
-
-    Ranks only drop under ring maps, so this is a lower bound on the rank
-    over Q(omega_r): full column rank certifies full rank, and otherwise
-    n_cols minus it bounds the nullity from above.
-    """
-    l, g = find_embedding_prime(r, rng)
-    rk = rank_mod(evaluate_rows(system, n_cols, l, g, r), l)
-    return rk, {"pivot_count": rk, "primes": [l], "null_vectors": 0}
-
-
 def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
     """Exact rank of the system over Q(omega_r), with evidence.
 
     Returns (rank, evidence); evidence records the primes used, pivot count,
     and the number of exactly verified null vectors (when rank < n_cols).
-    The first prime is `screen_rank`'s, drawn from Random(SEED).
+    The first prime drawn from Random(SEED) screens the rank.
     """
     rank, evidence, _ = certify_null_space(system, n_cols, r)
     return rank, evidence
@@ -472,11 +452,15 @@ def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
 def certify_null_space(system: System, n_cols: int, r: int) -> Tuple[int, dict, np.ndarray]:
     """`certify_rank`'s rank and evidence, and the null basis it verified:
     an object array (n_cols - rank, n_cols, phi(r)) of power-basis
-    coefficients, as `_lift_vectors` returns it."""
+    coefficients, as `_lift_vectors` returns it.  The rank mod the first
+    prime screens it: ranks only drop under ring maps, so full column rank
+    mod l certifies full rank."""
     rng = random.Random(SEED)
-    rk0, ev = screen_rank(system, n_cols, r, rng)
+    l, g = find_embedding_prime(r, rng)
+    rk0 = rank_mod(evaluate_rows(system, n_cols, l, g, r), l)
     units = _units(r)
     if rk0 == n_cols:
+        ev = {"pivot_count": rk0, "primes": [l], "null_vectors": 0}
         return rk0, ev, np.zeros((0, n_cols, len(units)), dtype=object)
 
     # nullity candidate; recover the canonical null basis exactly
@@ -586,20 +570,42 @@ def _lift_vectors(per_prime: List[Tuple[int, np.ndarray]]) -> Optional[np.ndarra
 def _verify_null_vectors(system: System, W: np.ndarray, free: List[int], r: int) -> bool:
     """Exact check that every reconstructed vector of W (an object array
     (n_null, n_cols, phi), as `_lift_vectors` returns it) satisfies M . w = 0
-    in Z[omega_r], *and* that the family is linearly independent: vector #idx
-    must be algebraically nonzero at its own free column and zero at every
-    other free column (echelon structure)."""
+    in Z[omega_r] (`is_null`), *and* that the family is linearly
+    independent: vector #idx must be algebraically nonzero at its own free
+    column and zero at every other free column (echelon structure)."""
     # entries hold phi(r) power-basis coefficients, a basis of Z[omega_r],
     # so an entry is zero exactly when all of its coefficients are
     nonzero = (W != 0).any(axis=2)
     if not np.array_equal(nonzero[:, free], np.eye(len(W), len(free), dtype=bool)):
         return False
-    if not system.row.size or not len(W):
+    return is_null(system, W, r)
+
+
+def is_null(system: System, W: np.ndarray, r: int, shift: Optional[np.ndarray] = None) -> bool:
+    """Exact check that M . w = 0 in Z[omega_r] for every vector w of W, an
+    array (n_null, n_cols, phi) of power-basis coefficients: entry c of
+    vector z is the sum over j of W[z, c, j] omega^(j + shift[z, c]), or
+    without the shift when it is None.  Each nonzero W[z, c, j] is joined
+    to the terms coeff * omega^exp of column c, and each pair adds
+    coeff * W[z, c, j] omega^(exp + j + shift) to its row of vector z,
+    all in one `sums_vanish` call."""
+    z, c, j = np.nonzero(W != 0)
+    if not z.size or not system.row.size:
         return True
-    # (M . w)_i = sum over terms c * omega^e * w[col]: the term adds
-    # c * w[col][k] * omega^(e + k) to row i, for every k where w[col] is not 0
-    v, j = np.nonzero(nonzero[:, system.col])
-    rows = (v * system.n_rows + system.row[j])[:, None]
-    exps = system.exp[j, None] + np.arange(W.shape[2])
-    weight = system.coeff[j, None].astype(np.int64) * W[v, system.col[j]]
+    vals = W[z, c, j]
+    if shift is not None:
+        j = j + shift[z, c]
+    top = max(-int(vals.min()), int(vals.max()))
+    if top * max(-int(system.coeff.min()), int(system.coeff.max())) < 2**63:
+        vals = vals.astype(np.int64)
+    # the terms of column c are order[first[c]:first[c] + counts[c]]
+    order = np.argsort(system.col, kind="stable")
+    counts = np.bincount(system.col, minlength=W.shape[1])
+    first = np.cumsum(counts) - counts
+    n = counts[c]
+    at = np.repeat(np.arange(z.size), n)
+    t = order[np.repeat(first[c] - (np.cumsum(n) - n), n) + np.arange(at.size)]
+    rows = z[at] * system.n_rows + system.row[t]
+    exps = system.exp[t] + j[at]
+    weight = system.coeff[t] * vals[at]
     return bool(sums_vanish(len(W) * system.n_rows, rows, exps, r, weight).all())

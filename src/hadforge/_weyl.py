@@ -32,11 +32,9 @@ the two lines of a block differ.)
 
 The split.  The first-order unitarity system of a unitary H has one
 variable x_c per cell and one row rho_uv per ordered pair u != v of rows:
-rho_uv(x) = sum_k omega^(E[u,k] - E[v,k]) (x_(u,k) - x_(v,k)).  Over
-Q(omega_r) these rows span the same space as the conjugation-symmetric
-pairs of `analyze._exact_rows` (the plus and minus rows are rho_uv -+
-rho_vu).  The defect (Tadej and Zyczkowski, Linear Algebra Appl. 429,
-2008) is its nullity minus 2d - 1.  By (*), M[tau_g r, sigma_g c] =
+rho_uv(x) = sum_k omega^(E[u,k] - E[v,k]) (x_(u,k) - x_(v,k)), whose terms
+`rho_terms` gives.  The defect (Tadej and Zyczkowski, Linear Algebra Appl.
+429, 2008) is its nullity minus 2d - 1.  By (*), M[tau_g r, sigma_g c] =
 lambda_g(r) M[r, c], with tau_g (u, v) = (pi_1 u, pi_1 v) and the root of
 unity lambda_g(u, v) = omega^(a_u - a_v): M intertwines the permutation
 action of G on the variables with a monomial action on the rows.  Work
@@ -90,8 +88,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._exactrank import System
-from .cyclotomic import sums_vanish
+from ._exactrank import System, is_null
 from .construct import BlockAssignment
 from .matrices import ExponentMatrix
 from .mub import IdentityBasis
@@ -221,6 +218,18 @@ def _stabilisers(act: np.ndarray, off: np.ndarray) -> np.ndarray:
     return 1 + fixes.argmax(axis=0)
 
 
+def rho_terms(E: np.ndarray, r: int, U: np.ndarray, V: np.ndarray):
+    """The terms of the rows rho_(U[i], V[i]) of the grid E at root r (see
+    the module docstring).  Returns (rows, exp, sign), shaped (n, 2, 1),
+    (n, 1, d) and (2, 1), which broadcast to the (n, 2, d) terms: term
+    (i, s, k) is sign[s] omega^exp[i, 0, k] on the cell (rows[i, s, 0], k),
+    where side s = 0 is row u, with sign +1, and s = 1 is row v, with sign
+    -1.  The caller broadcasts only what it keeps."""
+    rows = np.stack([U, V], axis=1)[:, :, None]
+    exp = ((E[U] - E[V]) % r)[:, None, :]
+    return rows, exp, np.array([[1], [-1]], dtype=np.int8)
+
+
 def _blocks(p, q, E, r, act, group) -> WeylSplit:
     """The stacked character blocks of the grid E at root r, given the
     (q^2, d) actions `act` on rows and columns and the cell table `group`
@@ -265,13 +274,12 @@ def _blocks(p, q, E, r, act, group) -> WeylSplit:
     local = np.arange(chi_all.size) - np.repeat(np.cumsum(counts) - counts, counts)
     row = chi_all * m + local
 
-    # terms (row, side, k): omega^(E[u,k] - E[v,k]) chi(g) on the block of
-    # (u or v, k), with sign + for u and - for v
-    cell_rows = np.stack([U, V], axis=1)[:, :, None]  # (n, 2, 1)
+    # the terms of rho_uv, each scaled by chi(g) of its cell, on the block
+    # of the cell
+    cell_rows, delta, sign = rho_terms(E, r, U, V)
     ks = np.arange(d)
-    g = group[cell_rows, ks]  # (n, 2, d)
-    delta = (E[U] - E[V]) % r * (R // r)  # (n, d)
-    exp = (delta[:, None, :] + _pairing(chi_all[:, None, None], g, q) * (R // q)) % R
+    chi_g = _pairing(chi_all[:, None, None], group[cell_rows, ks], q)  # (n, 2, d)
+    exp = (delta * (R // r) + chi_g * (R // q)) % R
     col = (cell_rows // q) * p + ks // q
     shape = exp.shape
     system = System(
@@ -279,7 +287,7 @@ def _blocks(p, q, E, r, act, group) -> WeylSplit:
         np.broadcast_to(row[:, None, None], shape).astype(np.int32).reshape(-1),
         np.broadcast_to(col, shape).astype(np.int32).reshape(-1),
         exp.astype(np.int32).reshape(-1),
-        np.broadcast_to(np.array([1, -1], dtype=np.int8)[:, None], shape).reshape(-1),
+        np.broadcast_to(sign, shape).reshape(-1),
     )
     return WeylSplit(p, q, R, system, m, gauge.reshape(q * q, p * p), group)
 
@@ -304,7 +312,7 @@ def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
 def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
     """Exact check that null vectors of character blocks, mapped back to
     the d^2 variables, are null vectors of the whole first-order system of
-    H, every one of its d(d - 1) rows, in one `sums_vanish` call.
+    H, the rows rho_uv of all ordered pairs u != v on all cells (`is_null`).
 
     `blocks` holds (chi, cols, W) with W the (n_null, cols.size, phi)
     power-basis coefficients of null vectors of `block_system(split, chi)`.
@@ -313,9 +321,7 @@ def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
     """
     p, q, R = split.p, split.q, split.r
     d = p * q
-    E = H.exp * (R // H.r)
-    cells = np.arange(d * d)
-    u, k = np.divmod(cells, d)
+    u, k = np.divmod(np.arange(d * d), d)
     o = (u // q) * p + k // q
     X, shift = [], []
     for chi, cols, W in blocks:
@@ -324,18 +330,8 @@ def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
         X.append(full[:, o])
         chi_g = _pairing(chi, split.group.reshape(-1), q) * (R // q)
         shift.append(np.broadcast_to(chi_g, (len(W), d * d)))
-    X, shift = np.concatenate(X), np.concatenate(shift)
-    z, c, j = np.nonzero(X != 0)
-    if not z.size:
-        return True
-    # column c = (u, k) of the system: +omega^(E[u,k] - E[v,k]) in row
-    # (u, v) and -omega^(E[v,k] - E[u,k]) in row (v, u), for every v (the
-    # two terms of v = u cancel)
-    uc, kc, v = u[c][:, None], k[c][:, None], np.arange(d)
-    delta = E[uc, kc] - E[v, kc]
-    base = (shift[z, c] + j)[:, None]
-    row0 = (z * d * d)[:, None]
-    rows = np.stack([row0 + uc * d + v, row0 + v * d + uc])
-    exps = np.stack([delta + base, -delta + base])
-    weight = X[z, c, j][:, None]
-    return bool(sums_vanish(len(X) * d * d, rows, exps, R, np.stack([weight, -weight])).all())
+    U, V = np.nonzero(~np.eye(d, dtype=bool))
+    cell_rows, exp, sign = rho_terms(H.exp * (R // H.r), R, U, V)
+    row, col = np.arange(U.size)[:, None, None], cell_rows * d + np.arange(d)
+    terms = (np.broadcast_to(a, (U.size, 2, d)).reshape(-1) for a in (row, col, exp, sign))
+    return is_null(System(U.size, *terms), np.concatenate(X), R, np.concatenate(shift))

@@ -30,7 +30,7 @@ from ._exactrank import (
     find_embedding_prime,
     rank_mod,
 )
-from ._weyl import block_system, lift_is_null, weyl_split
+from ._weyl import block_system, lift_is_null, rho_terms, weyl_split
 from .construct import BlockAssignment, theorem1_build
 from .matrices import (
     ComplexMatrix,
@@ -96,42 +96,27 @@ def _float_system(Hc: np.ndarray) -> np.ndarray:
     return M.reshape(d * (d - 1), (d - 1) ** 2)
 
 
-# coefficients of omega^delta and omega^-delta, by row (plus, minus) and by
-# the side (u, v) of the row pair that the column belongs to
-_EXACT_COEFFS = np.array([[[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
-
-
 def _exact_rows(H: ExponentMatrix) -> System:
-    """Same system over Z[omega_r] for a dephased H: the Re/Im split is
-    rescaled to the conjugation-symmetric pair omega^delta +/- omega^-delta,
-    which spans the same row space (diagonal scaling by 2 and 2i), so ranks
-    agree.
-
-    Terms run over (pair, plus/minus row, k, side u/v, delta/-delta), with
-    the u side dropped for u = 0, whose R[0, k] are not variables."""
+    """Same system over Z[omega_r] for a dephased H: one row rho_uv per
+    ordered pair u != v (`_weyl.rho_terms`), the pairs in lexicographic
+    order.  The cells of row 0 and column 0 are the gauge, not variables,
+    so their terms are dropped.  The Re and Im rows of the pair u < v are
+    (rho_uv - rho_vu) / 2 and (rho_uv + rho_vu) / 2i, so the row spaces
+    over Q(omega_r) are the same, and so are the ranks."""
     E, r, d = H.exp, H.r, H.d
-    iu, iv = np.triu_indices(d, 1)
-    delta = (E[iu, 1:] - E[iv, 1:]) % r
-    block = np.stack([iu, iv], axis=1) - 1
-    shape = (iu.size, 2, d - 1, 2, 2)
-    keep = np.ones(shape, dtype=bool)
-    keep[iu == 0, :, :, 0] = False
+    U, V = np.nonzero(~np.eye(d, dtype=bool))
+    cell_rows, exp, sign = rho_terms(E[:, 1:], r, U, V)
+    shape = (U.size, 2, d - 1)
+    keep = np.broadcast_to(cell_rows >= 1, shape)
+    row = np.arange(U.size)[:, None, None]
+    col = (cell_rows - 1) * (d - 1) + np.arange(d - 1)
 
-    def flat(a: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(a, shape)[keep]
-
-    row = 2 * np.arange(iu.size)[:, None] + np.arange(2)
-    col = block[:, None, :] * (d - 1) + np.arange(d - 1)[:, None]
-    exp = np.stack([delta, -delta % r], axis=-1)
     # narrow term arrays: a root that reaches a rank is below 2^25
     # (find_embedding_prime), and every index is below d^2
-    return System(
-        d * (d - 1),
-        flat(row[:, :, None, None, None].astype(np.int32)),
-        flat(col[:, None, :, :, None].astype(np.int32)),
-        flat(exp[:, None, :, None, :].astype(np.int32)),
-        flat(_EXACT_COEFFS[None, :, None].astype(np.int8)),
-    )
+    def flat(a: np.ndarray, dtype) -> np.ndarray:
+        return np.broadcast_to(a.astype(dtype), shape)[keep]
+
+    return System(d * (d - 1), *(flat(a, np.int32) for a in (row, col, exp)), flat(sign, np.int8))
 
 
 def _defect_float(Hc: np.ndarray) -> DefectReport:

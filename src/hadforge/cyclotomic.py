@@ -116,8 +116,9 @@ def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
     sum row[j], where row and exp broadcast together and weight to their
     shape.  The coefficient rows for `vanishes` are counts for unit weights,
     int64 sums when max|weight| times the number of terms is below 2^63, and
-    Python-int sums otherwise.  Raises MemoryError, before allocating, when
-    the n x r rows would exceed MAX_CELLS = 2^26 coefficients.
+    Python-int sums otherwise; an integer array of weights is not made
+    Python ints first.  Raises MemoryError, before allocating, when the
+    n x r rows would exceed MAX_CELLS = 2^26 coefficients.
     """
     if n * r > MAX_CELLS:
         raise MemoryError(
@@ -128,8 +129,9 @@ def sums_vanish(n: int, row, exp, r: int, weight=None) -> np.ndarray:
     if weight is None:
         counts = np.bincount(cells.ravel(), minlength=n * r)
     else:
-        w = np.broadcast_to(np.asarray(weight, dtype=object), cells.shape).ravel()
-        big = w.size and max(abs(w.min()), abs(w.max())) * w.size >= 2**63
+        w = np.asarray(weight)
+        w = np.broadcast_to(w if w.dtype.kind == "i" else w.astype(object), cells.shape).ravel()
+        big = w.size and max(-int(w.min()), int(w.max())) * w.size >= 2**63
         counts = np.zeros(n * r, dtype=object if big else np.int64)
-        np.add.at(counts, cells.ravel(), w if big else w.astype(np.int64))
+        np.add.at(counts, cells.ravel(), w.astype(counts.dtype, copy=False))
     return vanishes(counts.reshape(n, r), r)

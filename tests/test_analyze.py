@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadforge import _exactrank, analyze, catalog
+from hadforge import _exactrank, _weyl, analyze, catalog
 from hadforge._exactrank import (
     _PRIME_TEST_BOUND,
     System,
@@ -20,6 +20,7 @@ from hadforge._exactrank import (
     certify_rank,
     evaluate_rows,
     find_embedding_prime,
+    is_null,
     null_basis_mod,
     rank_mod,
     rational_reconstruct,
@@ -47,6 +48,7 @@ from hadforge.analyze import (
     inequivalent_by_invariants,
     is_isolated,
 )
+from hadforge._weyl import lift_is_null
 from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.cyclotomic import vanishes
 from hadforge.matrices import (
@@ -133,6 +135,19 @@ class TestDefect:
         ev = rep.evidence
         assert ev["null_vectors"] == 1 and ev["pivot_count"] == rep.rank
         assert all(p > 2**24 or p == 999999937 for p in ev["primes"])
+
+    def test_bare_3_7_build_report_is_frozen(self):
+        # the full report of the bare grid of (I,I,H1 | F,H2,H4) at (3, 7)
+        # through the unsplit certificate, as the plus/minus rows of
+        # unordered pairs gave it: the rho rows span the same row space
+        rep = defect(build(3, 7, ["I", "I", "H1"], ["F", "H2", "H4"]), mode="exact")
+        assert rep == DefectReport(6, 400, 394, "exact", {})
+        assert rep.evidence == {
+            "pivot_count": 394,
+            "primes": [24476173, 25765699],
+            "null_vectors": 6,
+            "root": 42,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -987,6 +1002,100 @@ def test_null_check_matches_reference_on_random_deficient_systems(seed, r, m, ex
 
 
 # ----------------------------------------------------------------------
+# the shared check M . w = 0, with exponent shifts, against a loop
+# ----------------------------------------------------------------------
+
+def reference_is_null(system, W, r, shift):
+    """Reference: each vector's products as rows of r Python ints, one term
+    and one coefficient at a time, and one `vanishes` call per vector."""
+    terms = list(zip(*(np.asarray(a).tolist() for a in system[1:])))
+    for z in range(len(W)):
+        acc = [[0] * r for _ in range(system.n_rows)]
+        for i, col, e, c in terms:
+            for j, w in enumerate(W[z, col].tolist()):
+                acc[i][(e + j + int(shift[z, col])) % r] += c * w
+        if acc and not vanishes(acc, r).all():
+            return False
+    return True
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 3, 4, 6, 8, 12]),
+    m=st.integers(1, 5),
+    extra=st.integers(1, 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_shifted_null_check_matches_reference(seed, r, m, extra):
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    coeff = rng.integers(-2, 3, (m, n)) * (rng.random((m, n)) < 0.7)
+    row, col = np.nonzero(coeff)
+    system = System(m, row, col, rng.integers(0, r, row.size), coeff[row, col])
+    with pytest.MonkeyPatch.context() as mp:
+        checks = certified_null_vectors(mp, system, n, r)
+    for system, W, free, r in checks:
+        expect = reference_is_null(system, W, r, np.zeros(W.shape[:2], dtype=int))
+        # one shift for a whole vector multiplies it by a root of unity
+        whole = np.broadcast_to(rng.integers(-2 * r, 2 * r, (len(W), 1)), W.shape[:2])
+        assert is_null(system, W, r, whole) == reference_is_null(system, W, r, whole) == expect
+        shift = rng.integers(-2 * r, 2 * r, W.shape[:2])
+        expect = reference_is_null(system, W, r, shift)
+        assert is_null(system, W, r, shift) == expect
+        # the Python-int path: large vectors, and products past int64
+        assert is_null(system, W * 2**70, r, shift) == expect
+        scaled = system._replace(coeff=system.coeff * 2**40)
+        assert is_null(scaled, W * 2**30, r, shift) == expect
+        V = (rng.integers(-2, 3, W.shape) * (rng.random(W.shape) < 0.5)).astype(object)
+        assert is_null(system, V, r, shift) == reference_is_null(system, V, r, shift)
+
+
+def lift_calls(monkeypatch, name):
+    """The (split, H, blocks) of every lift check that the certified split
+    defect of the recipe `name` makes, and the (system, X, r, shift) that
+    each passes to `is_null`."""
+    lifts, checks = [], []
+    lift, check = _weyl.lift_is_null, _weyl.is_null
+
+    def lift_spy(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    def check_spy(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(analyze, "lift_is_null", lift_spy)
+    monkeypatch.setattr(_weyl, "is_null", check_spy)
+    analyze._build_defect(catalog.assignment(name), catalog.build(name), certify=True)
+    monkeypatch.undo()
+    return lifts, checks
+
+
+@pytest.mark.parametrize("name", ["Sp10", "Sp14"])
+def test_lift_check_rejects_a_corrupted_block_null_vector(name, monkeypatch):
+    lifts, checks = lift_calls(monkeypatch, name)
+    ((split, H, blocks),), ((system, X, r, shift),) = lifts, checks
+    assert system.n_rows == H.d * (H.d - 1) and X.shape[1] == H.d**2
+    assert reference_is_null(system, X, r, shift)
+    assert lift_is_null(split, H, blocks)
+    for i, (chi, cols, W) in enumerate(blocks):
+        bad = W.copy()
+        bad[0, 0, 0] += 1
+        assert not lift_is_null(split, H, blocks[:i] + [(chi, cols, bad)] + blocks[i + 1 :])
+
+
+def test_lift_check_rejects_the_lift_without_its_character_shifts(monkeypatch):
+    # Sp14 and not Sp10: read without their shifts, the block null vectors
+    # of Sp10 have the trivial form x_(u,k) = alpha_u + beta_k, which every
+    # unitary grid admits
+    ((system, X, r, shift),) = lift_calls(monkeypatch, "Sp14")[1]
+    assert shift.any() and is_null(system, X, r, shift)
+    assert not is_null(system, X, r)
+    assert not reference_is_null(system, X, r, np.zeros_like(shift))
+
+
+# ----------------------------------------------------------------------
 # defect systems from the exponent grid against the loop references
 # ----------------------------------------------------------------------
 
@@ -1010,7 +1119,8 @@ def reference_float_system(Hc):
 
 
 def reference_exact_rows(E, r, d):
-    """Reference exact system as sparse rows, one row pair at a time."""
+    """Reference plus and minus rows omega^delta +- omega^-delta of the
+    exact system, as sparse rows, one unordered row pair at a time."""
     rows = []
     for u in range(d):
         for v in range(u + 1, d):
@@ -1027,6 +1137,26 @@ def reference_exact_rows(E, r, d):
                 minus.append((col_v, [(delta, -1), (nd, 1)]))
             rows.append(plus)
             rows.append(minus)
+    return rows
+
+
+def reference_rho_rows(E, r, d):
+    """Reference rho rows, one ordered pair (u, v) at a time, in
+    lexicographic order: omega^delta at the cell (u, k) and -omega^delta at
+    (v, k), for the columns k >= 1 and the rows u, v >= 1 that hold
+    variables."""
+    rows = []
+    for u in range(d):
+        for v in range(d):
+            if u == v:
+                continue
+            row = []
+            for k in range(1, d):
+                delta = (E[u][k] - E[v][k]) % r
+                for x, sign in ((u, 1), (v, -1)):
+                    if x >= 1:
+                        row.append(((x - 1) * (d - 1) + k - 1, [(delta, sign)]))
+            rows.append(row)
     return rows
 
 
@@ -1052,7 +1182,7 @@ def sorted_terms(system):
 
 def assert_systems_match_references(E, r, d, rng):
     system = _exact_rows(ExponentMatrix(d, r, E))
-    rows = reference_exact_rows(E, r, d)
+    rows = reference_rho_rows(E, r, d)
     assert system.n_rows == len(rows) == d * (d - 1)
     assert np.array_equal(sorted_terms(system), sorted_terms(system_from_rows(rows)))
     n = (d - 1) ** 2
@@ -1060,6 +1190,13 @@ def assert_systems_match_references(E, r, d, rng):
     M = evaluate_rows(system, n, l, g, r)
     M_ref = reference_evaluate_rows(rows, n, l, g, r)
     assert M.dtype == np.int32 and np.array_equal(M, M_ref)
+    # the plus and minus rows of a pair are rho_uv -+ rho_vu, a change of
+    # rows of determinant 2, which is invertible mod the odd prime l: the
+    # two images have one row space, so one RREF
+    plus_minus = reference_evaluate_rows(reference_exact_rows(E, r, d), n, l, g, r)
+    R, pivots = rref_mod(M, l)
+    R_ref, pivots_ref = rref_mod(plus_minus, l)
+    assert pivots == pivots_ref and np.array_equal(R, R_ref)
     Hc = np.exp(2j * np.pi * np.asarray(E) / r)
     assert reference_float_system(Hc).tobytes() == _float_system(Hc).tobytes()
 
