@@ -171,6 +171,14 @@ def _element_of_order(r: int, l: int, rng: random.Random) -> Optional[int]:
     return None
 
 
+def power_table(g: int, l: int, r: int) -> np.ndarray:
+    """g^e mod l for e = 0 ... r - 1, as an int64 array indexed by e."""
+    out = [1] * r
+    for k in range(1, r):
+        out[k] = out[k - 1] * g % l
+    return np.array(out, dtype=np.int64)
+
+
 def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.ndarray:
     """Dense int32 image of the system under omega -> g (mod l), entries in
     [0, l).
@@ -179,11 +187,8 @@ def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.nda
     the work arrays are as long as the term list; only the image itself is
     n_rows x n_cols.
     """
-    pow_table = [1] * r
-    for k in range(1, r):
-        pow_table[k] = pow_table[k - 1] * g % l
     # the term arrays may be narrow (int32, int8): widen before the products
-    terms = system.coeff.astype(np.int64) % l * np.array(pow_table, dtype=np.int64)[system.exp % r] % l
+    terms = system.coeff.astype(np.int64) % l * power_table(g, l, r)[system.exp % r] % l
     cells = system.row.astype(np.int64) * n_cols + system.col
     order = np.argsort(cells, kind="stable")
     cells, terms = cells[order], terms[order]
@@ -213,7 +218,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     pivot columns.
 
     A column is one step for the whole stack: the pivot search, the swaps,
-    the scaling (the pivot inverses by `_inverses`) and the row updates
+    the scaling (the pivot inverses by `_batch_inverses`) and the row updates
     each take one numpy call over every matrix that pivots there.  A stack
     of one takes the same step with scalar indices: on a small system the
     index bookkeeping of the stacked step would cost about as much as the
@@ -303,7 +308,7 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
                     A[prow, w + t[b]] = 1  # as for a stack of one
                 P = A[prow, c:end]
                 P %= l
-                P *= _inverses(P[:, 0], l)[:, None]
+                P *= _batch_inverses(P[:, 0], l)[:, None]
                 P %= l
                 A[prow, c:end] = P
                 if idx.size:
@@ -327,22 +332,23 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     return M, pivots
 
 
-def _inverses(x: np.ndarray, l: int) -> np.ndarray:
-    """x^(l - 2) mod l of every entry of the int64 array x, by square and
-    multiply: the inverse of each nonzero x in F_l.  The entries are
-    reduced, below l < 2^25, so every product is below 2^50."""
-    out = np.ones_like(x)
-    x = x.copy()
-    e = l - 2
-    while True:
-        if e & 1:
-            out *= x
-            out %= l
-        e >>= 1
-        if not e:
-            return out
-        x *= x
-        x %= l
+def _batch_inverses(x: np.ndarray, l: int) -> np.ndarray:
+    """The inverse in F_l of every entry of x, each nonzero mod l, by
+    Montgomery's trick on Python ints: the prefix products, one
+    pow(., -1, l) of their total, then a backward pass that peels one
+    factor off per entry.  Returns an int64 array shaped as x."""
+    vals = x.tolist()
+    prefix = []
+    acc = 1
+    for v in vals:
+        prefix.append(acc)  # the product of the entries before v
+        acc = acc * v % l
+    inv = pow(acc, -1, l)  # the inverse of the product of all of them
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = inv * prefix[i] % l
+        inv = inv * vals[i] % l
+    return np.array(out, dtype=np.int64)
 
 
 def _apply_panel(

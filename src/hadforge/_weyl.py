@@ -78,6 +78,17 @@ the gauge-free columns number (d - 1)^2 over all chi, as the unsplit
 system's do.  A rank of every M_chi mod one prime is a lower bound, so
 (d - 1)^2 minus the sum of those ranks bounds the defect from above, and
 it is exact when every M_chi has rank p^2 - dim T_chi mod that prime.
+
+The image.  The blocks are kept as their row pairs, not as a term list.
+In block chi, row (u, v) is nonzero only on block row u // q and block
+row v // q: its entry on column (I, J) is the sum over the q columns k of
+block column J of omega^(E[u,k] - E[v,k]) chi(g_(u,k)) when I = u // q,
+minus that with g_(v,k) when I = v // q (both, when u and v share a block
+row).  So `block_image` makes the stacked image mod l by one gather of the
+(n, 2, d) exponents from the powers of omega's image, a sum over the last
+axis of their (n, 2, p, q) reshape, and two scatters into the (rows, p, p)
+stack: no sort and no per-term index.  `block_system` writes the terms of
+one block as a System, for the null-vector certificate of a short block.
 """
 
 from __future__ import annotations
@@ -95,21 +106,25 @@ from .mub import IdentityBasis
 
 
 class WeylSplit(NamedTuple):
-    """The q^2 character blocks of the defect system of a build.
-
-    `system` stacks them: block chi holds rows chi*m to (chi+1)*m - 1 (rows
-    past its own count are empty), and column o = i*p + j is the block
-    (i, j) of the grid.  `gauge[chi]` marks the columns fixed by the trivial
-    null vectors of block chi.  Character chi = s*q + t is
-    (a, b) -> omega_q^(s a + t b) of the group element (a, b), and
-    `group[u, k]` is the element that carries the first cell of the block of
-    (u, k) to it.
+    """The q^2 character blocks of the defect system of a build, as row
+    pairs: block chi keeps the pairs with `chi_of[n] == chi`, pair n is the
+    row rho_(pairs[n, 0], pairs[n, 1]) and stands at row `row[n]` of the
+    stack of blocks, chi*m + its place in the block (rows past a block's
+    own count are empty).  Column o = i*p + j is the block (i, j) of the
+    grid E, whose exponents at root r `exp` holds.  `gauge[chi]` marks the
+    columns fixed by the trivial null vectors of block chi.  Character
+    chi = s*q + t is (a, b) -> omega_q^(s a + t b) of the group element
+    (a, b), and `group[u, k]` is the element that carries the first cell of
+    the block of (u, k) to it.
     """
 
     p: int
     q: int
     r: int  # lcm of the grid's root and q
-    system: System
+    exp: np.ndarray  # (d, d) the grid at root r
+    pairs: np.ndarray  # (n, 2) the rows u and v of each kept row pair
+    chi_of: np.ndarray  # (n,) the block of each pair
+    row: np.ndarray  # (n,) its row in the stack
     m: int
     gauge: np.ndarray  # (q^2, p^2) bool
     group: np.ndarray  # (d, d) int: a*q + b
@@ -231,11 +246,9 @@ def rho_terms(E: np.ndarray, r: int, U: np.ndarray, V: np.ndarray):
 
 
 def _blocks(p, q, E, r, act, group) -> WeylSplit:
-    """The stacked character blocks of the grid E at root r, given the
-    (q^2, d) actions `act` on rows and columns and the cell table `group`
-    that `weyl_split` checked.  Term arrays are int32 and int8 as in
-    `analyze._exact_rows`: a root that reaches a rank is below 2^25."""
-    d = p * q
+    """The character blocks of the grid E at root r, as their row pairs
+    and gauges, given the (q^2, d) actions `act` on rows and columns and the
+    cell table `group` that `weyl_split` checked."""
     R = lcm(r, q)
     off = q * np.arange(p)
     chars = np.arange(q * q)[:, None]
@@ -263,50 +276,83 @@ def _blocks(p, q, E, r, act, group) -> WeylSplit:
     lam = (E[stab_u, k] - E[stab_v, k] - E[stab_u, 0] + E[stab_v, 0]) * (R // r)
     chi, j = np.nonzero((_pairing(chars, h, q) * (R // q) + lam) % R == 0)
 
+    # each block keeps its free pairs first, then its stabilised pairs in order
     n_free = free_u.size
-    chi_all = np.concatenate([np.repeat(np.arange(q * q), n_free), chi])
+    counts = np.bincount(chi, minlength=q * q)
+    m = n_free + int(counts.max())
+    chi_of = np.concatenate([np.repeat(np.arange(q * q), n_free), chi])
     U = np.concatenate([np.tile(free_u, q * q), stab_u[j]])
     V = np.concatenate([np.tile(free_v, q * q), stab_v[j]])
-    order = np.argsort(chi_all, kind="stable")
-    chi_all, U, V = chi_all[order], U[order], V[order]
-    counts = np.bincount(chi_all, minlength=q * q)
-    m = int(counts.max())
-    local = np.arange(chi_all.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    row = chi_all * m + local
-
-    # the terms of rho_uv, each scaled by chi(g) of its cell, on the block
-    # of the cell
-    cell_rows, delta, sign = rho_terms(E, r, U, V)
-    ks = np.arange(d)
-    chi_g = _pairing(chi_all[:, None, None], group[cell_rows, ks], q)  # (n, 2, d)
-    exp = (delta * (R // r) + chi_g * (R // q)) % R
-    col = (cell_rows // q) * p + ks // q
-    shape = exp.shape
-    system = System(
-        q * q * m,
-        np.broadcast_to(row[:, None, None], shape).astype(np.int32).reshape(-1),
-        np.broadcast_to(col, shape).astype(np.int32).reshape(-1),
-        exp.astype(np.int32).reshape(-1),
-        np.broadcast_to(sign, shape).reshape(-1),
+    stab_local = n_free + np.arange(chi.size) - (np.cumsum(counts) - counts)[chi]
+    local = np.concatenate([np.tile(np.arange(n_free), q * q), stab_local])
+    return WeylSplit(
+        p, q, R, E * (R // r), np.stack([U, V], axis=1), chi_of, chi_of * m + local, m,
+        gauge.reshape(q * q, p * p), group,
     )
-    return WeylSplit(p, q, R, system, m, gauge.reshape(q * q, p * p), group)
+
+
+def _terms(split: WeylSplit, sel) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms of the row pairs `sel` of the blocks: rho_uv with each term
+    scaled by chi(g) of its cell, on the block of the cell.  Returns
+    (rows, exp), shaped (n, 2, 1) and (n, 2, d): term (i, s, k) is
+    +-omega^exp[i, s, k] on column (rows[i, s, 0] // q) * p + k // q of its
+    block, with + for side s = 0 (row u) and - for s = 1 (row v), as in
+    `rho_terms`."""
+    q, R = split.q, split.r
+    # chi(g) R / q = (s a + t b) R / q (mod R) for chi = s*q + t and
+    # g = a*q + b, so before the one reduction every exponent is below
+    # R + 2 q R: int32 holds it when that is below 2^31
+    dtype = np.int32 if (2 * q + 1) * R < 2**31 else np.int64
+    pairs = split.pairs[sel]
+    U, V = pairs.T
+    E = split.exp.astype(dtype)
+    a, b = (x.astype(dtype) * (R // q) for x in np.divmod(split.group, q))
+    s, t = (x.astype(dtype)[:, None, None] for x in np.divmod(split.chi_of[sel], q))
+    exp = a[pairs]  # (n, 2, d): the row of each side
+    exp *= s
+    other = b[pairs]
+    other *= t
+    exp += other
+    exp += (E[U] - E[V])[:, None, :] % R
+    exp %= R
+    return pairs[:, :, None], exp
+
+
+def block_image(split: WeylSplit, l: int, powers: np.ndarray) -> np.ndarray:
+    """The stacked blocks mod l under omega_r -> g, with powers[e] = g^e
+    mod l: an int32 array (q^2, m, p^2) with entries in [0, l), the
+    `evaluate_rows` image of their terms.  The terms of one side of a pair
+    lie on one block row, so its q terms on block column J sum to one
+    entry: the stack takes the pairs' side sums over each block column, side
+    u into its block row and minus side v into its own."""
+    p, q, m = split.p, split.q, split.m
+    n = len(split.row)
+    _, exp = _terms(split, slice(None))
+    sums = powers[exp].reshape(n, 2, p, q).sum(axis=3) % l  # below q l < 2^31
+    M = np.zeros((q * q * m, p, p), dtype=np.int32)
+    block_rows = split.pairs // q
+    M[split.row, block_rows[:, 0]] = sums[:, 0]
+    M[split.row, block_rows[:, 1]] += l - sums[:, 1]  # one entry per row: no repeats
+    M %= l
+    return M.reshape(q * q, m, p * p)
 
 
 def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
     """Block chi on its gauge-free columns, as a System of `split.m` rows,
     and the block columns o it keeps, in order.  It has the rank of the
     whole block, and its nullity is the block's share of the defect."""
-    s, m = split.system, split.m
-    lo, hi = np.searchsorted(s.row, [chi * m, (chi + 1) * m])
+    p, q, m = split.p, split.q, split.m
+    sel = np.flatnonzero(split.chi_of == chi)
+    rows, exp = _terms(split, sel)
     cols = np.flatnonzero(~split.gauge[chi])
-    renumber = np.full(split.gauge.shape[1], -1)
+    renumber = np.full(p * p, -1)
     renumber[cols] = np.arange(cols.size)
-    col = renumber[s.col[lo:hi]]
+    col = renumber[(rows // q) * p + np.arange(p * q) // q]
     keep = col >= 0
-    return (
-        System(m, s.row[lo:hi][keep] - chi * m, col[keep], s.exp[lo:hi][keep], s.coeff[lo:hi][keep]),
-        cols,
-    )
+    shape = exp.shape
+    row = np.broadcast_to((split.row[sel] - chi * m)[:, None, None], shape)
+    sign = np.broadcast_to(np.array([[1], [-1]], dtype=np.int8), shape)
+    return System(m, row[keep], col[keep], exp[keep], sign[keep]), cols
 
 
 def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:

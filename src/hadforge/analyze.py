@@ -26,11 +26,11 @@ from ._exactrank import (
     System,
     certify_null_space,
     certify_rank,
-    evaluate_rows,
     find_embedding_prime,
+    power_table,
     rank_mod,
 )
-from ._weyl import block_system, lift_is_null, rho_terms, weyl_split
+from ._weyl import WeylSplit, block_image, block_system, lift_is_null, rho_terms, weyl_split
 from .construct import BlockAssignment, theorem1_build
 from .matrices import (
     ComplexMatrix,
@@ -166,10 +166,14 @@ _STACK = 100
 
 
 @functools.lru_cache(maxsize=None)
-def _block_prime(r: int) -> Tuple[int, int]:
-    """(l, g) of `find_embedding_prime(r, Random(SEED))`: the draw is
+def _block_prime(r: int) -> Tuple[int, np.ndarray]:
+    """l of (l, g) = `find_embedding_prime(r, Random(SEED))`, and the
+    powers of g mod l (`power_table`), read-only: the draw is
     deterministic, so it is made once per root."""
-    return find_embedding_prime(r, random.Random(SEED))
+    l, g = find_embedding_prime(r, random.Random(SEED))
+    powers = power_table(g, l, r)
+    powers.setflags(write=False)
+    return l, powers
 
 
 class _Pending:
@@ -183,19 +187,20 @@ class _Pending:
 
 
 def _defects(builds, certify: bool):
-    """(tag, defect report) of every (a, H, tag) of `builds`, in their
-    order, with H the dephased build of a at its minimal root (so unitary).
+    """(tag, defect report) of every (H, split, tag) of `builds`, in their
+    order, with H the dephased build of an assignment a at its minimal
+    root (so unitary) and split `weyl_split(a, H)`.
 
     The defect goes through the Weyl-Heisenberg split of `_weyl` whenever
-    `weyl_split` verifies its automorphisms on H, and through
-    `_defect_exact` otherwise.  The q^2 character blocks of a split are
-    imaged mod one prime, the first that Random(SEED) draws for the split's
-    root, and the split itself is dropped unless `certify` needs it.  The
-    images wait in a queue per (prime, block shape); a queue is ranked by
-    one `rank_mod` of its stacked blocks once it holds _STACK of them, and
-    every queue at the end of `builds`.  Each build's slice of the ranks
-    makes its report (`_block_report`).  A batch of one build is
-    `_build_defect`; a stream is the search.
+    `weyl_split` verified its automorphisms on H, and through
+    `_defect_exact` when the split is None.  The q^2 character blocks of a
+    split are imaged mod one prime, the first that Random(SEED) draws for
+    the split's root (`block_image`), and the split itself is dropped unless
+    `certify` needs it.  The images wait in a queue per (prime, block
+    shape); a queue is ranked by one `rank_mod` of its stacked blocks once
+    it holds _STACK of them, and every queue at the end of `builds`.  Each
+    build's slice of the ranks makes its report (`_block_report`).  A batch
+    of one build is `_build_defect`; a stream is the search.
     """
     queues: Dict[tuple, List[_Pending]] = {}
     order: collections.deque = collections.deque()
@@ -210,17 +215,15 @@ def _defects(builds, certify: bool):
             x.image = x.split = None
             at += blocks
 
-    for a, H, tag in builds:
+    for H, split, tag in builds:
         x = _Pending(tag)
         order.append(x)
-        split = weyl_split(a, H)
         if split is None:
             x.report = _defect_exact(H)
         else:
-            p2 = a.p * a.p
-            x.l, g = _block_prime(split.r)
-            x.image = evaluate_rows(split.system, p2, x.l, g, split.r).reshape(-1, split.m, p2)
-            x.full = p2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
+            x.l, powers = _block_prime(split.r)
+            x.image = block_image(split, x.l, powers)
+            x.full = split.p**2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
             x.n, x.root = (H.d - 1) ** 2, H.r
             x.split = (split, H) if certify else None
             key = (x.l, *x.image.shape)
@@ -283,7 +286,7 @@ def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> Defec
     `certify` (`catalog.verify`), a build that is not isolated gets its
     exact defect from the null vectors of its short blocks; without it, the
     one-prime bound."""
-    return next(_defects([(a, H, None)], certify))[1]
+    return next(_defects([(H, weyl_split(a, H), None)], certify))[1]
 
 
 def defect(H: Matrix, mode: str = "auto") -> DefectReport:
@@ -347,27 +350,7 @@ class HaagerupSet:
 def haagerup_set(H: Matrix) -> HaagerupSet:
     d = H.d
     if isinstance(H, ExponentMatrix):
-        E, r = H.exp, H.r
-        # the quadruple phase of rows (i, k), columns (j, l) is the residue
-        # of D[k, j] - D[k, l] with D = E[i] - E (mod r).  A hit table marks
-        # it at D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds;
-        # when 2r exceeds the d^3 phases of one i, sorting them costs less
-        table = 2 * r <= d**3
-        dtype = np.min_scalar_type(2 * r - 1) if table else np.int64
-        hit = np.zeros(2 * r if table else 0, dtype=bool)
-        phases = []
-        for i in range(d):
-            D = ((E[i] - E) % r).astype(dtype)
-            if table:
-                hit[D[:, :, None] + (r - D[:, None, :])] = True
-            else:
-                phases.append(np.unique((D[:, :, None] - D[:, None, :]) % r))
-        ks = np.flatnonzero(hit[:r] | hit[r:]) if table else np.unique(np.concatenate(phases))
-        # every member shares the root r, so increasing k is increasing k / r;
-        # k / r in lowest terms, with k = 0 as 0 / 1
-        g = np.gcd(ks, r)
-        members = tuple(zip((ks // g).tolist(), (r // g).tolist()))
-        return HaagerupSet(members=members, r=r)
+        return _haagerup_exact(H, range(d))
     Hc = H.entries
     seen: set = set()
     for i in range(d):
@@ -382,6 +365,34 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
     if len(merged) > 1 and (np.pi - merged[-1]) + (merged[0] + np.pi) < 1e-7:
         merged.pop()  # cluster straddling the +/-pi seam
     return HaagerupSet(members=tuple(merged), r=None)
+
+
+def _haagerup_exact(H: ExponentMatrix, rows: Sequence[int]) -> HaagerupSet:
+    """The exact Haagerup set of the quadruples of H whose first row is in
+    `rows`: H's whole set when `rows` is every row, or when it meets every
+    orbit of a group of automorphisms of H that keeps the quadruple phases
+    (see `assignment_search`)."""
+    d, E, r = H.d, H.exp, H.r
+    # the quadruple phase of rows (i, k), columns (j, l) is the residue
+    # of D[k, j] - D[k, l] with D = E[i] - E (mod r).  A hit table marks
+    # it at D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds;
+    # when 2r exceeds the d^3 phases of one i, sorting them costs less
+    table = 2 * r <= d**3
+    dtype = np.min_scalar_type(2 * r - 1) if table else np.int64
+    hit = np.zeros(2 * r if table else 0, dtype=bool)
+    phases = []
+    for i in rows:
+        D = ((E[i] - E) % r).astype(dtype)
+        if table:
+            hit[D[:, :, None] + (r - D[:, None, :])] = True
+        else:
+            phases.append(np.unique((D[:, :, None] - D[:, None, :]) % r))
+    ks = np.flatnonzero(hit[:r] | hit[r:]) if table else np.unique(np.concatenate(phases))
+    # every member shares the root r, so increasing k is increasing k / r;
+    # k / r in lowest terms, with k = 0 as 0 / 1
+    g = np.gcd(ks, r)
+    members = tuple(zip((ks // g).tolist(), (r // g).tolist()))
+    return HaagerupSet(members=members, r=r)
 
 
 def fingerprint(H: Matrix) -> str:
@@ -508,22 +519,37 @@ def _examine_all(assignments, cache: dict):
     """(a, Butson root, Haagerup fingerprint, defect report) of every
     assignment a, in order.
 
-    Each build is dephased and brought to its minimal root, and its digest
-    taken, as it comes; its defect is `_defects`' without the certificate,
-    so the character blocks of many builds are ranked mod their prime in
-    one stacked elimination.  Every block at full gauge-free rank certifies
-    isolation (mode "exact"); otherwise the ranks give a certified upper
-    bound on the defect (mode "bound").
+    Each build is dephased and brought to its minimal root, split
+    (`weyl_split`) and digested, as it comes: a build whose split verified
+    takes the Haagerup quadruples of the first row of each block row only,
+    which give the whole set (see `assignment_search`).  Its defect is
+    `_defects`' without the certificate, so the character blocks of many
+    builds are ranked mod their prime in one stacked elimination.  Every
+    block at full gauge-free rank certifies isolation (mode "exact");
+    otherwise the ranks give a certified upper bound on the defect (mode
+    "bound").
     """
 
     def builds():
         for a in assignments:
             H = theorem1_build(a, _cache=cache)
             root, reduced = butson_min_root(dephase(H)[0])
-            yield a, reduced, (a, root, haagerup_set(reduced).digest())
+            split, hs = _split_and_haagerup(a, reduced)
+            yield reduced, split, (a, root, hs.digest())
 
     for (a, root, fp), rep in _defects(builds(), certify=False):
         yield a, root, fp, rep
+
+
+def _split_and_haagerup(
+    a: BlockAssignment, H: ExponentMatrix
+) -> Tuple[Optional[WeylSplit], HaagerupSet]:
+    """`weyl_split(a, H)` and the exact Haagerup set of H: from the first
+    row of each block row when the split verified (see `assignment_search`),
+    and from every row when it is None."""
+    split = weyl_split(a, H)
+    rows = range(H.d) if split is None else range(0, a.d, a.q)
+    return split, _haagerup_exact(H, rows)
 
 
 def _examine(a: BlockAssignment, cache: dict):
@@ -546,8 +572,8 @@ def assignment_search(
     of a class that is not isolated is `_examine`'s certified upper bound.
     Output order is the canonical enumeration order of `_candidate_indices`.
 
-    Defects.  Each representative's build is dephased, brought to its
-    minimal root and digested in turn, and its defect system split into q^2
+    Defects.  Each representative's build is dephased and brought to its
+    minimal root in turn, and its defect system split into q^2
     Weyl-Heisenberg blocks of p^2 columns (`_weyl`), after an exact check
     of the automorphisms on that grid.  Only the blocks' image mod one
     prime is kept, not the split; the images of many representatives wait
@@ -558,6 +584,24 @@ def assignment_search(
     the defect of any other from above.  The split uses the same
     covariance of the complete set under X and Z that the orbits below use
     under the Clifford relabellings.
+
+    Haagerup sets.  The set collects the quadruple phases
+    Q(i, k, j, l) = E[i, j] - E[k, j] - E[i, l] + E[k, l] of the grid E
+    that the split checked, the dephased build at its minimal root.  Once
+    `weyl_split` has verified (*) of `_weyl` on E for the generators X and
+    Z, every group element g of G = Z_q^2 acts as (u, k) -> (pi_1 u, pi_2 k)
+    with E[pi_1 u, pi_2 v] = E[u, v] + a_u + b_v (mod r) for some integer
+    vectors a and b, since maps of that form compose.  Then
+    Q(pi_1 i, pi_1 k, pi_2 j, pi_2 l) = Q(i, k, j, l): a_i, a_k, b_j and b_l
+    each enter once with each sign.  The same checks show that G acts
+    freely on the q^2 cells of each block, so it is transitive on them, and
+    so on the q rows of each block row.  Given a quadruple with first row
+    i, let i0 be the first row of i's block row and g an element with
+    pi_1 i0 = i; then g carries the quadruple (i0, pi_1^-1 k, pi_2^-1 j,
+    pi_2^-1 l) of g's inverse images to it, with the same phase.  So the
+    quadruples whose first row is one of 0, q, ..., (p - 1) q give the whole
+    set: p d^3 phases, not d^4 (`_split_and_haagerup`).  A representative
+    whose split is None takes all d rows.
 
     Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
     Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,

@@ -9,6 +9,8 @@ machine-readable evidence.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -39,7 +41,10 @@ class CatalogEntry:
     literal_check: Optional[str] = None  # "equal" or "equivalence"
 
 
+@functools.lru_cache(maxsize=None)
 def _raw() -> dict:
+    """The parsed catalog, read once per process.  Callers only read it:
+    `entry` hands out a copy of every mutable part it returns."""
     text = files(__package__).joinpath("data/catalog.json").read_text()
     return json.loads(text)
 
@@ -60,7 +65,7 @@ def entry(name: str) -> CatalogEntry:
         expected_root=e["expected_root"],
         expected_defect=e["expected_defect"],
         notes=e["notes"],
-        recipe=e.get("recipe"),
+        recipe=copy.deepcopy(e.get("recipe")),
         literal=lit,
         literal_check=e.get("literal_check"),
     )

@@ -155,7 +155,8 @@ def theorem1_build(a: BlockAssignment, _cache: Optional[Dict] = None) -> Exponen
 
     The MU precondition is validated first.  _cache lets a caller share the
     monomialization table across many builds over the same basis set (keys
-    are self-describing).
+    are self-describing), and with it the block of each basis pair at each
+    root, so a search looks up every block of its builds once.
     """
     a.validate()
     p, q = a.p, a.q
@@ -167,9 +168,21 @@ def theorem1_build(a: BlockAssignment, _cache: Optional[Dict] = None) -> Exponen
     for i, Ki in enumerate(a.K):
         for j, Lj in enumerate(a.L):
             phase = (i * j) % p * (R // p)
-            block = _block_exponents(i, j, Ki, Lj, q, R, cache)
+            block = _pair_block(i, j, Ki, Lj, q, R, cache)
             grid[i * q : (i + 1) * q, j * q : (j + 1) * q] = add_mod(block, phase, R)
     return ExponentMatrix(d, R, grid)
+
+
+def _pair_block(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
+    """`_block_exponents` of the pair (Ki, Lj) at root R, read-only, made
+    once per cache.  The entry holds the two bases, so their ids in its key
+    stay theirs while it lives."""
+    key = ("pair", R, id(Ki), id(Lj))
+    if key not in cache:
+        block = _block_exponents(i, j, Ki, Lj, q, R, cache)
+        block.setflags(write=False)
+        cache[key] = (Ki, Lj, block)
+    return cache[key][2]
 
 
 def _block_exponents(i, j, Ki, Lj, q, R, cache) -> np.ndarray:

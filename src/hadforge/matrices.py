@@ -77,11 +77,13 @@ class ExponentMatrix:
             if d < 1:
                 raise ValueError(f"order must be positive, got {d}")
             rows = self.exp
-            if len(rows) != d or any(len(row) != d for row in rows):
-                raise ValueError("exponent grid shape does not match order")
-            if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2:
+            if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+                if rows.shape != (d, d):
+                    raise ValueError("exponent grid shape does not match order")
                 exp = rows % r
             else:
+                if len(rows) != d or any(len(row) != d for row in rows):
+                    raise ValueError("exponent grid shape does not match order")
                 exp = np.array([_residues(row, r) for row in rows])
         except TypeError:
             raise ValueError("order, root order and exponents must be integers") from None

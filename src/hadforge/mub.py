@@ -162,22 +162,29 @@ def _build_set(q: int, diagonal: str) -> MubSet:
 
 
 def _verify_set(s: MubSet) -> None:
-    """Prove the set {I, F, H_1 ... H_(q-1)} pairwise MU exactly, with q
-    pairs tested instead of all (q + 1) q / 2.
+    """Prove the set {I, F, H_1 ... H_(q-1)} pairwise MU exactly, with
+    (q - 1) q inner products tested instead of the q^2 of each of the
+    (q + 1) q / 2 pairs.
 
-    First, an exact integer check of the form: at the common root R of the
-    set, H_1 - F is constant along each row, the exponent vector s of a
-    diagonal D, and every H_j - F is j s (mod R), so H_j = D^j F.  (For
-    q = 2 that is H_1 = diag(1, i) F at R = 4.)  Then F is unitary, and so
-    is every H_j, D being unimodular.  I is unbiased to every other basis,
-    whose entries are unimodular.  For 1 <= a < b <= q - 1,
+    First, exact integer checks of the form: at the common root R of the
+    set, F is the Fourier grid k t (R / q), H_1 - F is constant along each
+    row, the exponent vector s of a diagonal D, and every H_j - F is j s
+    (mod R), so H_j = D^j F.  (For q = 2 that is H_1 = diag(1, i) F at
+    R = 4.)  Then F is unitary, and so is every H_j, D being unimodular.
+    I is unbiased to every other basis, whose entries are unimodular.  For
+    1 <= a < b <= q - 1,
 
         H_a^dagger H_b = F^dagger D^(b - a) F = F^dagger H_(b - a),
 
     with 1 <= b - a <= q - 2, so every inner product of the pair
-    (H_a, H_b) is one of the pair (F, H_(b - a)).  So the pairs
-    (F, H_c) for c = 1 ... q - 1, tested by `is_mu_pair`, are all the
-    pairs that need a test.  A set that fails raises MubConstructionError.
+    (H_a, H_b) is one of the pair (F, H_(b - a)).  And F^dagger H_c =
+    F^dagger D^c F is circulant: its entry (i, t) is the sum over k of
+    omega_R^(c s_k + k (t - i) R / q), a function of t - i.  So the
+    products of column 0 of F, all ones, with the q columns of H_c, for
+    c = 1 ... q - 1, are all the inner products that need a test: each
+    z = sum_k omega^(H_c[k, t]) must have z conj(z) = q, as in
+    `is_mu_pair`, all in one `sums_vanish` call.  A set that fails raises
+    MubConstructionError.
     """
     q = s.q
     if len(s.bases) != q + 1 or not isinstance(s.bases[0], IdentityBasis):
@@ -185,6 +192,9 @@ def _verify_set(s: MubSet) -> None:
     F, fanned = s.bases[1], s.bases[2:]
     R = lcm(F.r, *(b.r for b in fanned))
     E = F.rescaled(R).exp
+    k = np.arange(q)
+    if ((E - np.outer(k, k) * (R // q)) % R).any():
+        raise MubConstructionError(f"F is not the Fourier matrix in dimension {q}")
     shift = (fanned[0].rescaled(R).exp - E) % R
     j = np.arange(1, q)[:, None, None]
     grids = np.stack([b.rescaled(R).exp for b in fanned])
@@ -192,9 +202,12 @@ def _verify_set(s: MubSet) -> None:
         raise MubConstructionError(f"the bases H_j are not D^j F in dimension {q}")
     if not is_unitary(F):
         raise MubConstructionError(f"non-unitary basis F in dimension {q}")
-    for label, b in zip(s.labels[2:], fanned):
-        if not is_mu_pair(F, b):
-            raise MubConstructionError(f"bases F, {label} not MU in dimension {q}")
+    # row (c, t) holds the exponents of column t of H_c
+    z = grids.transpose(0, 2, 1).reshape((q - 1) * q, q)
+    unbiased = _modulus_is_sqrt_q(z, R).reshape(q - 1, q).all(axis=1)
+    if not unbiased.all():
+        label = s.labels[2 + int(np.argmin(unbiased))]
+        raise MubConstructionError(f"bases F, {label} not MU in dimension {q}")
 
 
 def is_mu_pair(
@@ -213,7 +226,15 @@ def is_mu_pair(
     r = lcm(A.r, B.r)
     Ae, Be = A.rescaled(r).exp, B.rescaled(r).exp
     # z_ij = sum_k omega^(B[k, j] - A[k, i]); row n = i * q + j holds its
-    # exponents, and z * conj(z) - q is the sum over their pairs k != k'
+    # exponents
     z = (Be[:, None, :] - Ae[:, :, None]).transpose(1, 2, 0).reshape(q * q, q)
+    return bool(_modulus_is_sqrt_q(z, r).all())
+
+
+def _modulus_is_sqrt_q(z: np.ndarray, r: int) -> np.ndarray:
+    """Whether z conj(z) = q for the sum z of omega_r^z[n, k] over the q
+    exponents of each row n: z conj(z) - q is the sum over their pairs
+    k != k', all rows in one `sums_vanish` call."""
+    n, q = z.shape
     zz = (z[:, :, None] - z[:, None, :])[:, ~np.eye(q, dtype=bool)]
-    return bool(sums_vanish(q * q, np.arange(q * q)[:, None], zz, r).all())
+    return sums_vanish(n, np.arange(n)[:, None], zz, r)

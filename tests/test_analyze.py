@@ -41,6 +41,7 @@ from hadforge.analyze import (
     _float_system,
     _orbit,
     _orbit_multipliers,
+    _split_and_haagerup,
     assignment_search,
     defect,
     fingerprint,
@@ -258,6 +259,81 @@ def test_haagerup_hit_table_at_dtype_boundaries(r):
     E = np.random.default_rng(r).integers(0, r, (d, d))
     E[:2, :2] = [[0, 1], [0, 0]]
     assert_haagerup_matches_reference(ExponentMatrix(d, r, tuple(map(tuple, E.tolist()))))
+
+
+def assert_orbit_rows_give_the_set(a, H):
+    split, got = _split_and_haagerup(a, H)
+    assert split is not None
+    full = haagerup_set(H)
+    assert got.r == full.r and got.members == full.members
+    assert got.digest() == fingerprint(H)
+
+
+RECIPES = [n for n in catalog.names() if catalog.entry(n).recipe is not None]
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_orbit_row_haagerup_set_matches_every_row_on_recipe_builds(name):
+    assert_orbit_rows_give_the_set(catalog.assignment(name), catalog.build(name))
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
+def test_orbit_row_haagerup_set_matches_every_row_on_search_representatives(p, q):
+    for a in assignment_search(p, q).representatives:
+        assert_orbit_rows_give_the_set(a, reduced_grid(theorem1_build(a)))
+
+
+@pytest.mark.parametrize("name", ["S9", "Sp10", "S15", "S35"])
+def test_a_grid_without_the_split_takes_every_row_of_the_haagerup_set(name):
+    a = catalog.assignment(name)
+    H = catalog.build(name)
+    # swap two rows of different block rows, then dephase again
+    rows = list(range(H.d))
+    rows[1], rows[H.d - 1] = rows[H.d - 1], rows[1]
+    move = EquivalenceMove(tuple(rows), tuple(range(H.d)), (0,) * H.d, (0,) * H.d, 1)
+    moved = butson_min_root(dephase(apply_equivalence(H, move))[0])[1]
+    split, got = _split_and_haagerup(a, moved)
+    assert split is None
+    ref = reference_haagerup_set(moved)
+    assert got.r == ref.r and got.members == ref.members
+
+
+def covariant_grid(name, perturbed=False):
+    """A grid with the automorphisms of the build of `name`'s recipe that
+    is not a build: 7 E + a constant per block + row and column phases, at
+    root 7 r, so that (*) of `_weyl` holds; its block rows have different
+    quadruple phases.  `perturbed` moves one entry, so that (*) fails."""
+    a, H = catalog.assignment(name), catalog.build(name)
+    p, q, d = a.p, a.q, a.d
+    rng = np.random.default_rng(d)
+    r = 7 * H.r
+    blocks = np.kron(rng.integers(0, r, (p, p)), np.ones((q, q), dtype=np.int64))
+    E = 7 * H.exp + blocks + rng.integers(0, r, (d, 1)) + rng.integers(0, r, (1, d))
+    if perturbed:
+        E[1, 2] += 1
+    return a, ExponentMatrix(d, r, E)
+
+
+@pytest.mark.parametrize("name", ["S9", "S15", "S35"])
+def test_orbit_row_haagerup_set_needs_every_block_row_on_covariant_grids(name):
+    a, G = covariant_grid(name)
+    split, got = _split_and_haagerup(a, G)
+    assert split is not None
+    ref = reference_haagerup_set(G)
+    assert got.r == ref.r and got.members == ref.members
+    # the first row of each block row is needed: block row 0 alone misses phases
+    assert analyze._haagerup_exact(G, range(a.q)).members != ref.members
+
+
+@pytest.mark.parametrize("name", ["Sp10", "S15"])
+def test_a_covariant_grid_that_fails_the_check_takes_every_row(name):
+    a, G = covariant_grid(name, perturbed=True)
+    split, got = _split_and_haagerup(a, G)
+    assert split is None
+    ref = reference_haagerup_set(G)
+    assert got.r == ref.r and got.members == ref.members
+    # here the first rows of the block rows would miss phases
+    assert analyze._haagerup_exact(G, range(0, a.d, a.q)).members != ref.members
 
 
 @pytest.mark.parametrize("name", ["S9", "Sp10", "S15"])

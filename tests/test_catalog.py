@@ -43,6 +43,14 @@ def test_catalog_data_comes_from_its_own_package(monkeypatch):
             del sys.modules[name]
 
 
+def test_catalog_is_parsed_once_and_entries_hand_out_copies():
+    assert catalog._raw() is catalog._raw()
+    e = catalog.entry("S9")
+    e.recipe["K"].append("H1")
+    e.recipe["p"] = 7
+    assert catalog.entry("S9").recipe == {"p": 3, "q": 3, "K": ["I", "I", "H1"], "L": ["F", "F", "H2"]}
+
+
 @pytest.mark.parametrize("name,d,root,dft", [
     ("S6", 6, 3, 0),
     ("S9", 9, 6, 0),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hadforge import catalog, construct
+from hadforge.analyze import assignment_search
 from hadforge.construct import (
     BlockAssignment,
     MonomializationError,
@@ -359,6 +360,29 @@ def test_build_and_product_match_references_on_random_assignments(p, q):
         for G in (H, negated_entry(H, rng), shifted_entry(H, rng)):
             assert exact_product_equals(a, G) == reference_exact_product_equals(a, G)
         assert exact_product_equals(a, H)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
+def test_search_builds_with_the_pair_cache_match_builds_block_by_block(p, q):
+    # one cache for the whole search, as `assignment_search` keeps it,
+    # against a grid whose blocks each come from a cache of their own
+    cache = {}
+    reps = assignment_search(p, q).representatives
+    for a in reps:
+        H = theorem1_build(a, _cache=cache)
+        R = build_root(a)
+        ref = np.vstack([
+            np.hstack([
+                add_mod(construct._block_exponents(i, j, Ki, Lj, q, R, {}), (i * j) % p * (R // p), R)
+                for j, Lj in enumerate(a.L)
+            ])
+            for i, Ki in enumerate(a.K)
+        ])
+        assert H.r == R and np.array_equal(H.exp, ref)
+    met = {(build_root(a), id(Ki), id(Lj)) for a in reps for Ki in a.K for Lj in a.L}
+    blocks = [v for k, v in cache.items() if k[0] == "pair"]
+    assert len(blocks) == len(met)  # each basis pair looked up once per root
+    assert all(not block.flags.writeable for _, _, block in blocks)
 
 
 def test_product_certificate_refuses_a_negated_entry():

@@ -94,6 +94,14 @@ def test_exponent_grid_is_read_only_int64():
         H.exp[0, 0] = 1
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3), (3, 3, 1), (1, 3, 3)])
+def test_an_int64_array_of_the_wrong_shape_is_refused(shape):
+    with pytest.raises(ValueError, match="shape"):
+        ExponentMatrix(3, 4, np.zeros(shape, dtype=np.int64))
+    H = ExponentMatrix(3, 4, np.arange(9, dtype=np.int64).reshape(3, 3))
+    assert H.exp.tolist() == [[0, 1, 2], [3, 0, 1], [2, 3, 0]]
+
+
 def test_butson_min_root_reduces():
     doubled = ExponentMatrix(3, 6, tuple(tuple((2 * (i * j)) % 6 for j in range(3)) for i in range(3)))
     root, reduced = butson_min_root(doubled)

@@ -196,3 +196,18 @@ def test_a_complete_set_not_of_the_form_is_rejected(q):
         assert every_pair_verifies(t)
         with pytest.raises(mub.MubConstructionError):
             mub._verify_set(t)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_a_complete_set_on_a_permuted_fourier_matrix_is_rejected(q):
+    """Every pair of this set is MU and H_j = D^j F' holds, but F' is F with
+    two rows swapped, not the Fourier grid on which the circulant argument
+    of the q - 1 tested rows rests."""
+    s = complete_mub_set(q)
+    rows = list(range(q))
+    rows[1], rows[2] = rows[2], rows[1]
+    bases = [s.bases[0]] + [ExponentMatrix(q, b.r, b.exp[rows]) for b in s.bases[1:]]
+    t = mub.MubSet(q, s.labels, tuple(bases))
+    assert every_pair_verifies(t)
+    with pytest.raises(mub.MubConstructionError, match="Fourier"):
+        mub._verify_set(t)

@@ -9,8 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadforge import catalog
-from hadforge._exactrank import _echelon, _inverses, find_embedding_prime, rank_mod, rref_mod
-from hadforge._weyl import weyl_split
+from hadforge._exactrank import (
+    SEED,
+    System,
+    _batch_inverses,
+    _echelon,
+    evaluate_rows,
+    find_embedding_prime,
+    power_table,
+    rank_mod,
+    rref_mod,
+)
+from hadforge._weyl import block_image, block_system, weyl_split
 from hadforge.analyze import _build_defect, _defect_exact, assignment_search
 from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.matrices import EquivalenceMove, apply_equivalence, butson_min_root, dephase
@@ -109,6 +119,54 @@ def test_split_defect_matches_the_certificate_on_catalog_recipes(name):
 def test_split_defect_matches_the_certificate_on_search_representatives(p, q):
     for a in assignment_search(p, q).representatives:
         assert_split_matches_exact(a, reduced_build(a))
+
+
+def reference_split_system(split):
+    """Reference: the whole split as one term list, sorted by row: term
+    (n, s, k) of row pair n = (u, v) in block chi is +-omega^e on column
+    (w // q) * p + k // q, with w = u (+, s = 0) or v (-, s = 1) and
+    e = E[u, k] - E[v, k] + chi(g_(w, k)) r / q, chi(a, b) = s' a + t' b
+    for chi = s' q + t'."""
+    p, q, R, E = split.p, split.q, split.r, split.exp
+    d = p * q
+    order = np.argsort(split.row, kind="stable")
+    chi, (U, V), row = split.chi_of[order], split.pairs[order].T, split.row[order]
+    cells = np.stack([U, V], axis=1)[:, :, None]
+    ks = np.arange(d)
+    g = split.group[cells, ks]
+    pairing = ((chi[:, None, None] // q) * (g // q) + (chi[:, None, None] % q) * (g % q)) % q
+    exp = ((E[U] - E[V])[:, None, :] + pairing * (R // q)) % R
+    col = (cells // q) * p + ks // q
+    sign = np.array([[1], [-1]], dtype=np.int8)
+    shape = exp.shape
+    return System(
+        q * q * split.m,
+        *(np.broadcast_to(x, shape).reshape(-1) for x in (row[:, None, None], col, exp, sign)),
+    )
+
+
+def assert_image_matches_the_term_list(a, H):
+    split = weyl_split(a, H)
+    p2 = a.p**2
+    l, g = find_embedding_prime(split.r, random.Random(SEED))
+    ref = evaluate_rows(reference_split_system(split), p2, l, g, split.r).reshape(-1, split.m, p2)
+    got = block_image(split, l, power_table(g, l, split.r))
+    assert got.dtype == np.int32 and np.array_equal(got, ref)
+    # every short block's System has the image of its gauge-free columns
+    for chi in range(0, a.q**2, max(1, a.q**2 // 7)):
+        system, cols = block_system(split, chi)
+        assert np.array_equal(evaluate_rows(system, cols.size, l, g, split.r), ref[chi][:, cols])
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_direct_image_matches_the_whole_split_term_list_on_catalog_recipes(name):
+    assert_image_matches_the_term_list(catalog.assignment(name), catalog.build(name))
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
+def test_direct_image_matches_the_whole_split_term_list_on_search_representatives(p, q):
+    for a in assignment_search(p, q).representatives:
+        assert_image_matches_the_term_list(a, reduced_build(a))
 
 
 @st.composite
@@ -210,10 +268,13 @@ def test_stacked_kernel_keeps_each_matrix_apart():
 @pytest.mark.parametrize("l", [TOP_PRIME, 16777259, 7])
 def test_vectorised_pivot_inverses_match_pow(l):
     rng = np.random.default_rng(l)
-    x = np.concatenate([[1, 2, l - 1, l - 2], rng.integers(1, l, 200)]).astype(np.int64)
-    kept = x.copy()
-    assert _inverses(x, l).tolist() == [pow(int(v), -1, l) for v in x]
-    assert np.array_equal(x, kept)  # the pivots themselves are left as they are
+    pool = np.concatenate([[1, l - 1, 2, l - 2], rng.integers(1, l, 200)]).astype(np.int64)
+    for n in (1, 2, 5, len(pool)):  # a lone pivot, and stacks of several
+        x = pool[:n].copy()
+        got = _batch_inverses(x, l)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert got.tolist() == [pow(int(v), -1, l) for v in x]
+        assert np.array_equal(x, pool[:n])  # the pivots themselves are left as they are
 
 
 @given(seed=st.integers(0, 2**32 - 1), B=st.integers(50, 160), n=st.sampled_from([4, 9, 25]))
