@@ -16,15 +16,17 @@ A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
 (`analyze.defect(H, mode="exact")`, H the assignment with those K and L
 block labels, built and dephased once per side outside the timing) or
 `examine:P:Q:K1,K2,..:L1,L2,..` (`analyze._examine` of that assignment,
-the batch of one of the stream `_examine_all` that the search runs over
+the chunk of one of the stream `_examine_all` that the search runs over
 its representatives, with a fresh build cache every time; the assignment
 and its complete MUB set are made once per side outside the timing).  The script prints the seconds of every round, then
 per call each side's median, the ratio b/a and each side's wins out of the
 rounds.  The warm-up calls' results are compared: for a search its
 `examined`, `partial`, classes, the K and L labels of every orbit
 representative, and every finding (its labels, Butson root, fingerprint
-and full report: defect, rank, mode and evidence), so that equal results
-mean an identical search; for a verify its verdict and defect, for a
+and full report: defect, rank, mode and evidence), and, from a run of
+`analyze._examine_all` over the representatives after the traced call,
+every representative's Butson root, fingerprint and full report, so
+that equal results mean an identical search; for a verify its verdict and defect, for a
 build the root and the sha256 of the exponent grid, for a defect the full
 report, for an examine the root, fingerprint and full report.  The number
 of orbit representatives each side analysed is printed for every search.
@@ -68,6 +70,7 @@ class Side:
         self.construct = importlib.import_module(f"{self.name}.construct")
         self.matrices = importlib.import_module(f"{self.name}.matrices")
         self.inputs = {}  # defect or examine call -> its input, made once
+        self.representatives = None  # of the last search run
 
     def input(self, call: str):
         """The assignment of an examine call, the dephased build of a
@@ -98,6 +101,7 @@ class Side:
             labels = tuple((a.K_labels, a.L_labels) for a in res.representatives)
             out = (res.examined, res.partial, tuple(res.classes), labels, findings)
             reps = len(res.representatives)
+            self.representatives = res.representatives
         elif kind == "defect":
             out = report(self.analyze.defect(x, mode="exact"))
             reps = None
@@ -117,13 +121,20 @@ class Side:
 
     def run_traced(self, call: str):
         """Run one call under tracemalloc; return its result summary, its
-        number of representatives and its peak traced allocation in MB."""
+        number of representatives and its peak traced allocation in MB.
+        The summary of a search also holds every representative's root,
+        fingerprint and full report, examined after the traced call."""
         tracemalloc.start()
         try:
             _, out, reps = self.run(call)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if reps is not None:
+            out += tuple(
+                (a.K_labels, a.L_labels, root, fp) + report(rep)
+                for a, root, fp, rep in self.analyze._examine_all(self.representatives, {})
+            )
         return out, reps, peak / 2**20
 
 

@@ -84,11 +84,25 @@ In block chi, row (u, v) is nonzero only on block row u // q and block
 row v // q: its entry on column (I, J) is the sum over the q columns k of
 block column J of omega^(E[u,k] - E[v,k]) chi(g_(u,k)) when I = u // q,
 minus that with g_(v,k) when I = v // q (both, when u and v share a block
-row).  So `block_image` makes the stacked image mod l by one gather of the
-(n, 2, d) exponents from the powers of omega's image, a sum over the last
-axis of their (n, 2, p, q) reshape, and two scatters into the (rows, p, p)
-stack: no sort and no per-term index.  `block_system` writes the terms of
-one block as a System, for the null-vector certificate of a short block.
+row).  So `block_images` makes the stacked image mod l of the splits of
+many grids at one root r' by one gather of their (n, 2, d) exponents from
+the powers of omega's image, a sum over the last axis of their
+(n, 2, p, q) reshape, and two scatters into the (rows, p, p) stack: no
+sort and no per-term index.  `block_system` writes the terms of one block
+as a System, for the null-vector certificate of a short block.
+
+Read once, and checked on every grid.  What depends on one basis alone is
+read once per basis object (`_basis`): the permutations of X and Z, that
+they commute and have order q, the action of G on the first column and
+its stabiliser.  What depends on one side's bases alone, K_0 ... K_(p-1)
+or L_0 ... L_(p-1), is read once per side and cache (`_side`): the
+side's permutations, the images of each block row's first row, the
+stabilisers, the trivial-character gauge, and the free and stabilised
+row-pair lists.  Everything that involves the grid, or both sides, is
+checked on every grid, for a stack of grids at once (`weyl_splits`): (*)
+for X and Z, the freeness of G on the cells of every block, the group
+table, and lambda_h of every stabilised pair with the characters that
+keep it.  `weyl_split` is the stack of one grid.
 """
 
 from __future__ import annotations
@@ -130,24 +144,57 @@ class WeylSplit(NamedTuple):
     group: np.ndarray  # (d, d) int: a*q + b
 
 
-# (pi_X, pi_Z) of every basis read so far, by the basis object: the bases of
-# a search or a recipe are the q + 1 members of one cached MubSet, so each
-# is read once, not once per build.  An entry leaves with its basis, so the
-# id of a live basis is never a stale key.
-_READ: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+class _Basis(NamedTuple):
+    """What a split reads off one basis B of order q: g = a*q + b acts on
+    its columns as pi_X^a pi_Z^b."""
+
+    pi: np.ndarray  # (2, q): pi_X, then pi_Z
+    first: np.ndarray  # (q^2,): the image of column 0 under g
+    h: int  # the least g != 0 that fixes column 0
+    trivial: np.ndarray  # (q^2,) bool: chi is trivial on the stabiliser of column 0
 
 
-def _permutations(B) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """`_read_permutations(B)`, read once per basis object; the arrays are
+# `_read_basis` of every basis read so far, by the basis object: the bases
+# of a search or a recipe are the q + 1 members of one cached MubSet, so
+# each is read once, not once per build.  An entry leaves with its basis,
+# so the id of a live basis is never a stale key.
+_READ: Dict[int, Optional[_Basis]] = {}
+
+
+def _basis(B) -> Optional[_Basis]:
+    """`_read_basis(B)`, read once per basis object; the arrays are
     read-only, as every build of the basis shares them."""
     key = id(B)
     if key not in _READ:
         weakref.finalize(B, _READ.pop, key, None)
-        perms = _read_permutations(B)
-        for pi in perms or ():
-            pi.setflags(write=False)
-        _READ[key] = perms
+        read = _read_basis(B)
+        for x in (read.pi, read.first, read.trivial) if read is not None else ():
+            x.setflags(write=False)
+        _READ[key] = read
     return _READ[key]
+
+
+def _read_basis(B) -> Optional[_Basis]:
+    """The permutations of X and Z on B and the action of G on its first
+    column, or None when W B is not B times a monomial matrix for W = X or
+    Z (`_read_permutations`), when they do not commute, or when one of them
+    does not have order q."""
+    perms = _read_permutations(B)
+    if perms is None:
+        return None
+    pi = np.stack(perms)
+    if not np.array_equal(pi[0][pi[1]], pi[1][pi[0]]):
+        return None  # X and Z do not commute
+    q = B.d
+    powers = [_powers(x, q) for x in pi]
+    if any(x is None for x in powers):
+        return None
+    first = powers[0][:, powers[1][:, 0]].reshape(q * q)  # X^a Z^b of column 0
+    # the stabiliser of column 0 has prime order q, since G moves the q
+    # columns freely onto each other (checked on the grids, `weyl_splits`),
+    # so any g != 0 in it generates it
+    h = 1 + int((first[1:] == 0).argmax())
+    return _Basis(pi, first, h, _pairing(np.arange(q * q), h, q) == 0)
 
 
 def _read_permutations(B) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -179,42 +226,104 @@ def _powers(pi: np.ndarray, q: int) -> Optional[np.ndarray]:
     return np.stack(out[:q]) if np.array_equal(out[q], out[0]) else None
 
 
+class _Side(NamedTuple):
+    """What a split reads off one side's bases alone: K_0 ... K_(p-1) act
+    on the rows of a build, L_0 ... L_(p-1) on its columns, each on its own
+    block row (column), and g = a*q + b acts on either as X^a Z^b.  The
+    row-pair lists are read on the K side only."""
+
+    pi: np.ndarray  # (2, d): the permutation of X, then that of Z
+    heads: np.ndarray  # (q^2, p): the image under g of the first row of each block row
+    first: np.ndarray  # (q^2,): the image of row 0 under g
+    trivial: np.ndarray  # (q^2, p) bool: chi is trivial on the stabiliser of block row i
+    free: np.ndarray  # (n, 2): the free row pairs
+    stab: np.ndarray  # (s, 2): the stabilised row pairs
+    stab_h: np.ndarray  # (s,): the generator h of their stabiliser
+
+
+def _side(bases, q: int, cache: dict) -> Optional[_Side]:
+    """`_read_side(bases, q)`, read once per cache: the entry holds the
+    bases, so their ids in its key stay theirs while it lives."""
+    key = ("side", *map(id, bases))
+    if key not in cache:
+        cache[key] = (bases, _read_side(bases, q))
+    return cache[key][1]
+
+
+def _read_side(bases, q: int) -> Optional[_Side]:
+    """The structure of one side from those of its bases (`_basis`), or
+    None when one of them has none."""
+    read = [_basis(B) for B in bases]
+    if any(x is None for x in read):
+        return None
+    off = q * np.arange(len(bases))
+    pi = np.concatenate([x.pi for x in read], axis=1) + off.repeat(q)
+    first = np.array([x.first for x in read]).T  # (g, i): in block row i
+    h = np.array([x.h for x in read])  # the stabiliser of each block row
+    # one row pair per orbit: (i q, i' q) when the block rows i and i' have
+    # different stabilisers, else (i q, v) for every v of block row i',
+    # kept in the characters with chi(h) lambda_h = 1 (`_blocks`)
+    same = first[h] == 0  # same[i, i']: h_i fixes block row i'
+    i, i2 = same.nonzero()
+    u, v = off[i].repeat(q), (off[i2][:, None] + np.arange(q)).reshape(-1)
+    keep = u != v
+    heads = first + off
+    return _Side(
+        pi, heads, heads[:, 0], np.array([x.trivial for x in read]).T,
+        np.argwhere(~same) * q, np.array([u[keep], v[keep]]).T, h[i].repeat(q)[keep],
+    )
+
+
 def weyl_split(a: BlockAssignment, H: ExponentMatrix) -> Optional[WeylSplit]:
     """The character blocks of the defect system of H, a unitary grid with
     the automorphisms of the build of a, or None when a check fails: the
     bases are not Weyl-covariant, (*) does not hold on H, or the group does
-    not act freely on the cells of each block (see the module docstring)."""
-    p, q, d = a.p, a.q, a.d
-    if H.d != d:
-        return None
-    perms = [_permutations(B) for B in (*a.K, *a.L)]
-    if any(x is None for x in perms):
-        return None
-    off = q * np.arange(p)
-    # (generator, side): X and Z on the rows (K side) and columns (L side)
-    pi = [
-        [np.concatenate([o + x[w] for o, x in zip(off, side)]) for side in (perms[:p], perms[p:])]
-        for w in (0, 1)
-    ]
-    E, r = H.exp, H.r
-    for rows, cols in pi:
-        D = (E[rows][:, cols] - E) % r
-        if ((D - D[:, :1] - D[:1] + D[0, 0]) % r).any():
-            return None  # (*) fails
-    if any(not np.array_equal(pi[0][s][pi[1][s]], pi[1][s][pi[0][s]]) for s in (0, 1)):
-        return None  # X and Z do not commute
-    powers = [[_powers(pi[w][s], q) for s in (0, 1)] for w in (0, 1)]
-    if any(x is None for row in powers for x in row):
-        return None
-    # element g = a*q + b acts as X^a Z^b: (q^2, d) images of the rows and columns
-    act = [powers[0][s][:, powers[1][s]].reshape(q * q, d) for s in (0, 1)]
-    rows, cols = act[0][:, off], act[1][:, off]  # images of each block's first row, column
-    cells = (rows % q)[:, :, None] * q + (cols % q)[:, None, :]  # (g, i, j)
-    if not (np.sort(cells, axis=0) == np.arange(q * q)[:, None, None]).all():
-        return None  # not free on the cells of some block
-    group = np.empty((d, d), dtype=np.int64)
-    group[rows[:, :, None], cols[:, None, :]] = np.arange(q * q)[:, None, None]
-    return _blocks(p, q, E, r, act, group)
+    not act freely on the cells of each block (see the module docstring).
+    The chunk of one of `weyl_splits`."""
+    return weyl_splits([a], H.exp[None], np.array([H.r]), {})[0]
+
+
+def weyl_splits(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
+    """`weyl_split` of every assignment of one order and its grid, the
+    stack E (N, d, d) at the roots r (N,), each split or None.  What depends
+    on one side's bases alone is read once per cache (`_side`); (*), the
+    freeness and the group table are checked on every grid, for the whole
+    stack at once."""
+    a0 = assignments[0]
+    p, q, d = a0.p, a0.q, a0.d
+    out: list = [None] * len(assignments)
+    if E.shape[1:] != (d, d):
+        return out
+    sides = [(_side(a.K, q, cache), _side(a.L, q, cache)) for a in assignments]
+    at = np.array(
+        [n for n, (k, l) in enumerate(sides) if k is not None and l is not None], dtype=np.int64
+    )
+    if not at.size:
+        return out
+    K, L = zip(*(sides[n] for n in at))
+    E, r = E[at], r[at]
+    n = np.arange(len(at))[:, None, None, None]
+    r4 = r[:, None, None, None]
+    # (*) for X and Z on every grid
+    rows, cols = np.array([s.pi for s in K]), np.array([s.pi for s in L])  # (N, 2, d)
+    D = (E[n, rows[:, :, :, None], cols[:, :, None, :]] - E[:, None]) % r4
+    holds = ~((D - D[..., :1] - D[..., :1, :] + D[..., :1, :1]) % r4).any(axis=(1, 2, 3))
+    # free on the cells of every block: the q^2 images of its first cell
+    rows, cols = np.array([s.heads for s in K]), np.array([s.heads for s in L])  # (N, q^2, p)
+    cells = (rows % q)[:, :, :, None] * q + (cols % q)[:, :, None, :]  # (N, g, i, j)
+    free = (np.sort(cells, axis=1) == np.arange(q * q)[:, None, None]).all(axis=(1, 2, 3))
+    keep = np.flatnonzero(holds & free)
+    if not keep.size:
+        return out
+    group = np.empty((keep.size, d, d), dtype=np.int64)
+    # g carries the first cell of each block to its image
+    group[n[: keep.size], rows[keep, :, :, None], cols[keep, :, None, :]] = (
+        np.arange(q * q)[:, None, None]
+    )
+    splits = _blocks(p, q, E[keep], r[keep], [K[x] for x in keep], [L[x] for x in keep], group)
+    for x, split in zip(at[keep], splits):
+        out[x] = split
+    return out
 
 
 def _pairing(chi, g, q: int):
@@ -222,15 +331,6 @@ def _pairing(chi, g, q: int):
     character chi = s*q + t and the element g = a*q + b."""
     (s, t), (a, b) = divmod(chi, q), divmod(g, q)
     return (s * a + t * b) % q
-
-
-def _stabilisers(act: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """A generator of the stabiliser of each block row (or column): the
-    least element g != 0 that fixes its first row.  The stabiliser has
-    prime order q, since G moves the q rows of a block freely onto each
-    other, so any g != 0 in it generates it."""
-    fixes = act[1:, off] == off
-    return 1 + fixes.argmax(axis=0)
 
 
 def rho_terms(E: np.ndarray, r: int, U: np.ndarray, V: np.ndarray):
@@ -245,96 +345,133 @@ def rho_terms(E: np.ndarray, r: int, U: np.ndarray, V: np.ndarray):
     return rows, exp, np.array([[1], [-1]], dtype=np.int8)
 
 
-def _blocks(p, q, E, r, act, group) -> WeylSplit:
-    """The character blocks of the grid E at root r, as their row pairs
-    and gauges, given the (q^2, d) actions `act` on rows and columns and the
-    cell table `group` that `weyl_split` checked."""
-    R = lcm(r, q)
-    off = q * np.arange(p)
-    chars = np.arange(q * q)[:, None]
-    h_row, h_col = _stabilisers(act[0], off), _stabilisers(act[1], off)
-    # (chi, block row or column): chi is trivial on its stabiliser
-    t_row, t_col = (_pairing(chars, h, q) == 0 for h in (h_row, h_col))
-    gauge = np.zeros((q * q, p, p), dtype=bool)
-    gauge[:, :, 0] = t_row
-    gauge[:, 0, :] |= t_col
+def _blocks(p, q, E, r, K, L, group) -> list:
+    """The splits of the grids E (N, d, d) at the roots r, as their row
+    pairs and gauges, given the sides K and L of each and the cell tables
+    `group` that `weyl_splits` checked: lambda_h and the characters that
+    keep each stabilised pair are found for the whole stack at once."""
+    Q = q * q
+    R = np.lcm(r, q)
+    scale = R // r
+    gauge = np.zeros((len(E), Q, p, p), dtype=bool)
+    gauge[..., 0] = [s.trivial for s in K]
+    gauge[:, :, 0, :] |= np.array([s.trivial for s in L])
 
-    # one row pair per orbit: (i q, i' q) when the block rows i and i' have
-    # different stabilisers, else (i q, v) for every v of block row i',
-    # kept in the characters with chi(h) lambda_h = 1
-    same = act[0][h_row][:, off] == off  # same[i, i']: h_i fixes block row i'
-    i, i2 = np.nonzero(~same)
-    free_u, free_v = off[i], off[i2]
-    i, i2 = np.nonzero(same)
-    stab_u = np.repeat(off[i], q)
-    stab_v = (off[i2][:, None] + np.arange(q)).reshape(-1)
-    h = np.repeat(h_row[i], q)
-    keep = stab_u != stab_v
-    stab_u, stab_v, h = stab_u[keep], stab_v[keep], h[keep]
-    # lambda_h(u, v) at column 0, at root R
-    k = act[1][h, 0]
-    lam = (E[stab_u, k] - E[stab_v, k] - E[stab_u, 0] + E[stab_v, 0]) * (R // r)
-    chi, j = np.nonzero((_pairing(chars, h, q) * (R // q) + lam) % R == 0)
+    # lambda_h(u, v) at column 0, at root R, of every stabilised pair
+    mem = np.arange(len(E)).repeat([len(s.stab) for s in K])
+    stab = np.concatenate([s.stab for s in K])
+    U, V = stab.T
+    h = np.concatenate([s.stab_h for s in K])
+    k = np.array([s.first for s in L])[mem, h]
+    lam = (E[mem, U, k] - E[mem, V, k] - E[mem, U, 0] + E[mem, V, 0]) * scale[mem]
+    pairing = _pairing(np.arange(Q)[:, None], h, q)
+    chi, j = np.nonzero((pairing * (R // q)[mem] + lam) % R[mem] == 0)
+    order = np.argsort(mem[j], kind="stable")  # by grid, then character, then pair
+    chi, j = chi[order], j[order]
+    mem = mem[j]
 
-    # each block keeps its free pairs first, then its stabilised pairs in order
-    n_free = free_u.size
-    counts = np.bincount(chi, minlength=q * q)
-    m = n_free + int(counts.max())
-    chi_of = np.concatenate([np.repeat(np.arange(q * q), n_free), chi])
-    U = np.concatenate([np.tile(free_u, q * q), stab_u[j]])
-    V = np.concatenate([np.tile(free_v, q * q), stab_v[j]])
-    stab_local = n_free + np.arange(chi.size) - (np.cumsum(counts) - counts)[chi]
-    local = np.concatenate([np.tile(np.arange(n_free), q * q), stab_local])
-    return WeylSplit(
-        p, q, R, E * (R // r), np.stack([U, V], axis=1), chi_of, chi_of * m + local, m,
-        gauge.reshape(q * q, p * p), group,
-    )
+    # each block keeps its free pairs first, then its stabilised pairs in
+    # order; the pairs of each grid, block after block, follow those of the
+    # grid before
+    cell = mem * Q + chi
+    counts = np.bincount(cell, minlength=len(E) * Q).reshape(-1, Q)
+    n_free = np.array([len(s.free) for s in K], dtype=np.int64)
+    n_stab = counts.sum(axis=1)
+    m = n_free + counts.max(axis=1)
+    size = Q * n_free + n_stab
+    start = size.cumsum() - size
+    pairs = np.empty((int(size.sum()), 2), dtype=np.int64)
+    chi_of, row = np.empty((2, len(pairs)), dtype=np.int64)
+    # free pair f of grid x in block c: at start[x] + c n_free[x] + f
+    mf = np.arange(len(E)).repeat(Q * n_free)
+    t = np.arange(mf.size) - ((Q * n_free).cumsum() - Q * n_free)[mf]
+    c, f = np.divmod(t, n_free[mf])
+    at = start[mf] + t
+    pairs[at] = np.concatenate([s.free for s in K])[(n_free.cumsum() - n_free)[mf] + f]
+    chi_of[at], row[at] = c, c * m[mf] + f
+    # the stabilised pairs of grid x, in order, after its free pairs
+    local = n_free[mem] + np.arange(chi.size) - (counts.cumsum() - counts.reshape(-1))[cell]
+    at = start[mem] + Q * n_free[mem] + np.arange(chi.size) - (n_stab.cumsum() - n_stab)[mem]
+    pairs[at], chi_of[at], row[at] = stab[j], chi, chi * m[mem] + local
+    exp = E * scale[:, None, None]
+    gauge = gauge.reshape(len(E), Q, p * p)
+    return [
+        WeylSplit(
+            p, q, int(R[x]), exp[x], pairs[a:b], chi_of[a:b], row[a:b], int(m[x]),
+            gauge[x], group[x],
+        )
+        for x, (a, b) in enumerate(zip(start.tolist(), (start + size).tolist()))
+    ]
 
 
-def _terms(split: WeylSplit, sel) -> Tuple[np.ndarray, np.ndarray]:
-    """The terms of the row pairs `sel` of the blocks: rho_uv with each term
-    scaled by chi(g) of its cell, on the block of the cell.  Returns
-    (rows, exp), shaped (n, 2, 1) and (n, 2, d): term (i, s, k) is
-    +-omega^exp[i, s, k] on column (rows[i, s, 0] // q) * p + k // q of its
-    block, with + for side s = 0 (row u) and - for s = 1 (row v), as in
-    `rho_terms`."""
-    q, R = split.q, split.r
-    # chi(g) R / q = (s a + t b) R / q (mod R) for chi = s*q + t and
-    # g = a*q + b, so before the one reduction every exponent is below
-    # R + 2 q R: int32 holds it when that is below 2^31
-    dtype = np.int32 if (2 * q + 1) * R < 2**31 else np.int64
-    pairs = split.pairs[sel]
-    U, V = pairs.T
-    E = split.exp.astype(dtype)
-    a, b = (x.astype(dtype) * (R // q) for x in np.divmod(split.group, q))
-    s, t = (x.astype(dtype)[:, None, None] for x in np.divmod(split.chi_of[sel], q))
-    exp = a[pairs]  # (n, 2, d): the row of each side
-    exp *= s
-    other = b[pairs]
+def _terms(exp: np.ndarray, group: np.ndarray, q: int, R: int, mem, pairs, chi) -> np.ndarray:
+    """The terms of row pairs of the blocks of a stack of splits at root R,
+    with the grids `exp` and cell tables `group` (N, d, d): pair n, of split
+    mem[n], is rho_uv for (u, v) = pairs[n] in block chi[n], with each term
+    scaled by chi(g) of its cell.  Returns the exponents (n, 2, d), each
+    plus a multiple of R, below 3 R: term (n, s, k) is +-omega^exp[n, s, k]
+    on column (pairs[n, s] // q) * p + k // q of its block, with + for side
+    s = 0 (row u) and - for s = 1 (row v), as in `rho_terms`."""
+    d = group.shape[1]
+    # chi(g) R / q = (s a + t b mod q) R / q for chi = s*q + t and g = a*q + b,
+    # with s a + t b below 2 q^2; each term is below 3 R
+    dtype = np.int32 if max(3 * R, 2 * q * q) < 2**31 else np.int64
+    rows = mem[:, None] * d + pairs  # (n, 2): the row of each side in the stack
+    a, b = (x.astype(dtype).reshape(-1, d) for x in np.divmod(group, q))
+    s, t = (x.astype(dtype)[:, None, None] for x in np.divmod(chi, q))
+    out = a[rows]
+    out *= s
+    other = b[rows]
     other *= t
-    exp += other
-    exp += (E[U] - E[V])[:, None, :] % R
-    exp %= R
-    return pairs[:, :, None], exp
+    out += other
+    del other
+    out = (np.arange(2 * q * q, dtype=dtype) % q * (R // q))[out]  # no intp copy, unlike np.take
+    E = exp.astype(dtype).reshape(-1, d)
+    out += (E[rows[:, 0]] - E[rows[:, 1]] + R)[:, None, :]
+    return out
 
 
 def block_image(split: WeylSplit, l: int, powers: np.ndarray) -> np.ndarray:
-    """The stacked blocks mod l under omega_r -> g, with powers[e] = g^e
-    mod l: an int32 array (q^2, m, p^2) with entries in [0, l), the
-    `evaluate_rows` image of their terms.  The terms of one side of a pair
-    lie on one block row, so its q terms on block column J sum to one
-    entry: the stack takes the pairs' side sums over each block column, side
-    u into its block row and minus side v into its own."""
-    p, q, m = split.p, split.q, split.m
-    n = len(split.row)
-    _, exp = _terms(split, slice(None))
-    sums = powers[exp].reshape(n, 2, p, q).sum(axis=3) % l  # below q l < 2^31
-    M = np.zeros((q * q * m, p, p), dtype=np.int32)
-    block_rows = split.pairs // q
-    M[split.row, block_rows[:, 0]] = sums[:, 0]
-    M[split.row, block_rows[:, 1]] += l - sums[:, 1]  # one entry per row: no repeats
+    """The stacked blocks of one split mod l: the chunk of one of
+    `block_images`."""
+    return block_images([split], l, powers)[0]
+
+
+def block_images(splits, l: int, powers: np.ndarray) -> list:
+    """The stacked blocks of every split, all at one root r, mod l under
+    omega_r -> g, with powers[e] = g^e mod l: for each split an int32 array
+    (q^2, m, p^2) with entries in [0, l), the `evaluate_rows` image of their
+    terms.  The terms of one side of a pair lie on one block row, so its q
+    terms on block column J sum to one entry: the stack takes the pairs'
+    side sums over each block column, side u into its block row and minus
+    side v into its own.  All the splits go through one gather, one sum and
+    two scatters."""
+    p, q, R = splits[0].p, splits[0].q, splits[0].r
+    sizes = [len(s.row) for s in splits]
+    heights = np.array([q * q * s.m for s in splits], dtype=np.int64)
+    base = heights.cumsum() - heights
+    mem = np.arange(len(splits)).repeat(sizes)
+    pairs = np.concatenate([s.pairs for s in splits])
+    exp = _terms(
+        np.array([s.exp for s in splits]), np.array([s.group for s in splits]), q, R,
+        mem, pairs, np.concatenate([s.chi_of for s in splits]),
+    )
+    # the sums of q powers, below q l, in int32 when that is below 2^31
+    table = np.tile(powers, 3).astype(np.int32 if q * l < 2**31 else np.int64)
+    terms = table[exp].reshape(len(pairs), 2, p, q)
+    del exp
+    sums = np.einsum("nsjk->nsj", terms) % l
+    del terms
+    row = np.concatenate([s.row for s in splits]) + base[mem]
+    M = np.zeros((int(heights.sum()), p, p), dtype=np.int32)
+    block_rows = pairs // q
+    M[row, block_rows[:, 0]] = sums[:, 0]
+    M[row, block_rows[:, 1]] += l - sums[:, 1]  # one entry per row: no repeats
     M %= l
-    return M.reshape(q * q, m, p * p)
+    return [
+        M[b : b + h].reshape(q * q, s.m, p * p)
+        for b, h, s in zip(base.tolist(), heights.tolist(), splits)
+    ]
 
 
 def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
@@ -343,11 +480,16 @@ def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
     whole block, and its nullity is the block's share of the defect."""
     p, q, m = split.p, split.q, split.m
     sel = np.flatnonzero(split.chi_of == chi)
-    rows, exp = _terms(split, sel)
+    pairs = split.pairs[sel]
+    exp = _terms(
+        split.exp[None], split.group[None], q, split.r,
+        np.zeros(sel.size, dtype=np.int64), pairs, split.chi_of[sel],
+    )
+    exp %= split.r
     cols = np.flatnonzero(~split.gauge[chi])
     renumber = np.full(p * p, -1)
     renumber[cols] = np.arange(cols.size)
-    col = renumber[(rows // q) * p + np.arange(p * q) // q]
+    col = renumber[(pairs[:, :, None] // q) * p + np.arange(p * q) // q]
     keep = col >= 0
     shape = exp.shape
     row = np.broadcast_to((split.row[sel] - chi * m)[:, None, None], shape)

@@ -30,8 +30,16 @@ from ._exactrank import (
     power_table,
     rank_mod,
 )
-from ._weyl import WeylSplit, block_image, block_system, lift_is_null, rho_terms, weyl_split
-from .construct import BlockAssignment, theorem1_build
+from ._weyl import (
+    WeylSplit,
+    block_images,
+    block_system,
+    lift_is_null,
+    rho_terms,
+    weyl_split,
+    weyl_splits,
+)
+from .construct import BlockAssignment, build_grids
 from .matrices import (
     ComplexMatrix,
     ExponentMatrix,
@@ -39,6 +47,7 @@ from .matrices import (
     NotHadamardFormError,
     butson_min_root,
     dephase,
+    dephased_min_roots,
     is_dephased,
     is_unitary,
     to_complex,
@@ -186,21 +195,23 @@ class _Pending:
         self.tag, self.report = tag, None
 
 
-def _defects(builds, certify: bool):
-    """(tag, defect report) of every (H, split, tag) of `builds`, in their
-    order, with H the dephased build of an assignment a at its minimal
-    root (so unitary) and split `weyl_split(a, H)`.
+def _defects(chunks, certify: bool):
+    """(tag, defect report) of every (H, split, tag) of the chunks, lists
+    of them, in their order, with H the dephased build of an assignment a at
+    its minimal root (so unitary) and split `weyl_split(a, H)`.
 
     The defect goes through the Weyl-Heisenberg split of `_weyl` whenever
     `weyl_split` verified its automorphisms on H, and through
     `_defect_exact` when the split is None.  The q^2 character blocks of a
     split are imaged mod one prime, the first that Random(SEED) draws for
-    the split's root (`block_image`), and the split itself is dropped unless
-    `certify` needs it.  The images wait in a queue per (prime, block
-    shape); a queue is ranked by one `rank_mod` of its stacked blocks once
-    it holds _STACK of them, and every queue at the end of `builds`.  Each
-    build's slice of the ranks makes its report (`_block_report`).  A batch
-    of one build is `_build_defect`; a stream is the search.
+    the split's root: the splits of a chunk are grouped by root, and each
+    group is imaged at once (`block_images`).  The splits themselves are
+    dropped unless `certify` needs them.  The images wait in a queue per
+    (prime, block shape); a queue is ranked by one `rank_mod` of its
+    stacked blocks once it holds _STACK of them, and every queue at the end
+    of the chunks.  Each build's slice of the ranks makes its report
+    (`_block_report`).  A chunk of one build is `_build_defect`; a stream
+    of chunks is the search.
     """
     queues: Dict[tuple, List[_Pending]] = {}
     order: collections.deque = collections.deque()
@@ -215,22 +226,34 @@ def _defects(builds, certify: bool):
             x.image = x.split = None
             at += blocks
 
-    for H, split, tag in builds:
-        x = _Pending(tag)
-        order.append(x)
-        if split is None:
-            x.report = _defect_exact(H)
-        else:
-            x.l, powers = _block_prime(split.r)
-            x.image = block_image(split, x.l, powers)
+    def image(chunk) -> List[_Pending]:
+        members = [_Pending(tag) for _, _, tag in chunk]
+        by_root: Dict[int, list] = {}
+        for x, (H, split, _) in zip(members, chunk):
+            if split is None:
+                x.report = _defect_exact(H)
+                continue
             x.full = split.p**2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
             x.n, x.root = (H.d - 1) ** 2, H.r
             x.split = (split, H) if certify else None
-            key = (x.l, *x.image.shape)
-            queue = queues.setdefault(key, [])
-            queue.append(x)
-            if len(queue) * len(x.image) >= _STACK:
-                flush(key)
+            by_root.setdefault(split.r, []).append((x, split))
+        for r, group in by_root.items():
+            l, powers = _block_prime(r)
+            for (x, _), image in zip(group, block_images([split for _, split in group], l, powers)):
+                x.l, x.image = l, image
+        return members
+
+    for chunk in chunks:
+        members = image(chunk)
+        del chunk  # the chunk's splits go before any flush
+        for x in members:
+            order.append(x)
+            if x.report is None:
+                key = (x.l, *x.image.shape)
+                queue = queues.setdefault(key, [])
+                queue.append(x)
+                if len(queue) * len(x.image) >= _STACK:
+                    flush(key)
         while order and order[0].report is not None:
             done = order.popleft()
             yield done.tag, done.report
@@ -286,7 +309,7 @@ def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> Defec
     `certify` (`catalog.verify`), a build that is not isolated gets its
     exact defect from the null vectors of its short blocks; without it, the
     one-prime bound."""
-    return next(_defects([(H, weyl_split(a, H), None)], certify))[1]
+    return next(_defects([[(H, weyl_split(a, H), None)]], certify))[1]
 
 
 def defect(H: Matrix, mode: str = "auto") -> DefectReport:
@@ -371,28 +394,58 @@ def _haagerup_exact(H: ExponentMatrix, rows: Sequence[int]) -> HaagerupSet:
     """The exact Haagerup set of the quadruples of H whose first row is in
     `rows`: H's whole set when `rows` is every row, or when it meets every
     orbit of a group of automorphisms of H that keeps the quadruple phases
-    (see `assignment_search`)."""
-    d, E, r = H.d, H.exp, H.r
+    (see `assignment_search`).  The chunk of one of `_haagerup_sets`."""
+    return _haagerup_sets(H.exp[None], np.array([H.r]), rows)[0]
+
+
+def _haagerup_sets(E: np.ndarray, r: np.ndarray, rows: Sequence[int]) -> List[HaagerupSet]:
+    """`_haagerup_exact` of every grid of the stack E (N, d, d) at the roots
+    r (N,), for the same first rows.  The phases of many first rows, of
+    one grid or several, are made at once, at most _CHUNK of them."""
+    N, d = E.shape[:2]
+    r = np.asarray(r, dtype=np.int64)
+    heads = np.repeat(np.arange(N), len(rows)), np.tile(np.asarray(rows, dtype=np.int64), N)
+    step = max(1, _CHUNK // d**3)
     # the quadruple phase of rows (i, k), columns (j, l) is the residue
     # of D[k, j] - D[k, l] with D = E[i] - E (mod r).  A hit table marks
-    # it at D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds;
-    # when 2r exceeds the d^3 phases of one i, sorting them costs less
-    table = 2 * r <= d**3
-    dtype = np.min_scalar_type(2 * r - 1) if table else np.int64
-    hit = np.zeros(2 * r if table else 0, dtype=bool)
-    phases = []
-    for i in rows:
-        D = ((E[i] - E) % r).astype(dtype)
+    # it at D[k, j] + (r - D[k, l]), in [1, 2r), which the dtype holds,
+    # each grid n in its own stretch from n * 2 r_max; when 2 r_max exceeds
+    # the d^3 phases of one first row, sorting them costs less
+    rm = int(r.max())
+    table = 2 * rm <= d**3
+    if table:
+        dtype = np.min_scalar_type(N * 2 * rm - 1)
+        hit = np.zeros(N * 2 * rm, dtype=bool)
+        base = (np.arange(N) * (2 * rm) + r).astype(dtype)
+    found = []
+    for at in range(0, heads[0].size, step):
+        n, i = (x[at : at + step] for x in heads)
+        rn = r[n][:, None, None]
+        D = (E[n, i][:, None, :] - E[n]) % rn  # (first row, k, j)
         if table:
-            hit[D[:, :, None] + (r - D[:, None, :])] = True
+            D = D.astype(dtype)
+            hit[D[:, :, :, None] + (base[n][:, None, None] - D)[:, :, None, :]] = True
         else:
-            phases.append(np.unique((D[:, :, None] - D[:, None, :]) % r))
-    ks = np.flatnonzero(hit[:r] | hit[r:]) if table else np.unique(np.concatenate(phases))
-    # every member shares the root r, so increasing k is increasing k / r;
-    # k / r in lowest terms, with k = 0 as 0 / 1
-    g = np.gcd(ks, r)
-    members = tuple(zip((ks // g).tolist(), (r // g).tolist()))
-    return HaagerupSet(members=members, r=r)
+            phase = (D[:, :, :, None] - D[:, :, None, :]) % rn[..., None]
+            grid = np.broadcast_to(n[:, None, None, None], phase.shape).reshape(-1)
+            found.append(np.unique(np.stack([grid, phase.reshape(-1)], axis=1), axis=0))
+    if table:
+        hit = hit.reshape(N, 2 * rm)
+        k = np.arange(rm)
+        upper = np.take_along_axis(hit, np.minimum(k + r[:, None], 2 * rm - 1), axis=1)
+        n, ks = np.nonzero((hit[:, :rm] | upper) & (k < r[:, None]))
+    else:
+        n, ks = np.unique(np.concatenate(found), axis=0).T
+    # every member of a set shares its root r, so increasing k is
+    # increasing k / r; k / r in lowest terms, with k = 0 as 0 / 1
+    rn = r[n]
+    g = np.gcd(ks, rn)
+    nums, dens = (ks // g).tolist(), (rn // g).tolist()
+    out, at = [], 0
+    for x, end in enumerate(np.cumsum(np.bincount(n, minlength=N)).tolist()):
+        out.append(HaagerupSet(members=tuple(zip(nums[at:end], dens[at:end])), r=int(r[x])))
+        at = end
+    return out
 
 
 def fingerprint(H: Matrix) -> str:
@@ -504,6 +557,19 @@ def _orbit_multipliers(q: int) -> Tuple[int, ...]:
     return tuple(sorted({sign * x * x % q for x in range(1, q) for sign in (1, -1)}))
 
 
+def _is_least(kc, lc, q: int, multipliers: Sequence[int]) -> bool:
+    """Whether (kc, lc) is the least member of its `_orbit`, found without
+    building it: False at the first image that precedes it.  An image whose
+    K side already differs needs no L side."""
+    for s in multipliers:
+        k = tuple(sorted(s * j % q for j in kc))
+        if k < kc:
+            return False
+        if k == kc and tuple(sorted(s * j % q for j in lc)) < lc:
+            return False
+    return True
+
+
 def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
     """Images of a candidate under the multipliers, each side re-sorted."""
     return {
@@ -515,46 +581,98 @@ def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
     }
 
 
+# A search examines its representatives in chunks: each layer of the
+# front end (build, dephase and minimal root, split, Haagerup set, block
+# image) runs once per chunk on stacked arrays.  Its largest work array is
+# the Haagerup phases of the p block-row heads, p d^3 per representative;
+# the bound keeps a chunk's at or below _CHUNK, 0.25 MB in uint16, and
+# the chunk's traced peak (about 1.2 MB at (3, 5)) under that of a _STACK
+# flush.  From p d^3 > _CHUNK / 2 on (every d >= 33), a chunk is one
+# representative.
+_CHUNK = 2**17
+
+
+def _chunks(assignments):
+    """The assignments in order, as lists of one order (p, q) and at most
+    _CHUNK // (p d^3) members, at least one; a list is handed on as soon as
+    it is full."""
+    chunk: list = []
+    for a in assignments:
+        if chunk and (a.p, a.q) != (chunk[0].p, chunk[0].q):
+            yield chunk
+            chunk = []
+        chunk.append(a)
+        if len(chunk) >= _CHUNK // (a.p * a.d**3):
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
 def _examine_all(assignments, cache: dict):
     """(a, Butson root, Haagerup fingerprint, defect report) of every
     assignment a, in order.
 
-    Each build is dephased and brought to its minimal root, split
-    (`weyl_split`) and digested, as it comes: a build whose split verified
-    takes the Haagerup quadruples of the first row of each block row only,
-    which give the whole set (see `assignment_search`).  Its defect is
-    `_defects`' without the certificate, so the character blocks of many
-    builds are ranked mod their prime in one stacked elimination.  Every
+    The assignments are taken in chunks (`_chunks`), and each layer runs
+    once per chunk on stacked arrays: the builds are gathered from the
+    cached pair blocks (`build_grids`), dephased and brought to their
+    minimal roots (`dephased_min_roots`), split (`weyl_splits`, which
+    checks (*), freeness and the group on every grid, and reads what
+    depends on one side's bases once per `cache`) and digested
+    (`_front`): a build whose split verified takes the
+    Haagerup quadruples of the first row of each block row only, which give
+    the whole set (see `assignment_search`), and one whose split is None
+    every row.  Its defect is `_defects`' without the certificate, so the
+    character blocks of a chunk are imaged together per root, and those of
+    many builds ranked mod their prime in one stacked elimination.  Every
     block at full gauge-free rank certifies isolation (mode "exact");
     otherwise the ranks give a certified upper bound on the defect (mode
-    "bound").
+    "bound").  A chunk of one is `_examine`, with the same report, to its
+    evidence.
     """
 
-    def builds():
-        for a in assignments:
-            H = theorem1_build(a, _cache=cache)
-            root, reduced = butson_min_root(dephase(H)[0])
-            split, hs = _split_and_haagerup(a, reduced)
-            yield reduced, split, (a, root, hs.digest())
+    def chunks():
+        for chunk in _chunks(assignments):
+            yield _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)), cache)
 
-    for (a, root, fp), rep in _defects(builds(), certify=False):
-        yield a, root, fp, rep
+    for (a, root, hs), rep in _defects(chunks(), certify=False):
+        yield a, root, hs.digest(), rep
+
+
+def _front(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
+    """(H, split, (a, Butson root, Haagerup set)) of every assignment a of
+    one order and its dephased grid at its minimal root, the stack E
+    (N, d, d) at the roots r (N,): a chunk as `_defects` takes it.  The
+    splits are `weyl_splits`; the Haagerup set of a grid comes from the
+    first row of each block row when its split verified (see
+    `assignment_search`), and from every row when it is None, each group
+    in one stack."""
+    splits = weyl_splits(assignments, E, r, cache)
+    sets: list = [None] * len(splits)
+    d, q = E.shape[1], assignments[0].q
+    for rows, verified in ((range(0, d, q), True), (range(d), False)):
+        at = [n for n, x in enumerate(splits) if (x is not None) == verified]
+        if at:
+            for n, hs in zip(at, _haagerup_sets(E[at], r[at], rows)):
+                sets[n] = hs
+    return [
+        (ExponentMatrix(d, root, e), split, (a, root, hs))
+        for a, e, root, split, hs in zip(assignments, E, r.tolist(), splits, sets)
+    ]
 
 
 def _split_and_haagerup(
     a: BlockAssignment, H: ExponentMatrix
 ) -> Tuple[Optional[WeylSplit], HaagerupSet]:
-    """`weyl_split(a, H)` and the exact Haagerup set of H: from the first
-    row of each block row when the split verified (see `assignment_search`),
-    and from every row when it is None."""
-    split = weyl_split(a, H)
-    rows = range(H.d) if split is None else range(0, a.d, a.q)
-    return split, _haagerup_exact(H, rows)
+    """`weyl_split(a, H)` and the exact Haagerup set of H: the chunk of one
+    of `_front`."""
+    ((_, split, (_, _, hs)),) = _front([a], H.exp[None], np.array([H.r]), {})
+    return split, hs
 
 
 def _examine(a: BlockAssignment, cache: dict):
     """Butson root, Haagerup fingerprint and defect report of one
-    assignment: the batch of one of `_examine_all`, so the same report, to
+    assignment: the chunk of one of `_examine_all`, so the same report, to
     its evidence, that the search makes for a."""
     return next(_examine_all([a], cache))[1:]
 
@@ -572,18 +690,22 @@ def assignment_search(
     of a class that is not isolated is `_examine`'s certified upper bound.
     Output order is the canonical enumeration order of `_candidate_indices`.
 
-    Defects.  Each representative's build is dephased and brought to its
-    minimal root in turn, and its defect system split into q^2
-    Weyl-Heisenberg blocks of p^2 columns (`_weyl`), after an exact check
-    of the automorphisms on that grid.  Only the blocks' image mod one
-    prime is kept, not the split; the images of many representatives wait
-    in one queue per (prime, rows per block) and are ranked together, one
-    stacked elimination per _STACK blocks (`_examine_all`).  Every report
-    is the one `_examine` gives the representative alone, evidence
-    included.  Full rank certifies an isolated class, and the ranks bound
-    the defect of any other from above.  The split uses the same
-    covariance of the complete set under X and Z that the orbits below use
-    under the Clifford relabellings.
+    Defects.  The representatives are examined in chunks of at most
+    _CHUNK // (p d^3), and each layer runs once per chunk on stacked arrays
+    (`_examine_all`): the builds are gathered from the cached blocks of
+    their basis pairs, dephased and brought to their minimal roots, and
+    the defect system of each is split into q^2 Weyl-Heisenberg blocks of
+    p^2 columns (`_weyl`).  What depends on one side's bases alone is read
+    once per side per search; (*), the freeness and the group table are
+    checked exactly on every grid.  The blocks of a chunk are imaged mod
+    one prime per split root, and only that image is kept, not the split;
+    the images of many representatives wait in one queue per (prime, rows
+    per block) and are ranked together, one stacked elimination per
+    _STACK blocks.  Every report is the one `_examine` gives the
+    representative alone, evidence included.  Full rank certifies an
+    isolated class, and the ranks bound the defect of any other from
+    above.  The split uses the same covariance of the complete set under
+    X and Z that the orbits below use under the Clifford relabellings.
 
     Haagerup sets.  The set collects the quadruple phases
     Q(i, k, j, l) = E[i, j] - E[k, j] - E[i, l] + E[k, l] of the grid E
@@ -600,8 +722,8 @@ def assignment_search(
     pi_1 i0 = i; then g carries the quadruple (i0, pi_1^-1 k, pi_2^-1 j,
     pi_2^-1 l) of g's inverse images to it, with the same phase.  So the
     quadruples whose first row is one of 0, q, ..., (p - 1) q give the whole
-    set: p d^3 phases, not d^4 (`_split_and_haagerup`).  A representative
-    whose split is None takes all d rows.
+    set: p d^3 phases, not d^4 (`_front`).  A representative whose split
+    is None takes all d rows.
 
     Orbits.  For a unit mu mod q let U = P_mu be the permutation x -> mu x.
     Then U I = I P_mu, U F = F * monomial and U H_j = H_{mu^-2 j} * monomial,
@@ -635,14 +757,17 @@ def assignment_search(
     candidate of each class is that least member, and analysing only the
     least members gives the full enumeration's classes and findings.
     `examined` counts the candidates covered, the sum of the orbit sizes,
-    and `representatives` lists the assignments actually analysed.
+    and `representatives` lists the assignments actually analysed.  A
+    candidate is dropped at the first multiplier image that precedes it
+    (`_is_least`); only a least candidate's orbit is built, for its size.
 
     `budget` caps `examined`: a representative is analysed only when its
     whole orbit fits in what is left of it.  `time_limit` (seconds) caps
-    wall time: no representative is taken after it, and the blocks still
-    queued are then ranked.  Stopping short of the end for either sets
-    `stopped_by` ("budget" or "time limit") and so `partial`.  Bad input raises
-    ValueError before any work: p < 1, a q that is not prime
+    wall time: no representative is taken after it, and the chunk already
+    taken is then examined and the blocks still queued are ranked.
+    Stopping short of the end for either sets `stopped_by` ("budget" or
+    "time limit") and so `partial`.  Bad input raises ValueError before
+    any work: p < 1, a q that is not prime
     (NotPrimeError), or a negative budget or time limit.
     """
     if p < 1:
@@ -658,9 +783,9 @@ def assignment_search(
 
     def representatives():
         for kc, lc in _candidate_indices(p, q):
-            orbit = _orbit(kc, lc, q, multipliers)
-            if min(orbit) != (kc, lc):
+            if not _is_least(kc, lc, q, multipliers):
                 continue
+            orbit = _orbit(kc, lc, q, multipliers)
             if budget is not None and res.examined + len(orbit) > budget:
                 res.stopped_by = "budget"
                 return

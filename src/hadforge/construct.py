@@ -156,21 +156,37 @@ def theorem1_build(a: BlockAssignment, _cache: Optional[Dict] = None) -> Exponen
     The MU precondition is validated first.  _cache lets a caller share the
     monomialization table across many builds over the same basis set (keys
     are self-describing), and with it the block of each basis pair at each
-    root, so a search looks up every block of its builds once.
+    root, so a search looks up every block of its builds once.  The chunk
+    of one of `build_grids`.
     """
-    a.validate()
-    p, q = a.p, a.q
+    E, R = build_grids([a], {} if _cache is None else _cache)
+    return ExponentMatrix(a.d, int(R[0]), E[0])
+
+
+def build_grids(
+    assignments: Sequence[BlockAssignment], cache: Dict
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exponent grids of the builds of assignments of one order, as a
+    stack (N, pq, pq), and the root of each: block (i, j) of build n is the
+    cached block of its pair (K_i, L_j) at the build's root R plus the phase
+    (i j mod p) R / p, all in one gather and one sum."""
+    p, q = assignments[0].p, assignments[0].q
     d = p * q
-    roots = [b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)]
-    R = lcm(p, 4 * q, *roots)
-    cache = {} if _cache is None else _cache
-    grid = np.empty((d, d), dtype=np.int64)
-    for i, Ki in enumerate(a.K):
-        for j, Lj in enumerate(a.L):
-            phase = (i * j) % p * (R // p)
-            block = _pair_block(i, j, Ki, Lj, q, R, cache)
-            grid[i * q : (i + 1) * q, j * q : (j + 1) * q] = add_mod(block, phase, R)
-    return ExponentMatrix(d, R, grid)
+    roots, blocks = [], []
+    for a in assignments:
+        a.validate()
+        R = lcm(p, 4 * q, *(b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)))
+        roots.append(R)
+        blocks += [
+            _pair_block(i, j, Ki, Lj, q, R, cache)
+            for i, Ki in enumerate(a.K)
+            for j, Lj in enumerate(a.L)
+        ]
+    R = np.array(roots, dtype=np.int64)[:, None, None, None, None]
+    ij = np.arange(p)
+    phase = (np.outer(ij, ij) % p)[:, :, None, None] * (R // p)
+    grid = add_mod(np.array(blocks).reshape(-1, p, p, q, q), phase, R)
+    return grid.transpose(0, 1, 3, 2, 4).reshape(-1, d, d), R.reshape(-1)
 
 
 def _pair_block(i, j, Ki, Lj, q, R, cache) -> np.ndarray:

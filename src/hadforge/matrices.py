@@ -354,6 +354,18 @@ def butson_min_root(H: ExponentMatrix) -> Tuple[int, ExponentMatrix]:
     return root, ExponentMatrix(H.d, root, H.exp // g)
 
 
+def dephased_min_roots(E: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`butson_min_root(dephase(H)[0])` of a stack of grids: E (N, d, d)
+    at the roots r (N,) give the dephased grids at their minimal roots, and
+    those roots.  Each grid is E[i, j] - E[i, 0] - E[0, j] + E[0, 0], as
+    `dephase` makes it, divided by the gcd of its root and its entries."""
+    r = np.asarray(r, dtype=np.int64)
+    E = (E - E[:, :, :1]) % r[:, None, None]
+    E = (E - E[:, :1, :]) % r[:, None, None]
+    g = np.gcd(np.gcd.reduce(E.reshape(len(E), -1), axis=1), r)
+    return E // g[:, None, None], r // g
+
+
 def is_butson(H: Matrix, r: int) -> bool:
     """True when every entry is an r-th root of unity (times 1/sqrt(d)).
 

@@ -1752,3 +1752,74 @@ def test_a_search_cut_by_its_budget_is_a_prefix_of_the_whole(p, q):
         # the classes of the first k representatives, each at first sight
         keys = [(fp, rep.defect) for _, _, fp, rep in _examine_all(full.representatives[:k], {})]
         assert res.classes == list(dict.fromkeys(keys))
+
+
+# ----------------------------------------------------------------------
+# the search's stacked front end against one representative at a time
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7)])
+def test_search_does_not_depend_on_the_chunk_size(p, q, chunk, monkeypatch):
+    full = assignment_search(p, q)
+    # a bound of chunk * p d^3 Haagerup phases holds `chunk` representatives
+    monkeypatch.setattr(analyze, "_CHUNK", chunk * p * (p * q) ** 3)
+    sizes = [len(c) for c in analyze._chunks(full.representatives)]
+    assert sizes == [chunk] * (len(sizes) - 1) + sizes[-1:] and sizes[-1] <= chunk
+    assert full_summary(assignment_search(p, q)) == full_summary(full)
+
+
+@pytest.mark.parametrize("name", ["Sp10", "S15"])
+def test_a_mixed_chunk_keeps_its_order_and_each_member_its_report(name):
+    # two builds around a grid that fails (*): the failing member takes
+    # every row of its Haagerup set and the unsplit defect, and the others
+    # what they get alone
+    a, G = covariant_grid(name, perturbed=True)
+    G = reduced_grid(G)
+    first, last = assignment_search(a.p, a.q).representatives[:2]
+    chunk = [first, a, last]
+    grids = [reduced_grid(theorem1_build(first)), G, reduced_grid(theorem1_build(last))]
+    E, r = np.stack([H.exp for H in grids]), np.array([H.r for H in grids])
+    members = analyze._front(chunk, E, r, {})
+    assert [split is None for _, split, _ in members] == [False, True, False]
+    out = list(analyze._defects([members], certify=False))
+    assert [tag[0] for tag, _ in out] == chunk
+    (_, root, hs), rep = out[1]
+    ref = reference_haagerup_set(G)
+    assert root == G.r and hs.r == ref.r and hs.members == ref.members
+    exact = _defect_exact(G)
+    assert rep == exact and rep.mode == "exact" and rep.evidence == exact.evidence
+    for (b, root, hs), rep in (out[0], out[2]):
+        root1, fp1, rep1 = _examine(b, {})
+        assert (root, hs.digest(), rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_stacked_search_matches_each_representative_alone_across_roots(chunk, monkeypatch):
+    # (2, 23): the representatives' grids have two split roots, so two
+    # primes; with a bound of 4 representatives the chunks mix them
+    p, q = 2, 23
+    if chunk is not None:
+        monkeypatch.setattr(analyze, "_CHUNK", chunk * p * (p * q) ** 3)
+    res = assignment_search(p, q)
+    batched = list(_examine_all(res.representatives, {}))
+    assert [x[0] for x in batched] == res.representatives
+    roots = {lcm(root, q) for _, root, _, _ in batched}
+    assert len(roots) == 2 and len({analyze._block_prime(r)[0] for r in roots}) == 2
+    if chunk is not None:
+        assert any(
+            len({lcm(root, q) for _, root, _, _ in _examine_all(c, {})}) == 2
+            for c in analyze._chunks(res.representatives)
+        )
+    cache: dict = {}
+    for a, root, fp, rep in batched:
+        root1, fp1, rep1 = _examine(a, cache)
+        assert (root, fp, rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
+    assert full_summary(res) == full_summary(one_at_a_time_search(p, q))
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 3), (3, 5), (5, 3), (3, 7), (2, 13)])
+def test_least_member_test_matches_the_whole_orbit(p, q):
+    mult = _orbit_multipliers(q)
+    for kc, lc in _candidate_indices(p, q):
+        assert analyze._is_least(kc, lc, q, mult) == (min(_orbit(kc, lc, q, mult)) == (kc, lc))
