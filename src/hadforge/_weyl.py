@@ -88,17 +88,49 @@ row).  So `block_images` makes the stacked image mod l of the splits of
 many grids at one root r' by one gather of their (n, 2, d) exponents from
 the powers of omega's image, a sum over the last axis of their
 (n, 2, p, q) reshape, and two scatters into the (rows, p, p) stack: no
-sort and no per-term index.  `block_system` writes the terms of one block
-as a System, for the null-vector certificate of a short block.
+sort and no per-term index.  It images the representative blocks only
+(next paragraph), which the stack of each split puts first
+(`character_slots`), so their row pairs are a prefix of the split's.
+`block_system` writes the terms of one block, of any character, as a
+System, for the null-vector certificate of a short block.
+
+Conjugate characters.  Complex conjugation, the Galois map sigma_-1:
+omega -> omega^-1 of Q(omega_r'), carries rho_uv to -rho_vu: it turns the
+coefficient omega^(E[u,k] - E[v,k]) of x_(u,k) - x_(v,k) into
+omega^(E[v,k] - E[u,k]), which is rho_vu's coefficient of
+x_(v,k) - x_(u,k).  Both ordered pairs are rows, so sigma_-1 maps the
+system onto itself up to a signed row permutation P.  It conjugates the
+coordinates chi(g) of e_(o,chi), which gives those of e_(o,-chi), so
+sigma_-1(M e_(o,chi)) = -P M e_(o,-chi), and the blocks over all rows
+satisfy sigma_-1(M_chi) = -P M_-chi.  A field automorphism keeps ranks, and
+the rows left out of a block are multiples of the rows kept, so
+
+    rank M_-chi = rank M_chi   exactly, over Q(omega_r').
+
+The gauges agree as well: chi(h) = 1 exactly when -chi(h) = 1, so chi and
+-chi are trivial on the same stabilisers, I_chi = I_-chi, J_chi = J_-chi
+and gauge[chi] == gauge[-chi]; the gauge-free columns of the two blocks
+correspond, and so do their ranks there and their shares of the defect.
+So one character of each pair {chi, -chi} is imaged and ranked, the one
+of lesser index, with -chi = ((-s) mod q) q + (-t) mod q for
+chi = s q + t, and -chi takes its rank: (q^2 + 1) / 2 blocks for odd q,
+where chi = 0 alone is its own conjugate, and all q^2 for q = 2, where
+every character is.  A full rank mod l certifies both members exactly; a
+rank mod l is a lower bound on the rank of either, so the sum over the
+q^2 characters still bounds the defect from above.  No rank of -chi is
+taken on any other ground; the null vectors of a short -chi are certified
+from its own block, as those of chi are.
 
 Read once, and checked on every grid.  What depends on one basis alone is
 read once per basis object (`_basis`): the permutations of X and Z, that
 they commute and have order q, the action of G on the first column and
 its stabiliser.  What depends on one side's bases alone, K_0 ... K_(p-1)
-or L_0 ... L_(p-1), is read once per side and cache (`_side`): the
-side's permutations, the images of each block row's first row, the
-stabilisers, the trivial-character gauge, and the free and stabilised
-row-pair lists.  Everything that involves the grid, or both sides, is
+or L_0 ... L_(p-1), is read once per tuple of basis objects, for as long
+as they live (`_side`): the side's permutations, the images of each block
+row's first row, the stabilisers, the trivial-character gauge, and the
+free and stabilised row-pair lists; so `weyl_split`, and with it each
+`catalog.verify`, reads a side again only when its bases are new.
+Everything that involves the grid, or both sides, is
 checked on every grid, for a stack of grids at once (`weyl_splits`): (*)
 for X and Z, the freeness of G on the cells of every block, the group
 table, and lambda_h of every stabilised pair with the characters that
@@ -107,6 +139,7 @@ keep it.  `weyl_split` is the stack of one grid.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -123,13 +156,16 @@ class WeylSplit(NamedTuple):
     """The q^2 character blocks of the defect system of a build, as row
     pairs: block chi keeps the pairs with `chi_of[n] == chi`, pair n is the
     row rho_(pairs[n, 0], pairs[n, 1]) and stands at row `row[n]` of the
-    stack of blocks, chi*m + its place in the block (rows past a block's
-    own count are empty).  Column o = i*p + j is the block (i, j) of the
-    grid E, whose exponents at root r `exp` holds.  `gauge[chi]` marks the
-    columns fixed by the trivial null vectors of block chi.  Character
-    chi = s*q + t is (a, b) -> omega_q^(s a + t b) of the group element
-    (a, b), and `group[u, k]` is the element that carries the first cell of
-    the block of (u, k) to it.
+    stack of blocks, slot[chi]*m + its place in the block, in the order of
+    `character_slots` (rows past a block's own count are empty).  The
+    pairs go by row, so the first `imaged` of them are those of the
+    representative blocks, the ones `block_images` images.  Column
+    o = i*p + j is the block (i, j) of the grid E, whose exponents at root
+    r `exp` holds.  `gauge[chi]` marks the columns fixed by the trivial
+    null vectors of block chi.  Character chi = s*q + t is
+    (a, b) -> omega_q^(s a + t b) of the group element (a, b), and
+    `group[u, k]` is the element that carries the first cell of the block
+    of (u, k) to it.
     """
 
     p: int
@@ -140,6 +176,7 @@ class WeylSplit(NamedTuple):
     chi_of: np.ndarray  # (n,) the block of each pair
     row: np.ndarray  # (n,) its row in the stack
     m: int
+    imaged: int  # the pairs of the representative blocks, the first ones
     gauge: np.ndarray  # (q^2, p^2) bool
     group: np.ndarray  # (d, d) int: a*q + b
 
@@ -154,24 +191,38 @@ class _Basis(NamedTuple):
     trivial: np.ndarray  # (q^2,) bool: chi is trivial on the stabiliser of column 0
 
 
-# `_read_basis` of every basis read so far, by the basis object: the bases
+# `_read_basis` of every basis read so far, by the basis object, and
+# `_read_side` of every side, by the tuple of its basis objects: the bases
 # of a search or a recipe are the q + 1 members of one cached MubSet, so
-# each is read once, not once per build.  An entry leaves with its basis,
-# so the id of a live basis is never a stale key.
+# each basis and each side is read once, not once per build.  An entry
+# leaves with the first of its bases to go, so the ids of live bases are
+# never a stale key.
 _READ: Dict[int, Optional[_Basis]] = {}
+_SIDES: Dict[Tuple[int, ...], Optional["_Side"]] = {}
+
+
+def _remembered(table: dict, key, bases, read):
+    """table[key], made by `read()` on its first call; the entry leaves
+    the table when one of `bases` is collected."""
+    if key not in table:
+        for B in bases:
+            weakref.finalize(B, table.pop, key, None)
+        table[key] = read()
+    return table[key]
 
 
 def _basis(B) -> Optional[_Basis]:
     """`_read_basis(B)`, read once per basis object; the arrays are
     read-only, as every build of the basis shares them."""
-    key = id(B)
-    if key not in _READ:
-        weakref.finalize(B, _READ.pop, key, None)
-        read = _read_basis(B)
-        for x in (read.pi, read.first, read.trivial) if read is not None else ():
+    return _remembered(_READ, id(B), (B,), lambda: _frozen(_read_basis(B)))
+
+
+def _frozen(read):
+    """`read` with its arrays made read-only, None as it is."""
+    for x in read if read is not None else ():
+        if isinstance(x, np.ndarray):
             x.setflags(write=False)
-        _READ[key] = read
-    return _READ[key]
+    return read
 
 
 def _read_basis(B) -> Optional[_Basis]:
@@ -241,13 +292,12 @@ class _Side(NamedTuple):
     stab_h: np.ndarray  # (s,): the generator h of their stabiliser
 
 
-def _side(bases, q: int, cache: dict) -> Optional[_Side]:
-    """`_read_side(bases, q)`, read once per cache: the entry holds the
-    bases, so their ids in its key stay theirs while it lives."""
-    key = ("side", *map(id, bases))
-    if key not in cache:
-        cache[key] = (bases, _read_side(bases, q))
-    return cache[key][1]
+def _side(bases, q: int) -> Optional[_Side]:
+    """`_read_side(bases, q)`, read once per tuple of basis objects, for as
+    long as they live; the arrays are read-only, as every build of the
+    side shares them."""
+    key = tuple(map(id, bases))
+    return _remembered(_SIDES, key, bases, lambda: _frozen(_read_side(bases, q)))
 
 
 def _read_side(bases, q: int) -> Optional[_Side]:
@@ -280,21 +330,21 @@ def weyl_split(a: BlockAssignment, H: ExponentMatrix) -> Optional[WeylSplit]:
     bases are not Weyl-covariant, (*) does not hold on H, or the group does
     not act freely on the cells of each block (see the module docstring).
     The chunk of one of `weyl_splits`."""
-    return weyl_splits([a], H.exp[None], np.array([H.r]), {})[0]
+    return weyl_splits([a], H.exp[None], np.array([H.r]))[0]
 
 
-def weyl_splits(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
+def weyl_splits(assignments, E: np.ndarray, r: np.ndarray) -> list:
     """`weyl_split` of every assignment of one order and its grid, the
     stack E (N, d, d) at the roots r (N,), each split or None.  What depends
-    on one side's bases alone is read once per cache (`_side`); (*), the
-    freeness and the group table are checked on every grid, for the whole
-    stack at once."""
+    on one side's bases alone is read once per tuple of basis objects
+    (`_side`); (*), the freeness and the group table are checked on every
+    grid, for the whole stack at once."""
     a0 = assignments[0]
     p, q, d = a0.p, a0.q, a0.d
     out: list = [None] * len(assignments)
     if E.shape[1:] != (d, d):
         return out
-    sides = [(_side(a.K, q, cache), _side(a.L, q, cache)) for a in assignments]
+    sides = [(_side(a.K, q), _side(a.L, q)) for a in assignments]
     at = np.array(
         [n for n, (k, l) in enumerate(sides) if k is not None and l is not None], dtype=np.int64
     )
@@ -324,6 +374,23 @@ def weyl_splits(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
     for x, split in zip(at[keep], splits):
         out[x] = split
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def character_slots(q: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(slot, source, n) for the characters chi = s*q + t of Z_q^2: block
+    chi stands at slot[chi] of the stack of a split's blocks, the n
+    representatives of the pairs {chi, -chi} (those with chi <= -chi)
+    first, by increasing chi, then the others, by increasing chi; and
+    source[chi] is the slot of the representative of chi's pair, whose
+    rank is chi's (see "Conjugate characters").  Read-only."""
+    chi = np.arange(q * q)
+    s, t = np.divmod(chi, q)
+    rep = np.minimum(chi, (-s % q) * q + (-t % q))
+    slot = np.empty_like(chi)
+    slot[np.argsort(rep != chi, kind="stable")] = chi
+    source = slot[rep]
+    return _frozen((slot, source)) + (int((rep == chi).sum()),)
 
 
 def _pairing(chi, g, q: int):
@@ -371,36 +438,39 @@ def _blocks(p, q, E, r, K, L, group) -> list:
     mem = mem[j]
 
     # each block keeps its free pairs first, then its stabilised pairs in
-    # order; the pairs of each grid, block after block, follow those of the
-    # grid before
+    # order; the blocks of a grid follow one another by slot
+    # (`character_slots`), and the pairs of each grid those of the grid
+    # before
+    slot, _, reps = character_slots(q)
     cell = mem * Q + chi
     counts = np.bincount(cell, minlength=len(E) * Q).reshape(-1, Q)
     n_free = np.array([len(s.free) for s in K], dtype=np.int64)
-    n_stab = counts.sum(axis=1)
     m = n_free + counts.max(axis=1)
-    size = Q * n_free + n_stab
-    start = size.cumsum() - size
-    pairs = np.empty((int(size.sum()), 2), dtype=np.int64)
-    chi_of, row = np.empty((2, len(pairs)), dtype=np.int64)
-    # free pair f of grid x in block c: at start[x] + c n_free[x] + f
+    sizes = np.empty_like(counts)  # by grid and slot
+    sizes[:, slot] = counts + n_free[:, None]
+    starts = (sizes.cumsum() - sizes.reshape(-1)).reshape(sizes.shape)
+    total = int(sizes.sum())
+    pairs = np.empty((total, 2), dtype=np.int64)
+    chi_of, row = np.empty((2, total), dtype=np.int64)
+    # free pair f of grid x in block c
     mf = np.arange(len(E)).repeat(Q * n_free)
-    t = np.arange(mf.size) - ((Q * n_free).cumsum() - Q * n_free)[mf]
-    c, f = np.divmod(t, n_free[mf])
-    at = start[mf] + t
+    c, f = np.divmod(np.arange(mf.size) - ((Q * n_free).cumsum() - Q * n_free)[mf], n_free[mf])
+    at = starts[mf, slot[c]] + f
     pairs[at] = np.concatenate([s.free for s in K])[(n_free.cumsum() - n_free)[mf] + f]
-    chi_of[at], row[at] = c, c * m[mf] + f
-    # the stabilised pairs of grid x, in order, after its free pairs
+    chi_of[at], row[at] = c, slot[c] * m[mf] + f
+    # the stabilised pairs of grid x, in order, after the free pairs of their block
     local = n_free[mem] + np.arange(chi.size) - (counts.cumsum() - counts.reshape(-1))[cell]
-    at = start[mem] + Q * n_free[mem] + np.arange(chi.size) - (n_stab.cumsum() - n_stab)[mem]
-    pairs[at], chi_of[at], row[at] = stab[j], chi, chi * m[mem] + local
+    at = starts[mem, slot[chi]] + local
+    pairs[at], chi_of[at], row[at] = stab[j], chi, slot[chi] * m[mem] + local
     exp = E * scale[:, None, None]
     gauge = gauge.reshape(len(E), Q, p * p)
+    imaged = sizes[:, :reps].sum(axis=1).tolist()
     return [
         WeylSplit(
-            p, q, int(R[x]), exp[x], pairs[a:b], chi_of[a:b], row[a:b], int(m[x]),
-            gauge[x], group[x],
+            p, q, int(R[x]), exp[x], pairs[a : a + n], chi_of[a : a + n], row[a : a + n],
+            int(m[x]), imaged[x], gauge[x], group[x],
         )
-        for x, (a, b) in enumerate(zip(start.tolist(), (start + size).tolist()))
+        for x, (a, n) in enumerate(zip(starts[:, 0].tolist(), sizes.sum(axis=1).tolist()))
     ]
 
 
@@ -438,23 +508,26 @@ def block_image(split: WeylSplit, l: int, powers: np.ndarray) -> np.ndarray:
 
 
 def block_images(splits, l: int, powers: np.ndarray) -> list:
-    """The stacked blocks of every split, all at one root r, mod l under
-    omega_r -> g, with powers[e] = g^e mod l: for each split an int32 array
-    (q^2, m, p^2) with entries in [0, l), the `evaluate_rows` image of their
-    terms.  The terms of one side of a pair lie on one block row, so its q
-    terms on block column J sum to one entry: the stack takes the pairs'
-    side sums over each block column, side u into its block row and minus
-    side v into its own.  All the splits go through one gather, one sum and
-    two scatters."""
+    """The representative blocks of every split, all at one root r, mod l
+    under omega_r -> g, with powers[e] = g^e mod l: for each split an int32
+    array (n, m, p^2) with entries in [0, l), the `evaluate_rows` image of
+    the terms of the n blocks that `character_slots(q)` puts first, one per
+    pair {chi, -chi}, in slot order; block -chi has the rank of block chi
+    (see "Conjugate characters").  The terms of one side of a pair lie on
+    one block row, so its q terms on block column J sum to one entry: the
+    stack takes the pairs' side sums over each block column, side u into
+    its block row and minus side v into its own.  All the splits go
+    through one gather, one sum and two scatters."""
     p, q, R = splits[0].p, splits[0].q, splits[0].r
-    sizes = [len(s.row) for s in splits]
-    heights = np.array([q * q * s.m for s in splits], dtype=np.int64)
+    reps = character_slots(q)[2]
+    sizes = [s.imaged for s in splits]
+    heights = np.array([reps * s.m for s in splits], dtype=np.int64)
     base = heights.cumsum() - heights
     mem = np.arange(len(splits)).repeat(sizes)
-    pairs = np.concatenate([s.pairs for s in splits])
+    pairs = np.concatenate([s.pairs[: s.imaged] for s in splits])
     exp = _terms(
         np.array([s.exp for s in splits]), np.array([s.group for s in splits]), q, R,
-        mem, pairs, np.concatenate([s.chi_of for s in splits]),
+        mem, pairs, np.concatenate([s.chi_of[: s.imaged] for s in splits]),
     )
     # the sums of q powers, below q l, in int32 when that is below 2^31
     table = np.tile(powers, 3).astype(np.int32 if q * l < 2**31 else np.int64)
@@ -462,14 +535,14 @@ def block_images(splits, l: int, powers: np.ndarray) -> list:
     del exp
     sums = np.einsum("nsjk->nsj", terms) % l
     del terms
-    row = np.concatenate([s.row for s in splits]) + base[mem]
+    row = np.concatenate([s.row[: s.imaged] for s in splits]) + base[mem]
     M = np.zeros((int(heights.sum()), p, p), dtype=np.int32)
     block_rows = pairs // q
     M[row, block_rows[:, 0]] = sums[:, 0]
     M[row, block_rows[:, 1]] += l - sums[:, 1]  # one entry per row: no repeats
     M %= l
     return [
-        M[b : b + h].reshape(q * q, s.m, p * p)
+        M[b : b + h].reshape(reps, s.m, p * p)
         for b, h, s in zip(base.tolist(), heights.tolist(), splits)
     ]
 
@@ -492,7 +565,7 @@ def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
     col = renumber[(pairs[:, :, None] // q) * p + np.arange(p * q) // q]
     keep = col >= 0
     shape = exp.shape
-    row = np.broadcast_to((split.row[sel] - chi * m)[:, None, None], shape)
+    row = np.broadcast_to((split.row[sel] % m)[:, None, None], shape)
     sign = np.broadcast_to(np.array([[1], [-1]], dtype=np.int8), shape)
     return System(m, row[keep], col[keep], exp[keep], sign[keep]), cols
 

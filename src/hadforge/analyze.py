@@ -34,6 +34,7 @@ from ._weyl import (
     WeylSplit,
     block_images,
     block_system,
+    character_slots,
     lift_is_null,
     rho_terms,
     weyl_split,
@@ -166,11 +167,12 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
     return DefectReport(n - rank, n, rank, "exact", ev)
 
 
-# The character blocks of a stream of builds (a search) are imaged one
-# build at a time and queued by prime and block shape; a queue that holds
+# The character blocks of a stream of builds (a search) are imaged a chunk
+# at a time and queued by prime and block shape; a queue that holds
 # _STACK block matrices is ranked in one stacked elimination.  The bound
-# keeps the stacked work arrays small: at (5, 3), 108 blocks of 25 x 25
-# peak at about 2 MB of traced allocations.
+# keeps the stacked work arrays small: 100 blocks of 25 x 25, at (5, 3)
+# the representative blocks of 20 builds, 5 each, peak at about 2 MB of
+# traced allocations in `rank_mod`.
 _STACK = 100
 
 
@@ -189,7 +191,7 @@ class _Pending:
     """A build on its way through `_defects`: its character blocks imaged
     mod l until a stacked elimination ranks them, then its report."""
 
-    __slots__ = ("tag", "report", "image", "l", "full", "n", "root", "split")
+    __slots__ = ("tag", "report", "image", "source", "l", "full", "n", "root", "split")
 
     def __init__(self, tag) -> None:
         self.tag, self.report = tag, None
@@ -202,16 +204,19 @@ def _defects(chunks, certify: bool):
 
     The defect goes through the Weyl-Heisenberg split of `_weyl` whenever
     `weyl_split` verified its automorphisms on H, and through
-    `_defect_exact` when the split is None.  The q^2 character blocks of a
-    split are imaged mod one prime, the first that Random(SEED) draws for
-    the split's root: the splits of a chunk are grouped by root, and each
-    group is imaged at once (`block_images`).  The splits themselves are
-    dropped unless `certify` needs them.  The images wait in a queue per
-    (prime, block shape); a queue is ranked by one `rank_mod` of its
-    stacked blocks once it holds _STACK of them, and every queue at the end
-    of the chunks.  Each build's slice of the ranks makes its report
-    (`_block_report`).  A chunk of one build is `_build_defect`; a stream
-    of chunks is the search.
+    `_defect_exact` when the split is None.  Of the q^2 character blocks
+    of a split, one per pair {chi, -chi} is imaged, (q^2 + 1) / 2 blocks
+    for odd q and q^2 for q = 2, mod one prime, the first that Random(SEED)
+    draws for the split's root: the splits of a chunk are grouped by root,
+    and each group is imaged at once (`block_images`).  The splits
+    themselves are dropped unless `certify` needs them.  The images wait in
+    a queue per (prime, block shape); a queue is ranked by one `rank_mod`
+    of its stacked blocks once it holds _STACK of them, and every queue at
+    the end of the chunks.  Each build's slice of the ranks goes back to
+    its q^2 characters, -chi taking the rank of chi (exact over
+    Q(omega_r'), see "Conjugate characters" in `_weyl`), and makes its
+    report (`_block_report`).  A chunk of one build is `_build_defect`; a
+    stream of chunks is the search.
     """
     queues: Dict[tuple, List[_Pending]] = {}
     order: collections.deque = collections.deque()
@@ -222,7 +227,7 @@ def _defects(chunks, certify: bool):
         at = 0
         for x in batch:
             blocks = len(x.image)
-            x.report = _block_report(x, ranks[at : at + blocks], certify)
+            x.report = _block_report(x, ranks[at : at + blocks][x.source], certify)
             x.image = x.split = None
             at += blocks
 
@@ -234,6 +239,7 @@ def _defects(chunks, certify: bool):
                 x.report = _defect_exact(H)
                 continue
             x.full = split.p**2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
+            x.source = character_slots(split.q)[1]
             x.n, x.root = (H.d - 1) ** 2, H.r
             x.split = (split, H) if certify else None
             by_root.setdefault(split.r, []).append((x, split))
@@ -618,13 +624,14 @@ def _examine_all(assignments, cache: dict):
     cached pair blocks (`build_grids`), dephased and brought to their
     minimal roots (`dephased_min_roots`), split (`weyl_splits`, which
     checks (*), freeness and the group on every grid, and reads what
-    depends on one side's bases once per `cache`) and digested
-    (`_front`): a build whose split verified takes the
+    depends on one side's bases once per tuple of basis objects) and
+    digested (`_front`): a build whose split verified takes the
     Haagerup quadruples of the first row of each block row only, which give
     the whole set (see `assignment_search`), and one whose split is None
     every row.  Its defect is `_defects`' without the certificate, so the
-    character blocks of a chunk are imaged together per root, and those of
-    many builds ranked mod their prime in one stacked elimination.  Every
+    character blocks of a chunk, one per conjugate pair, are imaged
+    together per root, and those of many builds ranked mod their prime in
+    one stacked elimination.  Every
     block at full gauge-free rank certifies isolation (mode "exact");
     otherwise the ranks give a certified upper bound on the defect (mode
     "bound").  A chunk of one is `_examine`, with the same report, to its
@@ -633,13 +640,13 @@ def _examine_all(assignments, cache: dict):
 
     def chunks():
         for chunk in _chunks(assignments):
-            yield _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)), cache)
+            yield _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
 
     for (a, root, hs), rep in _defects(chunks(), certify=False):
         yield a, root, hs.digest(), rep
 
 
-def _front(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
+def _front(assignments, E: np.ndarray, r: np.ndarray) -> list:
     """(H, split, (a, Butson root, Haagerup set)) of every assignment a of
     one order and its dephased grid at its minimal root, the stack E
     (N, d, d) at the roots r (N,): a chunk as `_defects` takes it.  The
@@ -647,7 +654,7 @@ def _front(assignments, E: np.ndarray, r: np.ndarray, cache: dict) -> list:
     first row of each block row when its split verified (see
     `assignment_search`), and from every row when it is None, each group
     in one stack."""
-    splits = weyl_splits(assignments, E, r, cache)
+    splits = weyl_splits(assignments, E, r)
     sets: list = [None] * len(splits)
     d, q = E.shape[1], assignments[0].q
     for rows, verified in ((range(0, d, q), True), (range(d), False)):
@@ -666,7 +673,7 @@ def _split_and_haagerup(
 ) -> Tuple[Optional[WeylSplit], HaagerupSet]:
     """`weyl_split(a, H)` and the exact Haagerup set of H: the chunk of one
     of `_front`."""
-    ((_, split, (_, _, hs)),) = _front([a], H.exp[None], np.array([H.r]), {})
+    ((_, split, (_, _, hs)),) = _front([a], H.exp[None], np.array([H.r]))
     return split, hs
 
 
@@ -696,9 +703,13 @@ def assignment_search(
     their basis pairs, dephased and brought to their minimal roots, and
     the defect system of each is split into q^2 Weyl-Heisenberg blocks of
     p^2 columns (`_weyl`).  What depends on one side's bases alone is read
-    once per side per search; (*), the freeness and the group table are
-    checked exactly on every grid.  The blocks of a chunk are imaged mod
-    one prime per split root, and only that image is kept, not the split;
+    once per tuple of basis objects, so once per side for as long as the
+    cached complete set lives; (*), the freeness and the group table are
+    checked exactly on every grid.  Complex conjugation carries block chi
+    to block -chi, so the two have one rank, and only one block of each
+    pair {chi, -chi} is imaged and ranked, (q^2 + 1) / 2 of the q^2 for
+    odd q.  The blocks of a chunk are imaged mod one prime per split root,
+    and only that image is kept, not the split;
     the images of many representatives wait in one queue per (prime, rows
     per block) and are ranked together, one stacked elimination per
     _STACK blocks.  Every report is the one `_examine` gives the

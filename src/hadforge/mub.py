@@ -231,10 +231,22 @@ def is_mu_pair(
     return bool(_modulus_is_sqrt_q(z, r).all())
 
 
+# `_modulus_is_sqrt_q` tests its rows in slices of at most this many pair
+# terms, q (q - 1) a row, so that its work arrays stay a few MB:
+# complete_mub_set(47) tests 2162 rows of 2162 terms each.
+_PAIR_TERMS = 2**18
+
+
 def _modulus_is_sqrt_q(z: np.ndarray, r: int) -> np.ndarray:
     """Whether z conj(z) = q for the sum z of omega_r^z[n, k] over the q
     exponents of each row n: z conj(z) - q is the sum over their pairs
-    k != k', all rows in one `sums_vanish` call."""
+    k != k', one `sums_vanish` call per slice of rows, each slice at most
+    _PAIR_TERMS terms (one row at least)."""
     n, q = z.shape
-    zz = (z[:, :, None] - z[:, None, :])[:, ~np.eye(q, dtype=bool)]
-    return sums_vanish(n, np.arange(n)[:, None], zz, r)
+    off = ~np.eye(q, dtype=bool)
+    step = max(1, _PAIR_TERMS // max(1, q * (q - 1)))
+    out = []
+    for x in (z[at : at + step] for at in range(0, n, step)):
+        zz = (x[:, :, None] - x[:, None, :])[:, off]
+        out.append(sums_vanish(len(x), np.arange(len(x))[:, None], zz, r))
+    return np.concatenate(out)

@@ -1780,7 +1780,7 @@ def test_a_mixed_chunk_keeps_its_order_and_each_member_its_report(name):
     chunk = [first, a, last]
     grids = [reduced_grid(theorem1_build(first)), G, reduced_grid(theorem1_build(last))]
     E, r = np.stack([H.exp for H in grids]), np.array([H.r for H in grids])
-    members = analyze._front(chunk, E, r, {})
+    members = analyze._front(chunk, E, r)
     assert [split is None for _, split, _ in members] == [False, True, False]
     out = list(analyze._defects([members], certify=False))
     assert [tag[0] for tag, _ in out] == chunk

@@ -211,3 +211,29 @@ def test_a_complete_set_on_a_permuted_fourier_matrix_is_rejected(q):
     assert every_pair_verifies(t)
     with pytest.raises(mub.MubConstructionError, match="Fourier"):
         mub._verify_set(t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_sliced_modulus_check_matches_the_one_shot_check(q, monkeypatch):
+    """The inner-product rows of every pair of the set and of a planted
+    biased basis (the last one with one entry moved), tested in slices of
+    one row and of two, against all rows in one piece."""
+    s = complete_mub_set(q)
+    biased = changed(s, s.labels[-1], (1, 1), 1)
+    members = [b for _, b in s.hadamard_members()] + [biased.bases[-1]]
+    R = np.lcm.reduce([b.r for b in members])
+    E = [b.rescaled(R).exp for b in members]
+    z = np.concatenate([
+        (B[:, None, :] - A[:, :, None]).transpose(1, 2, 0).reshape(q * q, q)
+        for i, A in enumerate(E)
+        for B in E[i + 1:]
+    ])
+    monkeypatch.setattr(mub, "_PAIR_TERMS", 10**9)
+    whole = mub._modulus_is_sqrt_q(z, R)
+    verdicts = (verifies(s), verifies(biased), is_mu_pair(members[1], members[-1]))
+    assert whole.any() and not whole.all()
+    assert verdicts == (True, False, False)
+    for bound in (1, 3 * q * (q - 1) - 1):
+        monkeypatch.setattr(mub, "_PAIR_TERMS", bound)
+        assert np.array_equal(mub._modulus_is_sqrt_q(z, R), whole)
+        assert (verifies(s), verifies(biased), is_mu_pair(members[1], members[-1])) == verdicts

@@ -1,5 +1,6 @@
 """The Weyl-Heisenberg split of the defect system of a build."""
 
+import gc
 import random
 from math import lcm
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadforge import catalog
+from hadforge import _weyl, analyze, catalog, mub
 from hadforge._exactrank import (
     SEED,
     System,
+    certify_rank,
     _batch_inverses,
     _echelon,
     evaluate_rows,
@@ -21,7 +23,13 @@ from hadforge._exactrank import (
     rref_mod,
 )
 from hadforge._weyl import block_image, block_system, weyl_split
-from hadforge.analyze import _build_defect, _defect_exact, assignment_search
+from hadforge.analyze import (
+    DefectReport,
+    _build_defect,
+    _defect_exact,
+    _examine_all,
+    assignment_search,
+)
 from hadforge.construct import BlockAssignment, theorem1_build
 from hadforge.matrices import EquivalenceMove, apply_equivalence, butson_min_root, dephase
 from hadforge.mub import IdentityBasis, complete_mub_set
@@ -122,15 +130,16 @@ def test_split_defect_matches_the_certificate_on_search_representatives(p, q):
 
 
 def reference_split_system(split):
-    """Reference: the whole split as one term list, sorted by row: term
+    """Reference: the whole split as one term list, block chi at rows
+    chi*m up to (chi + 1)*m, each pair at its place in its block: term
     (n, s, k) of row pair n = (u, v) in block chi is +-omega^e on column
     (w // q) * p + k // q, with w = u (+, s = 0) or v (-, s = 1) and
     e = E[u, k] - E[v, k] + chi(g_(w, k)) r / q, chi(a, b) = s' a + t' b
     for chi = s' q + t'."""
     p, q, R, E = split.p, split.q, split.r, split.exp
     d = p * q
-    order = np.argsort(split.row, kind="stable")
-    chi, (U, V), row = split.chi_of[order], split.pairs[order].T, split.row[order]
+    chi, (U, V) = split.chi_of, split.pairs.T
+    row = chi * split.m + split.row % split.m
     cells = np.stack([U, V], axis=1)[:, :, None]
     ks = np.arange(d)
     g = split.group[cells, ks]
@@ -145,13 +154,30 @@ def reference_split_system(split):
     )
 
 
+def conjugate(chi, q):
+    """-chi: the character (a, b) -> omega_q^-(s a + t b) for chi = s*q + t."""
+    s, t = divmod(chi, q)
+    return (-s % q) * q + (-t % q)
+
+
+def reference_image(split):
+    """The q^2 blocks of the split mod its block prime, from the whole term
+    list, by character, and that prime and its root's image."""
+    p2 = split.p**2
+    l, g = find_embedding_prime(split.r, random.Random(SEED))
+    ref = evaluate_rows(reference_split_system(split), p2, l, g, split.r)
+    return ref.reshape(-1, split.m, p2), l, g
+
+
 def assert_image_matches_the_term_list(a, H):
     split = weyl_split(a, H)
-    p2 = a.p**2
-    l, g = find_embedding_prime(split.r, random.Random(SEED))
-    ref = evaluate_rows(reference_split_system(split), p2, l, g, split.r).reshape(-1, split.m, p2)
+    q = a.q
+    ref, l, g = reference_image(split)
     got = block_image(split, l, power_table(g, l, split.r))
-    assert got.dtype == np.int32 and np.array_equal(got, ref)
+    # the representatives of the pairs {chi, -chi}, by increasing chi
+    reps = [chi for chi in range(q * q) if chi <= conjugate(chi, q)]
+    assert len(reps) == (q * q if q == 2 else (q * q + 1) // 2)
+    assert got.dtype == np.int32 and np.array_equal(got, ref[reps])
     # every short block's System has the image of its gauge-free columns
     for chi in range(0, a.q**2, max(1, a.q**2 // 7)):
         system, cols = block_system(split, chi)
@@ -167,6 +193,103 @@ def test_direct_image_matches_the_whole_split_term_list_on_catalog_recipes(name)
 def test_direct_image_matches_the_whole_split_term_list_on_search_representatives(p, q):
     for a in assignment_search(p, q).representatives:
         assert_image_matches_the_term_list(a, reduced_build(a))
+
+
+# ----------------------------------------------------------------------
+# conjugate characters: one block imaged and ranked per pair {chi, -chi}
+# ----------------------------------------------------------------------
+
+def reference_defect(a, H):
+    """The report of H the split would give from the mod-l ranks of all
+    q^2 blocks, each imaged from the whole term list and ranked alone."""
+    split = weyl_split(a, H)
+    if split is None:
+        return _defect_exact(H)
+    ref, l, _ = reference_image(split)
+    ranks = np.array([rank_mod(block.copy(), l) for block in ref])
+    full = a.p**2 - split.gauge.sum(axis=1)
+    n, rank = (a.d - 1) ** 2, int(ranks.sum())
+    ev = {
+        "root": H.r, "blocks": a.q**2, "block_columns": a.p**2, "pivot_count": rank,
+        "primes": [l], "null_vectors": 0,
+    }
+    if (ranks == full).all():
+        return DefectReport(0, n, n, "exact", ev)
+    return DefectReport(n - rank, n, rank, "bound", ev)
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7), (3, 7), (3, 2)])
+def test_defects_match_every_block_ranked_alone(p, q):
+    reps = assignment_search(p, q).representatives
+    searched = [rep for _, _, _, rep in _examine_all(reps, {})]
+    for a, rep in zip(reps, searched):
+        H = reduced_build(a)
+        ref = reference_defect(a, H)
+        alone = _build_defect(a, H, certify=False)
+        assert rep == ref and rep.evidence == ref.evidence
+        assert alone == ref and alone.evidence == ref.evidence
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7)])
+def test_conjugate_blocks_have_the_same_exact_rank(p, q):
+    """On the short blocks of the builds that are not isolated, the exact
+    rank of block chi is that of block -chi, and so are the gauge and the
+    rank mod l."""
+    checked = 0
+    for a in assignment_search(p, q).representatives:
+        split = weyl_split(a, reduced_build(a))
+        ref, l, _ = reference_image(split)
+        full = p * p - split.gauge.sum(axis=1)
+        for chi in range(q * q):
+            neg = conjugate(chi, q)
+            assert np.array_equal(split.gauge[chi], split.gauge[neg])
+            rank = rank_mod(ref[chi].copy(), l)
+            assert rank == rank_mod(ref[neg].copy(), l)
+            if chi < neg and rank < full[chi]:
+                exact = [
+                    certify_rank(system, cols.size, split.r)[0]
+                    for system, cols in (block_system(split, x) for x in (chi, neg))
+                ]
+                assert exact[0] == exact[1]
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p,q,blocks", [(3, 5, 13), (5, 3, 5), (2, 7, 25), (3, 2, 4)])
+def test_each_build_ranks_one_block_per_conjugate_pair(p, q, blocks, monkeypatch):
+    """Each build sends (q^2 + 1) / 2 blocks to the rank for odd q, and q^2
+    for q = 2, whose characters are their own conjugates; its report
+    still counts q^2 blocks."""
+    sent = []
+    rank = analyze.rank_mod
+    monkeypatch.setattr(analyze, "rank_mod", lambda M, l: (sent.append(len(M)), rank(M, l))[1])
+    res = assignment_search(p, q)
+    assert sum(sent) == blocks * len(res.representatives)
+    for a in res.representatives[:3]:
+        H = reduced_build(a)
+        assert weyl_split(a, H) is not None
+        sent.clear()
+        rep = _build_defect(a, H, certify=False)
+        assert sent == [blocks] and rep.evidence["blocks"] == q * q
+
+
+def test_a_side_is_read_once_while_its_bases_live(monkeypatch):
+    reads = []
+    read = _weyl._read_side
+    monkeypatch.setattr(_weyl, "_read_side", lambda bases, q: (reads.append(q), read(bases, q))[1])
+    fresh = mub._build_set(5, "standard")  # basis objects no split has read
+    a = BlockAssignment.from_labels(3, 5, ("I", "H1", "H1"), ("F", "H2", "H3"), mub=fresh)
+    H = reduced_build(a)
+    first = weyl_split(a, H)
+    assert len(reads) == 2  # the K side and the L side
+    second = weyl_split(a, H)
+    assert len(reads) == 2
+    assert first.imaged == second.imaged and np.array_equal(first.pairs, second.pairs)
+    keys = [tuple(map(id, a.K)), tuple(map(id, a.L))]
+    assert all(key in _weyl._SIDES for key in keys)
+    del a, fresh, first, second
+    gc.collect()
+    assert not any(key in _weyl._SIDES for key in keys)
 
 
 @st.composite
