@@ -28,7 +28,8 @@ and full report: defect, rank, mode and evidence), and, from a run of
 every representative's Butson root, fingerprint and full report, so
 that equal results mean an identical search; for a verify its verdict and defect, for a
 build the root and the sha256 of the exponent grid, for a defect the full
-report, for an examine the root, fingerprint and full report.  The number
+report, for an examine the root, fingerprint and full report, for a
+certify the K and L labels and full report of every representative.  The number
 of orbit representatives each side analysed is printed for every search.
 With `--json PATH` the seconds of every round are also written to PATH,
 per call and side.  The exit status is 1 when some call's results differ,
@@ -74,9 +75,14 @@ class Side:
 
     def input(self, call: str):
         """The assignment of an examine call, the dephased build of a
-        defect call."""
+        defect call, the (assignment, reduced build) pairs of a certify
+        call."""
         if call not in self.inputs:
-            kind, p, q, K, L = call.split(":")
+            kind, p, q, *labels = call.split(":")
+            if kind == "certify":
+                self.inputs[call] = self.short_builds(int(p), int(q))
+                return self.inputs[call]
+            K, L = labels
             a = self.construct.BlockAssignment.from_labels(
                 int(p), int(q), K.split(","), L.split(",")
             )
@@ -85,11 +91,23 @@ class Side:
             self.inputs[call] = a
         return self.inputs[call]
 
+    def short_builds(self, p: int, q: int) -> list:
+        """(a, H) of every orbit representative a of the (p, q) search whose
+        one-prime bound is above 0, H its dephased build at its minimal
+        root."""
+        m = self.matrices
+        out = []
+        for a in self.analyze.assignment_search(p, q).representatives:
+            H = m.butson_min_root(m.dephase(self.construct.theorem1_build(a))[0])[1]
+            if self.analyze._build_defect(a, H, certify=False).defect > 0:
+                out.append((a, H))
+        return out
+
     def run(self, call: str):
         """Run one call; return (seconds, a summary of its result, the
         number of orbit representatives of a search or None)."""
         kind, *args = call.split(":")
-        x = self.input(call) if kind in ("defect", "examine") else None
+        x = self.input(call) if kind in ("defect", "examine", "certify") else None
         t0 = time.perf_counter()
         if kind == "search":
             res = self.analyze.assignment_search(int(args[0]), int(args[1]))
@@ -108,6 +126,12 @@ class Side:
         elif kind == "examine":
             root, fp, rep = self.analyze._examine(x, {})
             out = (root, fp) + report(rep)
+            reps = None
+        elif kind == "certify":
+            out = tuple(
+                (a.K_labels, a.L_labels) + report(self.analyze._build_defect(a, H, certify=True))
+                for a, H in x
+            )
             reps = None
         elif kind == "verify":
             rep = self.catalog.verify(args[0])
@@ -146,7 +170,7 @@ def report(rep) -> tuple:
 def parse_call(text: str) -> str:
     kind, *args = text.split(":")
     ok = (
-        (kind == "search" and len(args) == 2 and all(a.isdigit() for a in args))
+        (kind in ("search", "certify") and len(args) == 2 and all(a.isdigit() for a in args))
         or (kind in ("verify", "build") and len(args) == 1 and args[0])
         or (
             kind in ("defect", "examine")
@@ -156,8 +180,8 @@ def parse_call(text: str) -> str:
     )
     if not ok:
         raise argparse.ArgumentTypeError(
-            f"not search:P:Q, verify:NAME, build:NAME, defect:P:Q:K..:L.. "
-            f"or examine:P:Q:K..:L..: {text!r}"
+            f"not search:P:Q, certify:P:Q, verify:NAME, build:NAME, "
+            f"defect:P:Q:K..:L.. or examine:P:Q:K..:L..: {text!r}"
         )
     return text
 

@@ -9,9 +9,20 @@ unconditional bounds:
 * upper bound — exhibit null vectors.  The canonical reduced-echelon null
   basis is recovered by evaluating at all phi(r) conjugate embeddings
   omega -> g^t, interpolating the power-basis coefficients of each entry
-  (one Vandermonde inverse per prime), lifting by CRT over several primes,
-  rational reconstruction, and finally an exact M . w = 0 check back in
-  Z[omega_r].  Nothing is trusted until that last algebraic check passes.
+  (one Vandermonde inverse per prime, `_vandermonde_inverse`), lifting by
+  CRT over several primes, rational reconstruction, and finally an exact
+  M . w = 0 check back in Z[omega_r].  Nothing is trusted until that last
+  algebraic check passes.
+
+The certificate takes a list of systems at one root (`certify_null_spaces`;
+`certify_null_space` is its chunk of one), as the short character blocks
+of a build come.  Every system draws the same primes from Random(SEED), so
+the systems go through the draws together: the screen ranks the images of
+each shape in one stacked elimination, and at each later prime every open
+system is imaged at all phi(r) embeddings in one gather from the prime's
+power table (`_embeddings`), and the images of each shape are brought to
+their RREF in one stacked elimination.  Each system keeps its own attempts
+and primes, so each gets the rank, evidence and null basis it gets alone.
 
 Both bounds rest on one elimination kernel over F_l, `_echelon`, behind
 `rank_mod` (echelon form) and `rref_mod` (the unique RREF).  An image mod l
@@ -22,9 +33,11 @@ scaling and row updates are numpy calls over every matrix that pivots
 there, so the q^2 character blocks of a build's defect system (`_weyl`),
 or those of many builds of one search, take p^2 steps in all.  A 2-D
 image is the stack of one, and `rank_mod` returns the ranks of a stack as
-an array; an RREF takes a stack of one.  The kernel reduces its input in
-place: it overwrites it and returns it as R, so the image is the only
-full-size array of a rank or an RREF.  It works on column panels of 256.
+an array.  The stacked RREF clears, at each pivot, every other nonzero row
+of the matrices that pivot there, so each matrix of the stack gets its
+unique RREF, bit for bit the RREF it gets alone.  The kernel reduces its
+input in place: it overwrites it and returns it as R, so the image is the
+only full-size array of a rank or an RREF.  It works on column panels of 256.
 Each panel is copied to an int64 work array,
 eliminated there column by column, and written back reduced; the row
 operations are recorded as coefficients on the panel's pivot rows.  The
@@ -60,6 +73,8 @@ exp as int32 and coeff as int8, and every product widens them to int64.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from math import gcd, isqrt
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -181,24 +196,37 @@ def power_table(g: int, l: int, r: int) -> np.ndarray:
 
 def evaluate_rows(system: System, n_cols: int, l: int, g: int, r: int) -> np.ndarray:
     """Dense int32 image of the system under omega -> g (mod l), entries in
-    [0, l).
+    [0, l): the chunk of one of `_embeddings`."""
+    return _embeddings(system, n_cols, l, power_table(g, l, r), r, [1])[0]
 
-    The terms are sorted by cell and each cell's terms summed in int64, so
-    the work arrays are as long as the term list; only the image itself is
+
+def _embeddings(system: System, n_cols: int, l: int, powers: np.ndarray, r: int, ts) -> np.ndarray:
+    """Dense int32 images of the system under omega -> g^t (mod l) for
+    every t of ts, with powers[e] = g^e mod l: an array (len(ts), n_rows,
+    n_cols) with entries in [0, l).
+
+    The terms are sorted by cell once, gathered from `powers` for all of ts
+    at once, and each cell's terms summed in int64, so the work arrays are
+    len(ts) times as long as the term list; only the images themselves are
     n_rows x n_cols.
     """
     # the term arrays may be narrow (int32, int8): widen before the products
-    terms = system.coeff.astype(np.int64) % l * power_table(g, l, r)[system.exp % r] % l
     cells = system.row.astype(np.int64) * n_cols + system.col
     order = np.argsort(cells, kind="stable")
-    cells, terms = cells[order], terms[order]
+    cells = cells[order]
     first = np.flatnonzero(np.diff(cells, prepend=-1))
-    sums = np.add.reduceat(terms, first) % l  # below 2^38 terms of a cell: no overflow
-    cells = cells[first]
-    del order, terms, first
-    M = np.zeros(system.n_rows * n_cols, dtype=np.int32)
-    M[cells] = sums
-    return M.reshape(system.n_rows, n_cols)
+    exp = system.exp[order].astype(np.int64) % r * np.asarray(ts, dtype=np.int64)[:, None] % r
+    terms = powers[exp]
+    del exp
+    terms *= system.coeff[order].astype(np.int64) % l
+    terms %= l
+    del order
+    sums = np.add.reduceat(terms, first, axis=1) % l  # below 2^38 terms of a cell: no overflow
+    del terms
+    size = system.n_rows * n_cols
+    M = np.zeros((len(sums), size), dtype=np.int32)
+    M[:, cells[first]] = sums
+    return M.reshape(len(sums), system.n_rows, n_cols)
 
 
 def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,23 +240,23 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
     operations are recorded as coefficients on the panel's pivot rows, one
     column per pivot (the block W).  The panel is written back reduced, and
     the trailing columns then take W in float64 dgemms.  With `reduced`,
-    rows above each pivot are cleared too and R is the unique RREF, of a
-    stack of one only (B > 1 raises ValueError).
+    rows above each pivot are cleared too and each R[b] is the unique RREF
+    of M[b], bit for bit the RREF of M[b] eliminated alone.
     Returns (R, pivots), pivots a (B, n) bool array marking each matrix's
     pivot columns.
 
     A column is one step for the whole stack: the pivot search, the swaps,
     the scaling (the pivot inverses by `_batch_inverses`) and the row updates
-    each take one numpy call over every matrix that pivots there.  A stack
-    of one takes the same step with scalar indices: on a small system the
-    index bookkeeping of the stacked step would cost about as much as the
-    elimination itself.
+    each take one numpy call over every matrix that pivots there.  The rows
+    it updates are the open rows below each pivot and, for the RREF, every
+    other nonzero row of the matrices that pivot there, its earlier pivot
+    rows included.  A stack of one takes the same step with scalar indices:
+    on a small system the index bookkeeping of the stacked step would cost
+    about as much as the elimination itself.
     """
     if l >= _MODULUS_BOUND:
         raise ValueError(f"modulus {l} is not below 2^25")
     B, m, n = M.shape
-    if reduced and B > 1:
-        raise ValueError(f"the RREF takes a stack of one matrix, not {B}")
     M %= l
     pivots = np.zeros((B, n), dtype=bool)
     top = np.zeros(B, dtype=np.int64)  # pivots so far, per matrix
@@ -304,6 +332,12 @@ def _echelon(M: np.ndarray, l: int, reduced: bool) -> Tuple[np.ndarray, np.ndarr
                     A[ps] = A[ps[::-1]]
                     perm[ps] = perm[ps[::-1]]
                 idx = np.delete(cand, head)  # the rows below each pivot
+                if reduced:
+                    # and the earlier pivot rows of the matrices that pivot here
+                    above = nz[~open_[nz]]
+                    pivoting = np.zeros(B, dtype=bool)
+                    pivoting[b] = True
+                    idx = np.concatenate((above[pivoting[above // h]], idx))
                 if trailing:
                     A[prow, w + t[b]] = 1  # as for a stack of one
                 P = A[prow, c:end]
@@ -458,28 +492,121 @@ def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
 def certify_null_space(system: System, n_cols: int, r: int) -> Tuple[int, dict, np.ndarray]:
     """`certify_rank`'s rank and evidence, and the null basis it verified:
     an object array (n_cols - rank, n_cols, phi(r)) of power-basis
-    coefficients, as `_lift_vectors` returns it.  The rank mod the first
-    prime screens it: ranks only drop under ring maps, so full column rank
-    mod l certifies full rank."""
+    coefficients, as `_lift_vectors` returns it.  The chunk of one of
+    `certify_null_spaces`."""
+    return certify_null_spaces([(system, n_cols)], r)[0]
+
+
+# The certificate eliminates its images in stacks of one shape.  An image
+# of more than _STACKED entries goes alone: from about that size on, the
+# index bookkeeping of the stacked step costs more than it saves (a stack
+# of 8 RREFs of 72 x 64 took 0.9 times as long as the 8 alone, of 110 x 100
+# 1.3 times, of 182 x 169 1.9 times).  A stack holds at most _STACK_CELLS
+# entries, 4 MB in int32.
+_STACKED = 1 << 12
+_STACK_CELLS = 1 << 20
+
+
+def _stacks(systems, ts, l: int, powers: np.ndarray, r: int):
+    """The images of every (system, n_cols) of the list under omega -> g^t
+    for each t of ts (`_embeddings`, powers[e] = g^e mod l), as stacks for
+    one elimination each: yields (members, stack), with stack an int32
+    array (B, m, n) of images of one shape and members the (system index,
+    index into ts) of each.  The images of one system go into a stack
+    through one `_embeddings` call."""
+    groups: dict = {}
+    for i, (system, n) in enumerate(systems):
+        groups.setdefault((system.n_rows, n), []).append(i)
+    for (m, n), at in groups.items():
+        cells = max(1, m * n)
+        k = 1 if cells > _STACKED else _STACK_CELLS // cells
+        members = [(i, j) for i in at for j in range(len(ts))]
+        for c in range(0, len(members), k):
+            chunk = members[c : c + k]
+            parts = []
+            for i, run in itertools.groupby(chunk, key=lambda x: x[0]):
+                js = [j for _, j in run]
+                parts.append(_embeddings(*systems[i], l, powers, r, ts[js[0] : js[-1] + 1]))
+            yield chunk, np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+class _Certificate:
+    """The state of one system's null-vector certificate: its attempts so
+    far, the primes drawn in the current attempt, the residues of those it
+    holds, and their common pivot columns."""
+
+    __slots__ = ("attempts", "draws", "per_prime", "pivots")
+
+    def __init__(self) -> None:
+        self.attempts = 0
+        self.restart()
+
+    def restart(self) -> None:
+        self.draws = 0
+        self.per_prime: List[Tuple[int, np.ndarray]] = []
+        self.pivots: Optional[Tuple[int, ...]] = None
+
+
+def certify_null_spaces(systems, r: int) -> list:
+    """`certify_null_space` of every (system, n_cols) of the list, all over
+    Z[omega_r]: for each its rank, evidence and verified null basis, the
+    same as the system gets alone.
+
+    Each system draws the same primes from Random(SEED): the first screens
+    its rank (full column rank mod l certifies full rank), and each later
+    one is one step of its certificate.  So the systems go through the
+    draws together.  The screen ranks all images of one shape in one
+    stacked `rank_mod`.  At each later prime, every system still open is
+    evaluated at all phi(r) embeddings and each shape's images take one
+    stacked RREF (`_null_coeffs`); then each system takes its own step
+    (`_null_vector_certificate`): it keeps its own attempts and its own
+    primes, and a system that needs a retry starts its next attempt at the
+    next draw, as it would alone.  A prime that a system already holds in
+    its current attempt is a draw it skips.
+    """
     rng = random.Random(SEED)
     l, g = find_embedding_prime(r, rng)
-    rk0 = rank_mod(evaluate_rows(system, n_cols, l, g, r), l)
     units = _units(r)
-    if rk0 == n_cols:
-        ev = {"pivot_count": rk0, "primes": [l], "null_vectors": 0}
-        return rk0, ev, np.zeros((0, n_cols, len(units)), dtype=object)
+    powers = power_table(g, l, r)
+    screen = [0] * len(systems)
+    for members, stack in _stacks(systems, [1], l, powers, r):
+        for (i, _), rk in zip(members, rank_mod(stack, l).tolist()):
+            screen[i] = rk
+    out: list = [None] * len(systems)
+    open_: dict = {}
+    for i, ((_, n_cols), rk) in enumerate(zip(systems, screen)):
+        if rk == n_cols:
+            ev = {"pivot_count": rk, "primes": [l], "null_vectors": 0}
+            out[i] = (rk, ev, np.zeros((0, n_cols, len(units)), dtype=object))
+        else:
+            open_[i] = _Certificate()
 
-    # nullity candidate; recover the canonical null basis exactly
-    for _ in range(_ATTEMPTS):
-        try:
-            W, pivots, primes = _null_vector_certificate(system, n_cols, r, units, rng)
-        except _RetryNeeded:
-            continue
-        evidence = {"pivot_count": pivots, "primes": primes, "null_vectors": len(W)}
-        return pivots, evidence, W
-    raise RankCertificationError(
-        f"could not certify rank after {_ATTEMPTS} attempts (mod-l rank {rk0})"
-    )
+    # nullity candidates; recover the canonical null bases exactly
+    while open_:
+        l, g = find_embedding_prime(r, rng)
+        fresh = [i for i, cert in open_.items() if all(l != p for p, _ in cert.per_prime)]
+        for i, coeffs in zip(fresh, _null_coeffs([systems[i] for i in fresh], r, units, l, g)):
+            cert = open_[i]
+            try:
+                W = _null_vector_certificate(*systems[i], r, cert, l, coeffs)
+            except _RetryNeeded:
+                cert.draws = _MAX_PRIMES  # the attempt ends at this draw
+                continue
+            if W is not None:
+                rank, primes = len(cert.pivots), [p for p, _ in cert.per_prime]
+                out[i] = (rank, {"pivot_count": rank, "primes": primes, "null_vectors": len(W)}, W)
+                del open_[i]
+        for i, cert in open_.items():
+            cert.draws += 1
+            if cert.draws >= _MAX_PRIMES:
+                cert.attempts += 1
+                if cert.attempts == _ATTEMPTS:
+                    raise RankCertificationError(
+                        f"could not certify rank after {_ATTEMPTS} attempts "
+                        f"(mod-l rank {screen[i]})"
+                    )
+                cert.restart()
+    return out
 
 
 class _RetryNeeded(Exception):
@@ -487,43 +614,66 @@ class _RetryNeeded(Exception):
 
 
 def _null_vector_certificate(
-    system: System,
-    n_cols: int,
-    r: int,
-    units: List[int],
-    rng: random.Random,
-) -> Tuple[np.ndarray, int, List[int]]:
-    pivot_ref: Optional[Tuple[int, ...]] = None
-    per_prime: List[Tuple[int, np.ndarray]] = []  # (l, stacked coeff arrays)
+    system: System, n_cols: int, r: int, cert: _Certificate, l: int, coeffs
+) -> Optional[np.ndarray]:
+    """One step of a system's certificate, at the prime l, given its null
+    basis coefficients there (`_null_coeffs`): the lifted null basis once
+    it passes the exact check, None while it needs more primes.  Raises
+    _RetryNeeded when the pivot columns are unstable at l or differ from
+    those of the attempt's earlier primes."""
+    if coeffs is None:
+        raise _RetryNeeded  # mod-l pivot set unstable at this prime
+    pivots, C = coeffs
+    if cert.pivots is None:
+        cert.pivots = pivots
+    elif pivots != cert.pivots:
+        raise _RetryNeeded
+    cert.per_prime.append((l, C))
+    if len(cert.per_prime) < 2:
+        return None
+    W = _lift_vectors(cert.per_prime)
+    free = sorted(set(range(n_cols)) - set(pivots))
+    if W is not None and _verify_null_vectors(system, W, free, r):
+        return W
+    return None
 
-    for _ in range(_MAX_PRIMES):
-        l, g = find_embedding_prime(r, rng)
-        if any(l == p for p, _ in per_prime):
-            continue  # a repeated prime adds nothing to the CRT
-        coeffs = _null_coeffs_one_prime(system, n_cols, r, units, l, g)
-        if coeffs is None:
-            raise _RetryNeeded  # mod-l pivot set unstable at this prime
-        pivots, C = coeffs
-        if pivot_ref is None:
-            pivot_ref = pivots
-            free = sorted(set(range(n_cols)) - set(pivots))
-        elif pivots != pivot_ref:
-            raise _RetryNeeded
-        per_prime.append((l, C))
-        if len(per_prime) >= 2:
-            W = _lift_vectors(per_prime)
-            if W is not None and _verify_null_vectors(system, W, free, r):
-                return W, len(pivot_ref), [l for l, _ in per_prime]
-    raise _RetryNeeded
+
+@functools.lru_cache(maxsize=8)
+def _vandermonde_inverse(l: int, g: int, r: int) -> np.ndarray:
+    """V^-1 mod l for V[t, j] = (g^t)^j, t over the units of r and
+    j < phi(r), read-only: every system certified at the prime shares it,
+    and so does the next certificate at the same root, which draws the
+    same primes.  V is invertible mod l, its points g^t being distinct; V
+    is one gather from `power_table`.  The cache keeps the last 8, phi^2
+    int64 entries each."""
+    units = np.array(_units(r), dtype=np.int64)
+    phi = len(units)
+    V = power_table(g, l, r)[units[:, None] * np.arange(phi) % r]
+    V_inv = rref_mod(np.hstack([V, np.eye(phi, dtype=np.int64)]), l)[0][:, phi:]
+    V_inv.setflags(write=False)
+    return V_inv
 
 
 def _null_coeffs_one_prime(
     system, n_cols, r, units, l, g
 ) -> Optional[Tuple[Tuple[int, ...], np.ndarray]]:
-    """Nullspace entry coefficients (power basis, length phi) mod one prime.
+    """Nullspace entry coefficients (power basis, length phi) mod one prime:
+    the chunk of one of `_null_coeffs`."""
+    return _null_coeffs([(system, n_cols)], r, units, l, g)[0]
 
-    Evaluates at every conjugate embedding, demands a stable pivot set, and
-    interpolates sigma_t(b) = P_b(g^t) back to the coefficients of P_b.
+
+def _null_coeffs(systems, r, units, l, g) -> list:
+    """For each (system, n_cols), its nullspace entry coefficients (power
+    basis, length phi) mod the prime l, with the pivot columns: (pivots,
+    C), C an int64 array (n_null, n_cols, phi); or None when the pivot
+    columns differ between embeddings.
+
+    Each system is evaluated at every conjugate embedding omega -> g^t in
+    one gather (`_embeddings`), the images of each shape are brought to
+    their RREF in one stacked elimination, and sigma_t(b) = P_b(g^t) is
+    interpolated back to the coefficients of P_b by the Vandermonde
+    inverse of the prime (`_vandermonde_inverse`): a row of V^-1 against
+    the phi values of an entry gives one coefficient.
     """
     phi = len(units)
     # each interpolated coefficient sums phi products below (l-1)^2 in int64
@@ -531,26 +681,32 @@ def _null_coeffs_one_prime(
         raise RankCertificationError(
             f"phi({r}) = {phi} coefficients per entry overflow the int64 interpolation mod {l}"
         )
-    bases = []
-    pivot_ref: Optional[Tuple[int, ...]] = None
-    for t in units:
-        gt = pow(g, t, l)
-        Mt = evaluate_rows(system, n_cols, l, gt, r)
-        R, pivots = rref_mod(Mt, l)
-        pv = tuple(pivots)
-        if pivot_ref is None:
-            pivot_ref = pv
-        elif pv != pivot_ref:
-            return None
-        bases.append(null_basis_mod(R, pivots, l))
-    # V[t, j] = (g^t)^j is invertible mod l, its points g^t being distinct;
-    # a row of V^-1 against the phi values of an entry gives one coefficient
-    V = np.array(
-        [[pow(g, (t * j) % r if r > 1 else 0, l) for j in range(phi)] for t in units],
-        dtype=np.int64,
-    )
-    V_inv = rref_mod(np.hstack([V, np.eye(phi, dtype=np.int64)]), l)[0][:, phi:]
-    return pivot_ref, np.tensordot(np.stack(bases), V_inv, axes=(0, 1)) % l
+    if not systems:
+        return []
+    V_inv = _vandermonde_inverse(l, g, r)
+    # per system and embedding: the pivot columns, and the RREF's pivot rows
+    # on the free columns
+    pivots = [np.empty((phi, n), dtype=bool) for _, n in systems]
+    rows: list = [[None] * phi for _ in systems]
+    for members, stack in _stacks(systems, units, l, power_table(g, l, r), r):
+        R, found = _echelon(stack, l, True)
+        for (i, j), Rk, pk in zip(members, R, found):
+            pivots[i][j] = pk
+            rows[i][j] = Rk[: int(pk.sum())][:, ~pk]
+        del R, stack
+    out = []
+    for P, at, (_, n_cols) in zip(pivots, rows, systems):
+        if not (P == P[0]).all():
+            out.append(None)
+            continue
+        cols, free = np.flatnonzero(P[0]), np.flatnonzero(~P[0])
+        # the canonical null basis at each embedding: 1 at its free column
+        # f and -R[i, f] at pivot column i
+        N = np.zeros((phi, free.size, n_cols), dtype=np.int64)
+        N[:, np.arange(free.size), free] = 1
+        N[:, :, cols] = -np.stack(at).transpose(0, 2, 1) % l
+        out.append((tuple(cols.tolist()), np.tensordot(N, V_inv, axes=(0, 1)) % l))
+    return out
 
 
 def _lift_vectors(per_prime: List[Tuple[int, np.ndarray]]) -> Optional[np.ndarray]:

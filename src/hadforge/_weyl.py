@@ -88,11 +88,12 @@ row).  So `block_images` makes the stacked image mod l of the splits of
 many grids at one root r' by one gather of their (n, 2, d) exponents from
 the powers of omega's image, a sum over the last axis of their
 (n, 2, p, q) reshape, and two scatters into the (rows, p, p) stack: no
-sort and no per-term index.  It images the representative blocks only
-(next paragraph), which the stack of each split puts first
-(`character_slots`), so their row pairs are a prefix of the split's.
-`block_system` writes the terms of one block, of any character, as a
-System, for the null-vector certificate of a short block.
+sort and no per-term index.  A split lays out the row pairs of the
+representative blocks only (next paragraph), in the slot order of
+`character_slots`, and `block_images` images them all.  `block_system`
+writes the terms of one block, of any character, as a System, for the
+null-vector certificate of a short block: block -chi from the row pairs
+of chi reversed (next paragraph).
 
 Conjugate characters.  Complex conjugation, the Galois map sigma_-1:
 omega -> omega^-1 of Q(omega_r'), carries rho_uv to -rho_vu: it turns the
@@ -118,8 +119,23 @@ where chi = 0 alone is its own conjugate, and all q^2 for q = 2, where
 every character is.  A full rank mod l certifies both members exactly; a
 rank mod l is a lower bound on the rank of either, so the sum over the
 q^2 characters still bounds the defect from above.  No rank of -chi is
-taken on any other ground; the null vectors of a short -chi are certified
-from its own block, as those of chi are.
+taken on any other ground.
+
+The same map carries the null vectors and the rows.  If M_chi w = 0 on
+the gauge-free columns, then M_-chi sigma_-1(w) = 0 on the same columns,
+and sigma_-1 of an entry sum_j w_j omega^j is sum_j w_j omega^-j
+(`conjugate_vectors`).  So of a short pair {chi, -chi} only chi is
+certified, and the null vectors of -chi are the conjugates of chi's.
+None is trusted on that ground alone: the null vectors of every short
+block, those of -chi included, are checked exactly against the whole
+first-order system (`lift_is_null`) before a defect is reported as
+exact.  Row by row, sigma_-1 carries row (u, v) of M_chi to minus row
+(v, u) of M_-chi, so a split lays out the row pairs of the
+representatives only, and `block_system` reads block -chi off the pairs
+of chi reversed, one per tau-orbit again, since reversing commutes with
+tau.  A stabilised pair (u, v) kept in chi, with chi(h) lambda_h(u, v) =
+1, gives (v, u) with -chi(h) lambda_h(v, u) = 1, as lambda_h(v, u) is
+the inverse of lambda_h(u, v): the pairs that -chi keeps.
 
 Read once, and checked on every grid.  What depends on one basis alone is
 read once per basis object (`_basis`): the permutations of X and Z, that
@@ -153,17 +169,17 @@ from .mub import IdentityBasis
 
 
 class WeylSplit(NamedTuple):
-    """The q^2 character blocks of the defect system of a build, as row
-    pairs: block chi keeps the pairs with `chi_of[n] == chi`, pair n is the
-    row rho_(pairs[n, 0], pairs[n, 1]) and stands at row `row[n]` of the
-    stack of blocks, slot[chi]*m + its place in the block, in the order of
-    `character_slots` (rows past a block's own count are empty).  The
-    pairs go by row, so the first `imaged` of them are those of the
-    representative blocks, the ones `block_images` images.  Column
-    o = i*p + j is the block (i, j) of the grid E, whose exponents at root
-    r `exp` holds.  `gauge[chi]` marks the columns fixed by the trivial
-    null vectors of block chi.  Character chi = s*q + t is
-    (a, b) -> omega_q^(s a + t b) of the group element (a, b), and
+    """The character blocks of the defect system of a build, as row pairs,
+    laid out for the representative chi of each pair {chi, -chi}: block
+    chi keeps the pairs with `chi_of[n] == chi`, pair n is the row
+    rho_(pairs[n, 0], pairs[n, 1]) and stands at row `row[n]` of the stack
+    of representative blocks, slot[chi]*m + its place in the block, in the
+    order of `character_slots` (rows past a block's own count are empty).
+    Block -chi is read off block chi (`block_system`).  Column o = i*p + j
+    is the block (i, j) of the grid E, whose exponents at root r `exp`
+    holds.  `gauge[chi]` marks the columns fixed by the trivial null
+    vectors of block chi, for all q^2 characters.  Character chi = s*q + t
+    is (a, b) -> omega_q^(s a + t b) of the group element (a, b), and
     `group[u, k]` is the element that carries the first cell of the block
     of (u, k) to it.
     """
@@ -176,7 +192,6 @@ class WeylSplit(NamedTuple):
     chi_of: np.ndarray  # (n,) the block of each pair
     row: np.ndarray  # (n,) its row in the stack
     m: int
-    imaged: int  # the pairs of the representative blocks, the first ones
     gauge: np.ndarray  # (q^2, p^2) bool
     group: np.ndarray  # (d, d) int: a*q + b
 
@@ -385,12 +400,18 @@ def character_slots(q: int) -> Tuple[np.ndarray, np.ndarray, int]:
     source[chi] is the slot of the representative of chi's pair, whose
     rank is chi's (see "Conjugate characters").  Read-only."""
     chi = np.arange(q * q)
-    s, t = np.divmod(chi, q)
-    rep = np.minimum(chi, (-s % q) * q + (-t % q))
+    rep = np.minimum(chi, conjugate(chi, q))
     slot = np.empty_like(chi)
     slot[np.argsort(rep != chi, kind="stable")] = chi
     source = slot[rep]
     return _frozen((slot, source)) + (int((rep == chi).sum()),)
+
+
+def conjugate(chi, q: int):
+    """-chi, the character (a, b) -> omega_q^-(s a + t b) of chi = s*q + t,
+    of an int or an array of them."""
+    s, t = divmod(chi, q)
+    return (-s % q) * q + (-t % q)
 
 
 def _pairing(chi, g, q: int):
@@ -431,44 +452,44 @@ def _blocks(p, q, E, r, K, L, group) -> list:
     h = np.concatenate([s.stab_h for s in K])
     k = np.array([s.first for s in L])[mem, h]
     lam = (E[mem, U, k] - E[mem, V, k] - E[mem, U, 0] + E[mem, V, 0]) * scale[mem]
-    pairing = _pairing(np.arange(Q)[:, None], h, q)
-    chi, j = np.nonzero((pairing * (R // q)[mem] + lam) % R[mem] == 0)
-    order = np.argsort(mem[j], kind="stable")  # by grid, then character, then pair
-    chi, j = chi[order], j[order]
+    # the representative characters, by slot (`character_slots`)
+    slot, _, reps = character_slots(q)
+    chis = np.flatnonzero(slot < reps)
+    pairing = _pairing(chis[:, None], h, q)
+    c, j = np.nonzero((pairing * (R // q)[mem] + lam) % R[mem] == 0)
+    order = np.argsort(mem[j], kind="stable")  # by grid, then slot, then pair
+    c, j = c[order], j[order]
     mem = mem[j]
 
     # each block keeps its free pairs first, then its stabilised pairs in
-    # order; the blocks of a grid follow one another by slot
-    # (`character_slots`), and the pairs of each grid those of the grid
-    # before
-    slot, _, reps = character_slots(q)
-    cell = mem * Q + chi
-    counts = np.bincount(cell, minlength=len(E) * Q).reshape(-1, Q)
+    # order; the blocks of a grid follow one another by slot, and the pairs
+    # of each grid those of the grid before
+    cell = mem * reps + c
+    counts = np.bincount(cell, minlength=len(E) * reps).reshape(-1, reps)  # by grid and slot
     n_free = np.array([len(s.free) for s in K], dtype=np.int64)
     m = n_free + counts.max(axis=1)
-    sizes = np.empty_like(counts)  # by grid and slot
-    sizes[:, slot] = counts + n_free[:, None]
+    sizes = counts + n_free[:, None]
     starts = (sizes.cumsum() - sizes.reshape(-1)).reshape(sizes.shape)
     total = int(sizes.sum())
     pairs = np.empty((total, 2), dtype=np.int64)
     chi_of, row = np.empty((2, total), dtype=np.int64)
-    # free pair f of grid x in block c
-    mf = np.arange(len(E)).repeat(Q * n_free)
-    c, f = np.divmod(np.arange(mf.size) - ((Q * n_free).cumsum() - Q * n_free)[mf], n_free[mf])
-    at = starts[mf, slot[c]] + f
+    # free pair f of grid x in the block of slot b
+    per_grid = reps * n_free
+    mf = np.arange(len(E)).repeat(per_grid)
+    b, f = np.divmod(np.arange(mf.size) - (per_grid.cumsum() - per_grid)[mf], n_free[mf])
+    at = starts[mf, b] + f
     pairs[at] = np.concatenate([s.free for s in K])[(n_free.cumsum() - n_free)[mf] + f]
-    chi_of[at], row[at] = c, slot[c] * m[mf] + f
+    chi_of[at], row[at] = chis[b], b * m[mf] + f
     # the stabilised pairs of grid x, in order, after the free pairs of their block
-    local = n_free[mem] + np.arange(chi.size) - (counts.cumsum() - counts.reshape(-1))[cell]
-    at = starts[mem, slot[chi]] + local
-    pairs[at], chi_of[at], row[at] = stab[j], chi, slot[chi] * m[mem] + local
+    local = n_free[mem] + np.arange(c.size) - (counts.cumsum() - counts.reshape(-1))[cell]
+    at = starts[mem, c] + local
+    pairs[at], chi_of[at], row[at] = stab[j], chis[c], c * m[mem] + local
     exp = E * scale[:, None, None]
     gauge = gauge.reshape(len(E), Q, p * p)
-    imaged = sizes[:, :reps].sum(axis=1).tolist()
     return [
         WeylSplit(
             p, q, int(R[x]), exp[x], pairs[a : a + n], chi_of[a : a + n], row[a : a + n],
-            int(m[x]), imaged[x], gauge[x], group[x],
+            int(m[x]), gauge[x], group[x],
         )
         for x, (a, n) in enumerate(zip(starts[:, 0].tolist(), sizes.sum(axis=1).tolist()))
     ]
@@ -520,14 +541,13 @@ def block_images(splits, l: int, powers: np.ndarray) -> list:
     through one gather, one sum and two scatters."""
     p, q, R = splits[0].p, splits[0].q, splits[0].r
     reps = character_slots(q)[2]
-    sizes = [s.imaged for s in splits]
     heights = np.array([reps * s.m for s in splits], dtype=np.int64)
     base = heights.cumsum() - heights
-    mem = np.arange(len(splits)).repeat(sizes)
-    pairs = np.concatenate([s.pairs[: s.imaged] for s in splits])
+    mem = np.arange(len(splits)).repeat([len(s.pairs) for s in splits])
+    pairs = np.concatenate([s.pairs for s in splits])
     exp = _terms(
         np.array([s.exp for s in splits]), np.array([s.group for s in splits]), q, R,
-        mem, pairs, np.concatenate([s.chi_of[: s.imaged] for s in splits]),
+        mem, pairs, np.concatenate([s.chi_of for s in splits]),
     )
     # the sums of q powers, below q l, in int32 when that is below 2^31
     table = np.tile(powers, 3).astype(np.int32 if q * l < 2**31 else np.int64)
@@ -535,7 +555,7 @@ def block_images(splits, l: int, powers: np.ndarray) -> list:
     del exp
     sums = np.einsum("nsjk->nsj", terms) % l
     del terms
-    row = np.concatenate([s.row[: s.imaged] for s in splits]) + base[mem]
+    row = np.concatenate([s.row for s in splits]) + base[mem]
     M = np.zeros((int(heights.sum()), p, p), dtype=np.int32)
     block_rows = pairs // q
     M[row, block_rows[:, 0]] = sums[:, 0]
@@ -550,13 +570,16 @@ def block_images(splits, l: int, powers: np.ndarray) -> list:
 def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
     """Block chi on its gauge-free columns, as a System of `split.m` rows,
     and the block columns o it keeps, in order.  It has the rank of the
-    whole block, and its nullity is the block's share of the defect."""
+    whole block, and its nullity is the block's share of the defect.  The
+    block -chi of a representative chi takes the row pairs of chi reversed
+    (see "Conjugate characters")."""
     p, q, m = split.p, split.q, split.m
-    sel = np.flatnonzero(split.chi_of == chi)
-    pairs = split.pairs[sel]
+    rep = min(chi, int(conjugate(chi, q)))
+    sel = np.flatnonzero(split.chi_of == rep)
+    pairs = split.pairs[sel] if rep == chi else split.pairs[sel, ::-1]
     exp = _terms(
         split.exp[None], split.group[None], q, split.r,
-        np.zeros(sel.size, dtype=np.int64), pairs, split.chi_of[sel],
+        np.zeros(sel.size, dtype=np.int64), pairs, np.full(sel.size, chi),
     )
     exp %= split.r
     cols = np.flatnonzero(~split.gauge[chi])
@@ -570,13 +593,28 @@ def block_system(split: WeylSplit, chi: int) -> Tuple[System, np.ndarray]:
     return System(m, row[keep], col[keep], exp[keep], sign[keep]), cols
 
 
+def conjugate_vectors(W: np.ndarray, R: int) -> np.ndarray:
+    """sigma_-1 of the vectors W, an array (n, c, phi) of power-basis
+    coefficients at root R: entry sum_j W[., ., j] omega^j becomes
+    sum_j W[., ., j] omega^-j, written as its coefficient of omega^(-j mod
+    R), an array (n, c, R) not reduced mod Phi_R, which `is_null` and
+    `lift_is_null` read as it is.  Null vectors of block chi on its
+    gauge-free columns become null vectors of block -chi on the same
+    columns (see "Conjugate characters")."""
+    out = np.zeros(W.shape[:2] + (R,), dtype=W.dtype)
+    out[..., -np.arange(W.shape[2]) % R] = W
+    return out
+
+
 def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
     """Exact check that null vectors of character blocks, mapped back to
     the d^2 variables, are null vectors of the whole first-order system of
     H, the rows rho_uv of all ordered pairs u != v on all cells (`is_null`).
 
-    `blocks` holds (chi, cols, W) with W the (n_null, cols.size, phi)
-    power-basis coefficients of null vectors of `block_system(split, chi)`.
+    `blocks` holds (chi, cols, W) with W the (n_null, cols.size, n)
+    power-basis coefficients of null vectors of `block_system(split, chi)`,
+    n = phi for a certified block and R for the conjugates of
+    `conjugate_vectors`.
     Vector w maps to x[c] = chi(g_c) w[o(c)] on the cells c of the blocks
     o in cols, and to 0 on the gauge.
     """
@@ -585,9 +623,10 @@ def lift_is_null(split: WeylSplit, H: ExponentMatrix, blocks) -> bool:
     u, k = np.divmod(np.arange(d * d), d)
     o = (u // q) * p + k // q
     X, shift = [], []
+    width = max((W.shape[2] for _, _, W in blocks), default=0)
     for chi, cols, W in blocks:
-        full = np.zeros((len(W), p * p, W.shape[2]), dtype=object)
-        full[:, cols] = W
+        full = np.zeros((len(W), p * p, width), dtype=object)
+        full[:, cols, : W.shape[2]] = W
         X.append(full[:, o])
         chi_g = _pairing(chi, split.group.reshape(-1), q) * (R // q)
         shift.append(np.broadcast_to(chi_g, (len(W), d * d)))

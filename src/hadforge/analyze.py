@@ -24,7 +24,7 @@ from ._exactrank import (
     SEED,
     RankCertificationError,
     System,
-    certify_null_space,
+    certify_null_spaces,
     certify_rank,
     find_embedding_prime,
     power_table,
@@ -35,6 +35,8 @@ from ._weyl import (
     block_images,
     block_system,
     character_slots,
+    conjugate,
+    conjugate_vectors,
     lift_is_null,
     rho_terms,
     weyl_split,
@@ -273,9 +275,15 @@ def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport
     """The report of a build from the ranks of its character blocks mod one
     prime.  When every block has the rank of its gauge-free columns, H is
     certified isolated (mode "exact").  Otherwise the ranks give a certified
-    upper bound on the defect: mode "bound" without `certify`; with it,
-    each short block goes to `certify_null_space` on its gauge-free
-    columns, and the null vectors of all of them, mapped back to the d^2
+    upper bound on the defect: mode "bound" without `certify`.
+
+    With it, the short blocks come in pairs {chi, -chi} of one rank, and
+    the representative chi of each (the lesser) is certified on its
+    gauge-free columns, all of them together (`certify_null_spaces`).
+    Block -chi takes chi's exact rank, and as its null vectors the
+    conjugates of chi's (`conjugate_vectors`): sigma_-1(M_chi) = -P M_-chi
+    (see "Conjugate characters" in `_weyl`).  The null vectors of every
+    short block, those of -chi included, mapped back to the d^2
     variables, are checked against the whole system (`lift_is_null`)
     before the defect is reported as exact."""
     if (ranks > x.full).any():
@@ -295,10 +303,16 @@ def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport
     if not certify:
         return DefectReport(n - rank, n, rank, "bound", ev)
     split, H = x.split
+    reps = [chi for chi in short if chi <= conjugate(chi, split.q)]
+    systems = [block_system(split, chi) for chi in reps]
+    certs = certify_null_spaces([(system, cols.size) for system, cols in systems], split.r)
+    certified = {chi: (cols, cert) for chi, (_, cols), cert in zip(reps, systems, certs)}
     blocks = []
     for chi in short:
-        system, cols = block_system(split, chi)
-        rk, bev, W = certify_null_space(system, cols.size, split.r)
+        neg = conjugate(chi, split.q)
+        cols, (rk, bev, W) = certified[min(chi, neg)]
+        if chi > neg:
+            W = conjugate_vectors(W, split.r)
         ev["primes"] += [y for y in bev["primes"] if y not in ev["primes"]]
         rank += rk - int(ranks[chi])
         blocks.append((chi, cols, W))

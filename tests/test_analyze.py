@@ -17,6 +17,8 @@ from hadforge._exactrank import (
     _null_coeffs_one_prime,
     _units,
     _verify_null_vectors,
+    certify_null_space,
+    certify_null_spaces,
     certify_rank,
     evaluate_rows,
     find_embedding_prime,
@@ -582,6 +584,31 @@ class TestCertificateRetries:
         assert W is not None and W.shape == (0, 2, 1) and W.dtype == object
         assert _verify_null_vectors(system, W, [], 1)
         assert _verify_null_vectors(System(0, *(np.zeros(0, np.int64),) * 4), W, [], 1)
+
+
+@pytest.mark.parametrize("bad", [{1}, {2, 3}, set()])
+def test_stacked_certificates_match_each_system_alone(bad, monkeypatch):
+    # the systems go through the draws together, but each keeps its own
+    # attempts and primes: at a bad prime BAD_PIVOT_SYSTEM retries, and the
+    # others, of other shapes, certify as they would alone
+    systems = [
+        (BAD_PIVOT_SYSTEM, 3),
+        (system_from_rows(sparse_from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])), 3),
+        (system_from_rows(sparse_from_dense([[1, 0], [0, 1]])), 2),
+        (system_from_rows(sparse_from_dense([[1, 1, 0, 2], [2, 2, 0, 4]])), 4),
+        (BAD_PIVOT_SYSTEM, 3),
+    ]
+    alone, draws = [], []
+    for system in systems:
+        draws.append(hand_out_primes(monkeypatch, bad))
+        alone.append(certify_null_space(*system, 1))
+        monkeypatch.undo()
+    handed = hand_out_primes(monkeypatch, bad)
+    together = certify_null_spaces(systems, 1)
+    assert handed == max(draws, key=len)  # one draw per step, for all systems
+    for (rank, ev, W), (rank_alone, ev_alone, W_alone) in zip(together, alone):
+        assert (rank, ev) == (rank_alone, ev_alone)
+        assert W.shape == W_alone.shape and (W == W_alone).all()
 
 
 def trial_division_is_prime(n, small_primes):
@@ -1169,6 +1196,35 @@ def test_lift_check_rejects_the_lift_without_its_character_shifts(monkeypatch):
     assert shift.any() and is_null(system, X, r, shift)
     assert not is_null(system, X, r)
     assert not reference_is_null(system, X, r, np.zeros_like(shift))
+
+
+@pytest.mark.parametrize("name", ["Sp10", "Sp14"])
+def test_lift_check_rejects_a_conjugate_made_wrong(name, monkeypatch):
+    # every short block reaches the lift, -chi as the conjugates of chi's
+    # certified vectors, written at root R; on Sp14 the lift refuses them
+    # unconjugated, or given chi's character instead of -chi's (Sp10's
+    # vectors are their own conjugates up to the character shifts, see
+    # the test above)
+    ((split, H, blocks),) = lift_calls(monkeypatch, name)[0]
+    q, R = split.q, split.r
+    by_chi = {chi: (cols, W) for chi, cols, W in blocks}
+    derived = [chi for chi in by_chi if chi > _weyl.conjugate(chi, q)]
+    assert derived and all(_weyl.conjugate(chi, q) in by_chi for chi in by_chi)
+    for chi in derived:
+        cols, W = by_chi[_weyl.conjugate(chi, q)]
+        assert np.array_equal(by_chi[chi][0], cols) and by_chi[chi][1].shape[2] == R
+        assert (_weyl.conjugate_vectors(W, R) == by_chi[chi][1]).all()
+        i = next(n for n, block in enumerate(blocks) if block[0] == chi)
+        mutants = [
+            (chi, cols, W),  # neither reversed nor shifted
+            (_weyl.conjugate(chi, q), cols, by_chi[chi][1]),  # the character of chi
+        ]
+        for bad in mutants:
+            lifted = lift_is_null(split, H, blocks[:i] + [bad] + blocks[i + 1 :])
+            assert not lifted or name == "Sp10"
+        # reversed without the shift is omega^(phi - 1) times the conjugate,
+        # a null vector as well
+        assert lift_is_null(split, H, blocks[:i] + [(chi, cols, W[:, :, ::-1])] + blocks[i + 1 :])
 
 
 # ----------------------------------------------------------------------

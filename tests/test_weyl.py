@@ -13,16 +13,18 @@ from hadforge import _weyl, analyze, catalog, mub
 from hadforge._exactrank import (
     SEED,
     System,
+    certify_null_space,
     certify_rank,
     _batch_inverses,
     _echelon,
+    _units,
     evaluate_rows,
     find_embedding_prime,
     power_table,
     rank_mod,
     rref_mod,
 )
-from hadforge._weyl import block_image, block_system, weyl_split
+from hadforge._weyl import block_image, block_system, character_slots, lift_is_null, weyl_split
 from hadforge.analyze import (
     DefectReport,
     _build_defect,
@@ -129,17 +131,15 @@ def test_split_defect_matches_the_certificate_on_search_representatives(p, q):
         assert_split_matches_exact(a, reduced_build(a))
 
 
-def reference_split_system(split):
-    """Reference: the whole split as one term list, block chi at rows
-    chi*m up to (chi + 1)*m, each pair at its place in its block: term
-    (n, s, k) of row pair n = (u, v) in block chi is +-omega^e on column
-    (w // q) * p + k // q, with w = u (+, s = 0) or v (-, s = 1) and
-    e = E[u, k] - E[v, k] + chi(g_(w, k)) r / q, chi(a, b) = s' a + t' b
-    for chi = s' q + t'."""
+def reference_rows(split, pairs, chi, row, n_rows):
+    """Reference: the rows rho_uv of the character blocks of the split as
+    one term list, pair n = (u, v) = pairs[n] of block chi[n] at row
+    row[n]: its term (n, s, k) is +-omega^e on column (w // q) * p + k // q,
+    with w = u (+, s = 0) or v (-, s = 1) and e = E[u, k] - E[v, k] +
+    chi(g_(w, k)) r / q, chi(a, b) = s' a + t' b for chi = s' q + t'."""
     p, q, R, E = split.p, split.q, split.r, split.exp
     d = p * q
-    chi, (U, V) = split.chi_of, split.pairs.T
-    row = chi * split.m + split.row % split.m
+    U, V = pairs.T
     cells = np.stack([U, V], axis=1)[:, :, None]
     ks = np.arange(d)
     g = split.group[cells, ks]
@@ -149,9 +149,27 @@ def reference_split_system(split):
     sign = np.array([[1], [-1]], dtype=np.int8)
     shape = exp.shape
     return System(
-        q * q * split.m,
+        n_rows,
         *(np.broadcast_to(x, shape).reshape(-1) for x in (row[:, None, None], col, exp, sign)),
     )
+
+
+def reference_split_system(split):
+    """Reference: the blocks the split lays out as one term list, block chi
+    at rows chi*m up to (chi + 1)*m, each pair at its place in its block."""
+    chi = split.chi_of
+    row = chi * split.m + split.row % split.m
+    return reference_rows(split, split.pairs, chi, row, split.q**2 * split.m)
+
+
+def reference_block(split, chi):
+    """Reference: the whole block M_chi, one row per ordered pair u != v of
+    rows of the grid, on all p^2 columns; it owes nothing to the pairs the
+    split keeps."""
+    d = split.p * split.q
+    pairs = np.argwhere(~np.eye(d, dtype=bool))
+    n = len(pairs)
+    return reference_rows(split, pairs, np.full(n, chi), np.arange(n), n)
 
 
 def conjugate(chi, q):
@@ -161,27 +179,44 @@ def conjugate(chi, q):
 
 
 def reference_image(split):
-    """The q^2 blocks of the split mod its block prime, from the whole term
-    list, by character, and that prime and its root's image."""
+    """The q^2 whole blocks (`reference_block`) mod the split's block
+    prime, and that prime and its root's image."""
     p2 = split.p**2
     l, g = find_embedding_prime(split.r, random.Random(SEED))
-    ref = evaluate_rows(reference_split_system(split), p2, l, g, split.r)
-    return ref.reshape(-1, split.m, p2), l, g
+    blocks = [reference_block(split, chi) for chi in range(split.q**2)]
+    return np.stack([evaluate_rows(x, p2, l, g, split.r) for x in blocks]), l, g
 
 
 def assert_image_matches_the_term_list(a, H):
     split = weyl_split(a, H)
     q = a.q
-    ref, l, g = reference_image(split)
+    p2 = a.p**2
+    l, g = find_embedding_prime(split.r, random.Random(SEED))
+    laid_out = evaluate_rows(reference_split_system(split), p2, l, g, split.r)
+    laid_out = laid_out.reshape(-1, split.m, p2)
     got = block_image(split, l, power_table(g, l, split.r))
     # the representatives of the pairs {chi, -chi}, by increasing chi
     reps = [chi for chi in range(q * q) if chi <= conjugate(chi, q)]
     assert len(reps) == (q * q if q == 2 else (q * q + 1) // 2)
-    assert got.dtype == np.int32 and np.array_equal(got, ref[reps])
-    # every short block's System has the image of its gauge-free columns
-    for chi in range(0, a.q**2, max(1, a.q**2 // 7)):
+    assert got.dtype == np.int32 and np.array_equal(got, laid_out[reps])
+    # every block's System, of a representative or not, has the RREF of the
+    # whole block on its gauge-free columns at every embedding (at omega -> g
+    # and its conjugate from d = 50 on, where every embedding would take
+    # a minute); that of a representative has the image of its laid-out
+    # rows as well
+    ts = _units(split.r) if a.d < 50 else [1, split.r - 1]
+    for chi in range(0, q * q, max(1, q * q // 7)):
         system, cols = block_system(split, chi)
-        assert np.array_equal(evaluate_rows(system, cols.size, l, g, split.r), ref[chi][:, cols])
+        if chi in reps:
+            image = evaluate_rows(system, cols.size, l, g, split.r)
+            assert np.array_equal(image, laid_out[chi][:, cols])
+        whole = reference_block(split, chi)
+        for t in ts:
+            gt = pow(g, t, l)
+            R, pivots = rref_mod(evaluate_rows(system, cols.size, l, gt, split.r), l)
+            ref, ref_pivots = rref_mod(evaluate_rows(whole, p2, l, gt, split.r)[:, cols], l)
+            assert pivots == ref_pivots
+            assert np.array_equal(R[: len(pivots)], ref[: len(pivots)])
 
 
 @pytest.mark.parametrize("name", RECIPES)
@@ -273,6 +308,58 @@ def test_each_build_ranks_one_block_per_conjugate_pair(p, q, blocks, monkeypatch
         assert sent == [blocks] and rep.evidence["blocks"] == q * q
 
 
+def reference_block_report(a, H):
+    """Reference: the certified report of a build with one
+    `certify_null_space` per short block, of chi and of -chi alike, each
+    on its own block, and the lift check of all their null vectors."""
+    split = weyl_split(a, H)
+    if split is None:
+        return _defect_exact(H)
+    p, q = a.p, a.q
+    l, powers = analyze._block_prime(split.r)
+    ranks = rank_mod(block_image(split, l, powers), l)[character_slots(q)[1]]
+    full = p * p - split.gauge.sum(axis=1)
+    n, rank = (a.d - 1) ** 2, int(ranks.sum())
+    ev = {
+        "root": H.r, "blocks": q * q, "block_columns": p * p, "pivot_count": rank,
+        "primes": [l], "null_vectors": 0,
+    }
+    short = np.flatnonzero(ranks < full).tolist()
+    if not short:
+        return DefectReport(0, n, n, "exact", ev)
+    blocks = []
+    for chi in short:
+        system, cols = block_system(split, chi)
+        rk, bev, W = certify_null_space(system, cols.size, split.r)
+        ev["primes"] += [y for y in bev["primes"] if y not in ev["primes"]]
+        rank += rk - int(ranks[chi])
+        blocks.append((chi, cols, W))
+    assert lift_is_null(split, H, blocks)
+    ev["pivot_count"], ev["null_vectors"] = rank, n - rank
+    return DefectReport(n - rank, n, rank, "exact", ev)
+
+
+def assert_certificate_matches_the_reference(a, H):
+    got, ref = _build_defect(a, H, certify=True), reference_block_report(a, H)
+    assert got == ref and got.evidence == ref.evidence
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_pair_certificate_matches_one_certificate_per_block_on_catalog_recipes(name):
+    assert_certificate_matches_the_reference(catalog.assignment(name), catalog.build(name))
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7), (3, 7), (3, 2), (5, 5)])
+def test_pair_certificate_matches_one_certificate_per_block_on_search_representatives(p, q):
+    checked = 0
+    for a in assignment_search(p, q).representatives:
+        H = reduced_build(a)
+        if _build_defect(a, H, certify=False).defect > 0:
+            assert_certificate_matches_the_reference(a, H)
+            checked += 1
+    assert checked
+
+
 def test_a_side_is_read_once_while_its_bases_live(monkeypatch):
     reads = []
     read = _weyl._read_side
@@ -284,7 +371,8 @@ def test_a_side_is_read_once_while_its_bases_live(monkeypatch):
     assert len(reads) == 2  # the K side and the L side
     second = weyl_split(a, H)
     assert len(reads) == 2
-    assert first.imaged == second.imaged and np.array_equal(first.pairs, second.pairs)
+    assert np.array_equal(first.chi_of, second.chi_of)
+    assert np.array_equal(first.pairs, second.pairs)
     keys = [tuple(map(id, a.K)), tuple(map(id, a.L))]
     assert all(key in _weyl._SIDES for key in keys)
     del a, fresh, first, second
@@ -348,8 +436,8 @@ TOP_PRIME = 33554393
 def test_stacked_kernel_matches_each_matrix_alone(seed, B, shape, planted):
     """Random stacks, and stacks whose matrices have a planted rank, zero
     columns or repeated rows, against rank_mod and the pivots of rref_mod
-    of each matrix, across panel boundaries.  The RREF takes a stack of one
-    only."""
+    of each matrix, across panel boundaries; the stacked RREF against
+    rref_mod of each matrix alone."""
     rng = np.random.default_rng(seed)
     m, n = shape
     l = TOP_PRIME
@@ -362,12 +450,14 @@ def test_stacked_kernel_matches_each_matrix_alone(seed, B, shape, planted):
             S[b, rng.integers(0, m, 2)] = S[b, rng.integers(0, m)]
     ranks = rank_mod(S.astype(np.int32), l)
     echelon, pivots = _echelon(S.copy(), l, False)
-    if B > 1:
-        with pytest.raises(ValueError, match="stack of one"):
-            _echelon(S.copy(), l, True)
+    reduced, reduced_pivots = _echelon(S.copy(), l, True)
     for b in range(B):
+        # the RREF and its pivots, bit for bit, as for the matrix alone
+        R, alone_pivots = rref_mod(S[b].copy(), l)
+        assert np.array_equal(reduced[b], R)
+        assert np.flatnonzero(reduced_pivots[b]).tolist() == alone_pivots
         assert ranks[b] == rank_mod(S[b].copy(), l)
-        assert np.flatnonzero(pivots[b]).tolist() == rref_mod(S[b].copy(), l)[1]
+        assert np.flatnonzero(pivots[b]).tolist() == alone_pivots
         # the same row operations as for the matrix alone, bit for bit
         alone = S[b].copy()
         rank_mod(alone, l)
