@@ -14,15 +14,16 @@ unconditional bounds:
   M . w = 0 check back in Z[omega_r].  Nothing is trusted until that last
   algebraic check passes.
 
-The certificate takes a list of systems at one root (`certify_null_spaces`;
-`certify_null_space` is its chunk of one), as the short character blocks
-of a build come.  Every system draws the same primes from Random(SEED), so
-the systems go through the draws together: the screen ranks the images of
-each shape in one stacked elimination, and at each later prime every open
-system is imaged at all phi(r) embeddings in one gather from the prime's
-power table (`_embeddings`), and the images of each shape are brought to
-their RREF in one stacked elimination.  Each system keeps its own attempts
-and primes, so each gets the rank, evidence and null basis it gets alone.
+The certificate takes a list of systems at one root (`certify_null_spaces`),
+as the short character blocks of a build come.  Every system draws the
+same primes from Random(SEED), so the systems go through the draws
+together: the screen ranks the images of each shape in stacked
+eliminations, and at each later prime every open system is imaged at all
+phi(r) embeddings in one gather from the prime's power table
+(`_embeddings`), and the images of each shape are brought to their RREF
+in stacked eliminations, cut by `stack_slices`.  Each system keeps its
+own attempts and primes, so each gets the rank, evidence and null basis
+it gets alone.
 
 Both bounds rest on one elimination kernel over F_l, `_echelon`, behind
 `rank_mod` (echelon form) and `rref_mod` (the unique RREF).  An image mod l
@@ -437,18 +438,6 @@ def rank_mod(M: np.ndarray, l: int) -> Union[int, np.ndarray]:
     return ranks if M.ndim == 3 else int(ranks[0])
 
 
-def null_basis_mod(R: np.ndarray, pivots: List[int], l: int) -> np.ndarray:
-    """Canonical nullspace basis from an RREF: one vector per free column f,
-    with 1 at f and -R[i, f] at pivot column i."""
-    n = R.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    N = np.zeros((len(free), n), dtype=np.int64)
-    N[np.arange(len(free)), free] = 1
-    N[:, pivots] = (-R[: len(pivots), free].T) % l
-    return N
-
-
 def rational_reconstruct(c: np.ndarray, L: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Find a/b = c (mod L) with |a|, b <= sqrt(L/2) and b > 0 for every
     entry of the object array c, by the half-gcd walk run on all entries at
@@ -485,26 +474,29 @@ def certify_rank(system: System, n_cols: int, r: int) -> Tuple[int, dict]:
     and the number of exactly verified null vectors (when rank < n_cols).
     The first prime drawn from Random(SEED) screens the rank.
     """
-    rank, evidence, _ = certify_null_space(system, n_cols, r)
+    rank, evidence, _ = certify_null_spaces([(system, n_cols)], r)[0]
     return rank, evidence
 
 
-def certify_null_space(system: System, n_cols: int, r: int) -> Tuple[int, dict, np.ndarray]:
-    """`certify_rank`'s rank and evidence, and the null basis it verified:
-    an object array (n_cols - rank, n_cols, phi(r)) of power-basis
-    coefficients, as `_lift_vectors` returns it.  The chunk of one of
-    `certify_null_spaces`."""
-    return certify_null_spaces([(system, n_cols)], r)[0]
-
-
-# The certificate eliminates its images in stacks of one shape.  An image
-# of more than _STACKED entries goes alone: from about that size on, the
-# index bookkeeping of the stacked step costs more than it saves (a stack
-# of 8 RREFs of 72 x 64 took 0.9 times as long as the 8 alone, of 110 x 100
-# 1.3 times, of 182 x 169 1.9 times).  A stack holds at most _STACK_CELLS
+# Images of one shape are eliminated in stacks.  An image of more than
+# _STACKED entries goes alone: from about that size on, the index
+# bookkeeping of the stacked step costs more than it saves (a stack of 8
+# RREFs of 72 x 64 took 0.9 times as long as the 8 alone, of 110 x 100 1.3
+# times, of 182 x 169 1.9 times).  A stack holds at most _STACK_CELLS
 # entries, 4 MB in int32.
 _STACKED = 1 << 12
 _STACK_CELLS = 1 << 20
+
+
+def stack_slices(count: int, m: int, n: int) -> List[slice]:
+    """The stacks that `count` images of m x n take, in order, one
+    elimination each: every image alone when it has more than _STACKED
+    entries, else as many as _STACK_CELLS entries hold.  The certificate's
+    images (`_stacks`) and the character blocks of a search chunk
+    (`analyze._defects`) are cut by this one rule."""
+    cells = max(1, m * n)
+    k = 1 if cells > _STACKED else _STACK_CELLS // cells
+    return [slice(c, c + k) for c in range(0, count, k)]
 
 
 def _stacks(systems, ts, l: int, powers: np.ndarray, r: int):
@@ -518,11 +510,9 @@ def _stacks(systems, ts, l: int, powers: np.ndarray, r: int):
     for i, (system, n) in enumerate(systems):
         groups.setdefault((system.n_rows, n), []).append(i)
     for (m, n), at in groups.items():
-        cells = max(1, m * n)
-        k = 1 if cells > _STACKED else _STACK_CELLS // cells
         members = [(i, j) for i in at for j in range(len(ts))]
-        for c in range(0, len(members), k):
-            chunk = members[c : c + k]
+        for cut in stack_slices(len(members), m, n):
+            chunk = members[cut]
             parts = []
             for i, run in itertools.groupby(chunk, key=lambda x: x[0]):
                 js = [j for _, j in run]
@@ -548,9 +538,10 @@ class _Certificate:
 
 
 def certify_null_spaces(systems, r: int) -> list:
-    """`certify_null_space` of every (system, n_cols) of the list, all over
-    Z[omega_r]: for each its rank, evidence and verified null basis, the
-    same as the system gets alone.
+    """`certify_rank`'s rank and evidence of every (system, n_cols) of the
+    list, all over Z[omega_r], and the null basis it verified: an object
+    array (n_cols - rank, n_cols, phi(r)) of power-basis coefficients, as
+    `_lift_vectors` returns it.  Each system gets the same as it gets alone.
 
     Each system draws the same primes from Random(SEED): the first screens
     its rank (full column rank mod l certifies full rank), and each later

@@ -522,12 +522,6 @@ def _terms(exp: np.ndarray, group: np.ndarray, q: int, R: int, mem, pairs, chi) 
     return out
 
 
-def block_image(split: WeylSplit, l: int, powers: np.ndarray) -> np.ndarray:
-    """The stacked blocks of one split mod l: the chunk of one of
-    `block_images`."""
-    return block_images([split], l, powers)[0]
-
-
 def block_images(splits, l: int, powers: np.ndarray) -> list:
     """The representative blocks of every split, all at one root r, mod l
     under omega_r -> g, with powers[e] = g^e mod l: for each split an int32

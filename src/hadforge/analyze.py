@@ -8,7 +8,6 @@ screening, and exhaustive search over mutually unbiased block assignments.
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -29,6 +28,7 @@ from ._exactrank import (
     find_embedding_prime,
     power_table,
     rank_mod,
+    stack_slices,
 )
 from ._weyl import (
     WeylSplit,
@@ -169,15 +169,6 @@ def _defect_exact(E: ExponentMatrix) -> DefectReport:
     return DefectReport(n - rank, n, rank, "exact", ev)
 
 
-# The character blocks of a stream of builds (a search) are imaged a chunk
-# at a time and queued by prime and block shape; a queue that holds
-# _STACK block matrices is ranked in one stacked elimination.  The bound
-# keeps the stacked work arrays small: 100 blocks of 25 x 25, at (5, 3)
-# the representative blocks of 20 builds, 5 each, peak at about 2 MB of
-# traced allocations in `rank_mod`.
-_STACK = 100
-
-
 @functools.lru_cache(maxsize=None)
 def _block_prime(r: int) -> Tuple[int, np.ndarray]:
     """l of (l, g) = `find_embedding_prime(r, Random(SEED))`, and the
@@ -189,93 +180,58 @@ def _block_prime(r: int) -> Tuple[int, np.ndarray]:
     return l, powers
 
 
-class _Pending:
-    """A build on its way through `_defects`: its character blocks imaged
-    mod l until a stacked elimination ranks them, then its report."""
-
-    __slots__ = ("tag", "report", "image", "source", "l", "full", "n", "root", "split")
-
-    def __init__(self, tag) -> None:
-        self.tag, self.report = tag, None
-
-
-def _defects(chunks, certify: bool):
-    """(tag, defect report) of every (H, split, tag) of the chunks, lists
-    of them, in their order, with H the dephased build of an assignment a at
-    its minimal root (so unitary) and split `weyl_split(a, H)`.
+def _defects(builds, certify: bool) -> List[DefectReport]:
+    """The defect report of every (H, split) of a chunk, in order, with H
+    the dephased build of an assignment a at its minimal root (so unitary)
+    and split `weyl_split(a, H)`.
 
     The defect goes through the Weyl-Heisenberg split of `_weyl` whenever
     `weyl_split` verified its automorphisms on H, and through
     `_defect_exact` when the split is None.  Of the q^2 character blocks
     of a split, one per pair {chi, -chi} is imaged, (q^2 + 1) / 2 blocks
     for odd q and q^2 for q = 2, mod one prime, the first that Random(SEED)
-    draws for the split's root: the splits of a chunk are grouped by root,
-    and each group is imaged at once (`block_images`).  The splits
-    themselves are dropped unless `certify` needs them.  The images wait in
-    a queue per (prime, block shape); a queue is ranked by one `rank_mod`
-    of its stacked blocks once it holds _STACK of them, and every queue at
-    the end of the chunks.  Each build's slice of the ranks goes back to
-    its q^2 characters, -chi taking the rank of chi (exact over
-    Q(omega_r'), see "Conjugate characters" in `_weyl`), and makes its
-    report (`_block_report`).  A chunk of one build is `_build_defect`; a
-    stream of chunks is the search.
+    draws for the split's root: the splits are grouped by root, and each
+    group is imaged at once (`block_images`).  The images of each (prime,
+    block shape) are stacked and ranked by `rank_mod`, one call per stack
+    of `stack_slices`, the rule that also cuts the certificate's stacks.
+    Each build's slice of the ranks goes back to its q^2 characters, -chi
+    taking the rank of chi (exact over Q(omega_r'), see "Conjugate
+    characters" in `_weyl`), and makes its report (`_block_report`).  A
+    chunk of one build is `_build_defect`; the chunks of a search come from
+    `_examine_all`.
     """
-    queues: Dict[tuple, List[_Pending]] = {}
-    order: collections.deque = collections.deque()
-
-    def flush(key) -> None:
-        batch = queues.pop(key)
-        ranks = rank_mod(np.concatenate([x.image for x in batch]), key[0])
+    reports: list = [None] * len(builds)
+    by_root: Dict[int, List[int]] = {}
+    for i, (H, split) in enumerate(builds):
+        if split is None:
+            reports[i] = _defect_exact(H)
+        else:
+            by_root.setdefault(split.r, []).append(i)
+    groups: Dict[tuple, list] = {}  # (prime, block shape) -> (build, its image)
+    for r, at in by_root.items():
+        l, powers = _block_prime(r)
+        for i, image in zip(at, block_images([builds[i][1] for i in at], l, powers)):
+            groups.setdefault((l, *image.shape[1:]), []).append((i, image))
+    for (l, m, n), members in groups.items():
+        stack = np.concatenate([image for _, image in members])
+        ranks = np.concatenate([rank_mod(stack[cut], l) for cut in stack_slices(len(stack), m, n)])
         at = 0
-        for x in batch:
-            blocks = len(x.image)
-            x.report = _block_report(x, ranks[at : at + blocks][x.source], certify)
-            x.image = x.split = None
-            at += blocks
-
-    def image(chunk) -> List[_Pending]:
-        members = [_Pending(tag) for _, _, tag in chunk]
-        by_root: Dict[int, list] = {}
-        for x, (H, split, _) in zip(members, chunk):
-            if split is None:
-                x.report = _defect_exact(H)
-                continue
-            x.full = split.p**2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
-            x.source = character_slots(split.q)[1]
-            x.n, x.root = (H.d - 1) ** 2, H.r
-            x.split = (split, H) if certify else None
-            by_root.setdefault(split.r, []).append((x, split))
-        for r, group in by_root.items():
-            l, powers = _block_prime(r)
-            for (x, _), image in zip(group, block_images([split for _, split in group], l, powers)):
-                x.l, x.image = l, image
-        return members
-
-    for chunk in chunks:
-        members = image(chunk)
-        del chunk  # the chunk's splits go before any flush
-        for x in members:
-            order.append(x)
-            if x.report is None:
-                key = (x.l, *x.image.shape)
-                queue = queues.setdefault(key, [])
-                queue.append(x)
-                if len(queue) * len(x.image) >= _STACK:
-                    flush(key)
-        while order and order[0].report is not None:
-            done = order.popleft()
-            yield done.tag, done.report
-    for key in list(queues):
-        flush(key)
-    for done in order:
-        yield done.tag, done.report
+        for i, image in members:
+            H, split = builds[i]
+            own = ranks[at : at + len(image)][character_slots(split.q)[1]]
+            reports[i] = _block_report(H, split, own, l, certify)
+            at += len(image)
+    return reports
 
 
-def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport:
-    """The report of a build from the ranks of its character blocks mod one
-    prime.  When every block has the rank of its gauge-free columns, H is
-    certified isolated (mode "exact").  Otherwise the ranks give a certified
-    upper bound on the defect: mode "bound" without `certify`.
+def _block_report(
+    H: ExponentMatrix, split: WeylSplit, ranks: np.ndarray, l: int, certify: bool
+) -> DefectReport:
+    """The report of the build H with the split `split` from the ranks of
+    its q^2 character blocks mod the prime l.  When every block has the
+    rank of its gauge-free columns, H is certified isolated (mode "exact").
+    Otherwise the ranks give a certified upper bound on the defect: mode
+    "bound" without `certify`.
 
     With it, the short blocks come in pairs {chi, -chi} of one rank, and
     the representative chi of each (the lesser) is certified on its
@@ -286,23 +242,23 @@ def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport
     short block, those of -chi included, mapped back to the d^2
     variables, are checked against the whole system (`lift_is_null`)
     before the defect is reported as exact."""
-    if (ranks > x.full).any():
+    full = split.p**2 - split.gauge.sum(axis=1)  # the rank of a block with no defect
+    if (ranks > full).any():
         raise RankCertificationError("a character block outranks its gauge-free columns")
-    n, rank = x.n, int(ranks.sum())
+    n, rank = (H.d - 1) ** 2, int(ranks.sum())
     ev = {
-        "root": x.root,
+        "root": H.r,
         "blocks": len(ranks),
-        "block_columns": x.image.shape[2],
+        "block_columns": split.p**2,
         "pivot_count": rank,
-        "primes": [x.l],
+        "primes": [l],
         "null_vectors": 0,
     }
-    short = np.flatnonzero(ranks < x.full).tolist()
+    short = np.flatnonzero(ranks < full).tolist()
     if not short:
         return DefectReport(0, n, n, "exact", ev)
     if not certify:
         return DefectReport(n - rank, n, rank, "bound", ev)
-    split, H = x.split
     reps = [chi for chi in short if chi <= conjugate(chi, split.q)]
     systems = [block_system(split, chi) for chi in reps]
     certs = certify_null_spaces([(system, cols.size) for system, cols in systems], split.r)
@@ -324,12 +280,12 @@ def _block_report(x: _Pending, ranks: np.ndarray, certify: bool) -> DefectReport
 
 
 def _build_defect(a: BlockAssignment, H: ExponentMatrix, certify: bool) -> DefectReport:
-    """Defect of H, the dephased build of a at its minimal root: the batch
-    of one build of `_defects`, whose docstring has the method.  With
+    """Defect of H, the dephased build of a at its minimal root: `_defects`
+    of the chunk of this one build, whose docstring has the method.  With
     `certify` (`catalog.verify`), a build that is not isolated gets its
     exact defect from the null vectors of its short blocks; without it, the
     one-prime bound."""
-    return next(_defects([[(H, weyl_split(a, H), None)]], certify))[1]
+    return _defects([(H, weyl_split(a, H))], certify)[0]
 
 
 def defect(H: Matrix, mode: str = "auto") -> DefectReport:
@@ -393,7 +349,7 @@ class HaagerupSet:
 def haagerup_set(H: Matrix) -> HaagerupSet:
     d = H.d
     if isinstance(H, ExponentMatrix):
-        return _haagerup_exact(H, range(d))
+        return _haagerup_sets(H.exp[None], np.array([H.r]), range(d))[0]
     Hc = H.entries
     seen: set = set()
     for i in range(d):
@@ -410,18 +366,14 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
     return HaagerupSet(members=tuple(merged), r=None)
 
 
-def _haagerup_exact(H: ExponentMatrix, rows: Sequence[int]) -> HaagerupSet:
-    """The exact Haagerup set of the quadruples of H whose first row is in
-    `rows`: H's whole set when `rows` is every row, or when it meets every
-    orbit of a group of automorphisms of H that keeps the quadruple phases
-    (see `assignment_search`).  The chunk of one of `_haagerup_sets`."""
-    return _haagerup_sets(H.exp[None], np.array([H.r]), rows)[0]
-
-
 def _haagerup_sets(E: np.ndarray, r: np.ndarray, rows: Sequence[int]) -> List[HaagerupSet]:
-    """`_haagerup_exact` of every grid of the stack E (N, d, d) at the roots
-    r (N,), for the same first rows.  The phases of many first rows, of
-    one grid or several, are made at once, at most _CHUNK of them."""
+    """The exact Haagerup set of the quadruples whose first row is in
+    `rows`, of every grid of the stack E (N, d, d) at the roots r (N,).
+    That is a grid's whole set when `rows` is every row, or when it meets
+    every orbit of a group of automorphisms of the grid that keeps the
+    quadruple phases (see `assignment_search`).  The phases of many first
+    rows, of one grid or several, are made at once, at most _CHUNK of
+    them."""
     N, d = E.shape[:2]
     r = np.asarray(r, dtype=np.int64)
     heads = np.repeat(np.arange(N), len(rows)), np.tile(np.asarray(rows, dtype=np.int64), N)
@@ -564,12 +516,6 @@ def _assignment(p: int, kc, lc, mub: MubSet) -> BlockAssignment:
     return BlockAssignment.from_labels(p, mub.q, k_labels, l_labels, mub=mub)
 
 
-def _candidate_assignments(p: int, mub: MubSet):
-    """Every candidate of `_candidate_indices`, as a BlockAssignment."""
-    for kc, lc in _candidate_indices(p, mub.q):
-        yield _assignment(p, kc, lc, mub)
-
-
 def _orbit_multipliers(q: int) -> Tuple[int, ...]:
     """The relabellings H_j -> H_{s j mod q} the search identifies: s = +-x^2
     mod q for x != 0.  That is every unit when q = 3 (mod 4), the nonzero
@@ -601,15 +547,17 @@ def _orbit(kc, lc, q: int, multipliers: Sequence[int]) -> set:
     }
 
 
-# A search examines its representatives in chunks: each layer of the
-# front end (build, dephase and minimal root, split, Haagerup set, block
-# image) runs once per chunk on stacked arrays.  Its largest work array is
-# the Haagerup phases of the p block-row heads, p d^3 per representative;
-# the bound keeps a chunk's at or below _CHUNK, 0.25 MB in uint16, and
-# the chunk's traced peak (about 1.2 MB at (3, 5)) under that of a _STACK
-# flush.  From p d^3 > _CHUNK / 2 on (every d >= 33), a chunk is one
+# A search examines its representatives in chunks: each layer, from the
+# build to the rank of the character blocks, runs once per chunk on
+# stacked arrays, and `_defects` ranks a chunk's blocks in one stack per
+# (prime, block shape).  The largest work array is the Haagerup phases of
+# the p block-row heads, p d^3 per representative; the bound keeps a
+# chunk's at or below _CHUNK, 2 MB in uint16.  A chunk holds up to 103
+# representatives at (3, 5), 62 at (5, 3) and 191 at (2, 7), so each of
+# these searches is one chunk; its traced peak is about 2.3 MB at (3, 5).
+# From p d^3 > _CHUNK / 2 on (every d >= 65 with p >= 2), a chunk is one
 # representative.
-_CHUNK = 2**17
+_CHUNK = 2**20
 
 
 def _chunks(assignments):
@@ -642,32 +590,28 @@ def _examine_all(assignments, cache: dict):
     digested (`_front`): a build whose split verified takes the
     Haagerup quadruples of the first row of each block row only, which give
     the whole set (see `assignment_search`), and one whose split is None
-    every row.  Its defect is `_defects`' without the certificate, so the
-    character blocks of a chunk, one per conjugate pair, are imaged
-    together per root, and those of many builds ranked mod their prime in
-    one stacked elimination.  Every
-    block at full gauge-free rank certifies isolation (mode "exact");
+    every row.  Then the chunk's defects are `_defects`' without the
+    certificate: the character blocks, one per conjugate pair, are imaged
+    per root and ranked per (prime, block shape) in stacked eliminations.
+    Every block at full gauge-free rank certifies isolation (mode "exact");
     otherwise the ranks give a certified upper bound on the defect (mode
-    "bound").  A chunk of one is `_examine`, with the same report, to its
-    evidence.
+    "bound").  A chunk's results are handed on once the chunk is done.  A
+    chunk of one is `_examine`, with the same report, to its evidence.
     """
-
-    def chunks():
-        for chunk in _chunks(assignments):
-            yield _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
-
-    for (a, root, hs), rep in _defects(chunks(), certify=False):
-        yield a, root, hs.digest(), rep
+    for chunk in _chunks(assignments):
+        front = _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
+        reports = _defects([(H, split) for H, split, _ in front], certify=False)
+        for a, (H, _, hs), rep in zip(chunk, front, reports):
+            yield a, H.r, hs.digest(), rep
 
 
 def _front(assignments, E: np.ndarray, r: np.ndarray) -> list:
-    """(H, split, (a, Butson root, Haagerup set)) of every assignment a of
-    one order and its dephased grid at its minimal root, the stack E
-    (N, d, d) at the roots r (N,): a chunk as `_defects` takes it.  The
-    splits are `weyl_splits`; the Haagerup set of a grid comes from the
-    first row of each block row when its split verified (see
-    `assignment_search`), and from every row when it is None, each group
-    in one stack."""
+    """(H, split, Haagerup set) of every assignment of one order, with H
+    its dephased grid at its minimal root, from the stack E (N, d, d) at
+    the roots r (N,).  The splits are `weyl_splits`; the Haagerup set of a
+    grid comes from the first row of each block row when its split verified
+    (see `assignment_search`), and from every row when it is None, each
+    group in one stack."""
     splits = weyl_splits(assignments, E, r)
     sets: list = [None] * len(splits)
     d, q = E.shape[1], assignments[0].q
@@ -677,18 +621,9 @@ def _front(assignments, E: np.ndarray, r: np.ndarray) -> list:
             for n, hs in zip(at, _haagerup_sets(E[at], r[at], rows)):
                 sets[n] = hs
     return [
-        (ExponentMatrix(d, root, e), split, (a, root, hs))
-        for a, e, root, split, hs in zip(assignments, E, r.tolist(), splits, sets)
+        (ExponentMatrix(d, root, e), split, hs)
+        for e, root, split, hs in zip(E, r.tolist(), splits, sets)
     ]
-
-
-def _split_and_haagerup(
-    a: BlockAssignment, H: ExponentMatrix
-) -> Tuple[Optional[WeylSplit], HaagerupSet]:
-    """`weyl_split(a, H)` and the exact Haagerup set of H: the chunk of one
-    of `_front`."""
-    ((_, split, (_, _, hs)),) = _front([a], H.exp[None], np.array([H.r]))
-    return split, hs
 
 
 def _examine(a: BlockAssignment, cache: dict):
@@ -723,13 +658,12 @@ def assignment_search(
     to block -chi, so the two have one rank, and only one block of each
     pair {chi, -chi} is imaged and ranked, (q^2 + 1) / 2 of the q^2 for
     odd q.  The blocks of a chunk are imaged mod one prime per split root,
-    and only that image is kept, not the split;
-    the images of many representatives wait in one queue per (prime, rows
-    per block) and are ranked together, one stacked elimination per
-    _STACK blocks.  Every report is the one `_examine` gives the
-    representative alone, evidence included.  Full rank certifies an
-    isolated class, and the ranks bound the defect of any other from
-    above.  The split uses the same covariance of the complete set under
+    and the images of each (prime, block shape) are ranked together in
+    one stacked elimination, cut only where the certificate's stacks are
+    cut (`_exactrank.stack_slices`).  Every report is the one `_examine`
+    gives the representative alone, evidence included.  Full rank
+    certifies an isolated class, and the ranks bound the defect of any
+    other from above.  The split uses the same covariance of the complete set under
     X and Z that the orbits below use under the Clifford relabellings.
 
     Haagerup sets.  The set collects the quadruple phases
@@ -789,7 +723,7 @@ def assignment_search(
     `budget` caps `examined`: a representative is analysed only when its
     whole orbit fits in what is left of it.  `time_limit` (seconds) caps
     wall time: no representative is taken after it, and the chunk already
-    taken is then examined and the blocks still queued are ranked.
+    taken is then examined to the end, its blocks ranked.
     Stopping short of the end for either sets `stopped_by` ("budget" or
     "time limit") and so `partial`.  Bad input raises ValueError before
     any work: p < 1, a q that is not prime

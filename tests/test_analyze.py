@@ -17,13 +17,11 @@ from hadforge._exactrank import (
     _null_coeffs_one_prime,
     _units,
     _verify_null_vectors,
-    certify_null_space,
     certify_null_spaces,
     certify_rank,
     evaluate_rows,
     find_embedding_prime,
     is_null,
-    null_basis_mod,
     rank_mod,
     rational_reconstruct,
     rref_mod,
@@ -32,7 +30,6 @@ from hadforge.analyze import (
     DefectReport,
     HaagerupSet,
     IndeterminateRankError,
-    _candidate_assignments,
     _assignment,
     _candidate_indices,
     _defect_exact,
@@ -43,7 +40,6 @@ from hadforge.analyze import (
     _float_system,
     _orbit,
     _orbit_multipliers,
-    _split_and_haagerup,
     assignment_search,
     defect,
     fingerprint,
@@ -52,7 +48,7 @@ from hadforge.analyze import (
     is_isolated,
 )
 from hadforge._weyl import lift_is_null
-from hadforge.construct import BlockAssignment, theorem1_build
+from hadforge.construct import BlockAssignment, build_grids, theorem1_build
 from hadforge.cyclotomic import vanishes
 from hadforge.matrices import (
     EquivalenceMove,
@@ -61,6 +57,7 @@ from hadforge.matrices import (
     apply_equivalence,
     butson_min_root,
     dephase,
+    dephased_min_roots,
     random_move,
     tensor,
     to_complex,
@@ -263,8 +260,20 @@ def test_haagerup_hit_table_at_dtype_boundaries(r):
     assert_haagerup_matches_reference(ExponentMatrix(d, r, tuple(map(tuple, E.tolist()))))
 
 
+def split_and_haagerup(a, H):
+    """`weyl_split(a, H)` and the Haagerup set of H, from `_front` on the
+    chunk of this one assignment."""
+    ((_, split, hs),) = analyze._front([a], H.exp[None], np.array([H.r]))
+    return split, hs
+
+
+def haagerup_of_rows(H, rows):
+    """The Haagerup set of the quadruples of H whose first row is in rows."""
+    return analyze._haagerup_sets(H.exp[None], np.array([H.r]), rows)[0]
+
+
 def assert_orbit_rows_give_the_set(a, H):
-    split, got = _split_and_haagerup(a, H)
+    split, got = split_and_haagerup(a, H)
     assert split is not None
     full = haagerup_set(H)
     assert got.r == full.r and got.members == full.members
@@ -294,7 +303,7 @@ def test_a_grid_without_the_split_takes_every_row_of_the_haagerup_set(name):
     rows[1], rows[H.d - 1] = rows[H.d - 1], rows[1]
     move = EquivalenceMove(tuple(rows), tuple(range(H.d)), (0,) * H.d, (0,) * H.d, 1)
     moved = butson_min_root(dephase(apply_equivalence(H, move))[0])[1]
-    split, got = _split_and_haagerup(a, moved)
+    split, got = split_and_haagerup(a, moved)
     assert split is None
     ref = reference_haagerup_set(moved)
     assert got.r == ref.r and got.members == ref.members
@@ -319,23 +328,23 @@ def covariant_grid(name, perturbed=False):
 @pytest.mark.parametrize("name", ["S9", "S15", "S35"])
 def test_orbit_row_haagerup_set_needs_every_block_row_on_covariant_grids(name):
     a, G = covariant_grid(name)
-    split, got = _split_and_haagerup(a, G)
+    split, got = split_and_haagerup(a, G)
     assert split is not None
     ref = reference_haagerup_set(G)
     assert got.r == ref.r and got.members == ref.members
     # the first row of each block row is needed: block row 0 alone misses phases
-    assert analyze._haagerup_exact(G, range(a.q)).members != ref.members
+    assert haagerup_of_rows(G, range(a.q)).members != ref.members
 
 
 @pytest.mark.parametrize("name", ["Sp10", "S15"])
 def test_a_covariant_grid_that_fails_the_check_takes_every_row(name):
     a, G = covariant_grid(name, perturbed=True)
-    split, got = _split_and_haagerup(a, G)
+    split, got = split_and_haagerup(a, G)
     assert split is None
     ref = reference_haagerup_set(G)
     assert got.r == ref.r and got.members == ref.members
     # here the first rows of the block rows would miss phases
-    assert analyze._haagerup_exact(G, range(0, a.d, a.q)).members != ref.members
+    assert haagerup_of_rows(G, range(0, a.d, a.q)).members != ref.members
 
 
 @pytest.mark.parametrize("name", ["S9", "Sp10", "S15"])
@@ -601,7 +610,7 @@ def test_stacked_certificates_match_each_system_alone(bad, monkeypatch):
     alone, draws = [], []
     for system in systems:
         draws.append(hand_out_primes(monkeypatch, bad))
-        alone.append(certify_null_space(*system, 1))
+        alone.append(certify_null_spaces([system], 1)[0])
         monkeypatch.undo()
     handed = hand_out_primes(monkeypatch, bad)
     together = certify_null_spaces(systems, 1)
@@ -745,8 +754,7 @@ def assert_kernel_matches_reference(M, l):
         assert pivots == pivots_ref
         assert R.dtype == dtype and np.shares_memory(R, image)
         assert np.array_equal(R, R_ref)
-    N = null_basis_mod(R, pivots, l)
-    assert np.array_equal(N, reference_null_basis(R, pivots, l))
+    N = reference_null_basis(R, pivots, l)
     assert not (M @ N.T % l).any()  # at most 600 products below 2^50: no overflow
 
 
@@ -857,7 +865,7 @@ def reference_null_coeffs_one_prime(system, n_cols, r, units, l, g):
             pivot_ref = tuple(pivots)
         elif tuple(pivots) != pivot_ref:
             return None
-        bases.append(null_basis_mod(R, pivots, l))
+        bases.append(reference_null_basis(R, pivots, l))
     n_null = bases[0].shape[0]
     V = [[pow(g, (t * j) % r if r > 1 else 0, l) for j in range(phi)] for t in units]
     C = np.zeros((n_null, n_cols, phi), dtype=np.int64)
@@ -1396,9 +1404,16 @@ def test_exact_and_float_defects_agree_on_moved_catalog_grids(name, seed):
     assert_defects_agree(reduced_grid(moved))
 
 
+def candidate_assignments(p, q):
+    """Every candidate of the search's enumeration, as a BlockAssignment."""
+    mub = complete_mub_set(q)
+    for kc, lc in _candidate_indices(p, q):
+        yield _assignment(p, kc, lc, mub)
+
+
 @pytest.mark.parametrize("p,q", [(2, 5), (3, 3)])
 def test_exact_and_float_defects_agree_on_search_grids(p, q):
-    for a in _candidate_assignments(p, complete_mub_set(q)):
+    for a in candidate_assignments(p, q):
         assert_defects_agree(reduced_grid(theorem1_build(a)))
 
 
@@ -1408,7 +1423,7 @@ def test_examine_screen_matches_the_exact_defect(p, q):
     the build, so its evidence describes the split, not the unsplit
     certificate."""
     cache: dict = {}
-    for a in _candidate_assignments(p, complete_mub_set(q)):
+    for a in candidate_assignments(p, q):
         root, _, rep = _examine(a, cache)
         exact = _defect_exact(reduced_grid(theorem1_build(a)))
         assert rep.defect == exact.defect
@@ -1484,7 +1499,7 @@ def reference_assignment_search(p, q, budget=None):
     cache: dict = {}
     findings, classes, seen = [], [], set()
     examined, partial = 0, False
-    for a in _candidate_assignments(p, complete_mub_set(q)):
+    for a in candidate_assignments(p, q):
         if budget is not None and examined >= budget:
             partial = True
             break
@@ -1791,8 +1806,11 @@ def test_stacked_search_matches_each_representative_alone(p, q):
 @pytest.mark.parametrize("stack", [1, 3])
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7)])
 def test_search_does_not_depend_on_the_stack_size(p, q, stack, monkeypatch):
+    # the blocks of each (prime, block shape) of a chunk ranked `stack` at
+    # a time, not in the stacks of `_exactrank.stack_slices`
     full = full_summary(assignment_search(p, q))
-    monkeypatch.setattr(analyze, "_STACK", stack)
+    cut = lambda count, m, n: [slice(c, c + stack) for c in range(0, count, stack)]  # noqa: E731
+    monkeypatch.setattr(analyze, "stack_slices", cut)
     assert full_summary(assignment_search(p, q)) == full
 
 
@@ -1838,16 +1856,51 @@ def test_a_mixed_chunk_keeps_its_order_and_each_member_its_report(name):
     E, r = np.stack([H.exp for H in grids]), np.array([H.r for H in grids])
     members = analyze._front(chunk, E, r)
     assert [split is None for _, split, _ in members] == [False, True, False]
-    out = list(analyze._defects([members], certify=False))
-    assert [tag[0] for tag, _ in out] == chunk
-    (_, root, hs), rep = out[1]
+    reports = analyze._defects([(H, split) for H, split, _ in members], certify=False)
+    assert len(reports) == len(chunk)
+    (H, _, hs), rep = members[1], reports[1]
     ref = reference_haagerup_set(G)
-    assert root == G.r and hs.r == ref.r and hs.members == ref.members
+    assert H.r == G.r and hs.r == ref.r and hs.members == ref.members
     exact = _defect_exact(G)
     assert rep == exact and rep.mode == "exact" and rep.evidence == exact.evidence
-    for (b, root, hs), rep in (out[0], out[2]):
+    for b, (H, _, hs), rep in zip((first, last), members[::2], reports[::2]):
         root1, fp1, rep1 = _examine(b, {})
-        assert (root, hs.digest(), rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
+        assert (H.r, hs.digest(), rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
+
+
+def test_a_chunk_ranks_its_blocks_in_one_stack_per_prime_and_block_shape(monkeypatch):
+    # (2, 23) in chunks of 4 representatives: the grids have two split
+    # roots, so two primes, and blocks of several heights.  Each chunk makes
+    # one rank_mod call per (prime, block shape) of its members, cut only
+    # by the certificate's rule, and some chunk has fewer groups than
+    # members
+    p, q = 2, 23
+    reps = assignment_search(p, q).representatives
+    monkeypatch.setattr(analyze, "_CHUNK", 4 * p * (p * q) ** 3)
+    sent = []
+    rank = analyze.rank_mod
+    spy = lambda M, l: (sent.append((l, M.shape)), rank(M, l))[1]  # noqa: E731
+    monkeypatch.setattr(analyze, "rank_mod", spy)
+    cache: dict = {}
+    merged = roots_mixed = 0
+    for chunk in analyze._chunks(reps):
+        assert len(chunk) <= 4
+        front = analyze._front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
+        assert all(split is not None for _, split, _ in front)
+        sent.clear()
+        reports = analyze._defects([(H, split) for H, split, _ in front], certify=False)
+        assert len(reports) == len(chunk)
+        groups: dict = {}
+        for _, split, _ in front:
+            key = (analyze._block_prime(split.r)[0], split.m)
+            groups[key] = groups.get(key, 0) + (q * q + 1) // 2
+        cuts = [len(_exactrank.stack_slices(n, m, p * p)) for (_, m), n in groups.items()]
+        assert len(sent) == sum(cuts)
+        assert sorted({(l, shape[1]) for l, shape in sent}) == sorted(groups)
+        assert sum(shape[0] for _, shape in sent) == sum(groups.values())
+        merged += len(groups) < len(chunk)
+        roots_mixed += len({split.r for _, split, _ in front}) == 2
+    assert merged and roots_mixed
 
 
 @pytest.mark.parametrize("chunk", [None, 4])

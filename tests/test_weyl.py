@@ -13,7 +13,7 @@ from hadforge import _weyl, analyze, catalog, mub
 from hadforge._exactrank import (
     SEED,
     System,
-    certify_null_space,
+    certify_null_spaces,
     certify_rank,
     _batch_inverses,
     _echelon,
@@ -24,7 +24,7 @@ from hadforge._exactrank import (
     rank_mod,
     rref_mod,
 )
-from hadforge._weyl import block_image, block_system, character_slots, lift_is_null, weyl_split
+from hadforge._weyl import block_images, block_system, character_slots, lift_is_null, weyl_split
 from hadforge.analyze import (
     DefectReport,
     _build_defect,
@@ -194,7 +194,7 @@ def assert_image_matches_the_term_list(a, H):
     l, g = find_embedding_prime(split.r, random.Random(SEED))
     laid_out = evaluate_rows(reference_split_system(split), p2, l, g, split.r)
     laid_out = laid_out.reshape(-1, split.m, p2)
-    got = block_image(split, l, power_table(g, l, split.r))
+    got = block_images([split], l, power_table(g, l, split.r))[0]
     # the representatives of the pairs {chi, -chi}, by increasing chi
     reps = [chi for chi in range(q * q) if chi <= conjugate(chi, q)]
     assert len(reps) == (q * q if q == 2 else (q * q + 1) // 2)
@@ -310,14 +310,14 @@ def test_each_build_ranks_one_block_per_conjugate_pair(p, q, blocks, monkeypatch
 
 def reference_block_report(a, H):
     """Reference: the certified report of a build with one
-    `certify_null_space` per short block, of chi and of -chi alike, each
+    `certify_null_spaces` call per short block, of chi and of -chi alike, each
     on its own block, and the lift check of all their null vectors."""
     split = weyl_split(a, H)
     if split is None:
         return _defect_exact(H)
     p, q = a.p, a.q
     l, powers = analyze._block_prime(split.r)
-    ranks = rank_mod(block_image(split, l, powers), l)[character_slots(q)[1]]
+    ranks = rank_mod(block_images([split], l, powers)[0], l)[character_slots(q)[1]]
     full = p * p - split.gauge.sum(axis=1)
     n, rank = (a.d - 1) ** 2, int(ranks.sum())
     ev = {
@@ -330,7 +330,7 @@ def reference_block_report(a, H):
     blocks = []
     for chi in short:
         system, cols = block_system(split, chi)
-        rk, bev, W = certify_null_space(system, cols.size, split.r)
+        rk, bev, W = certify_null_spaces([(system, cols.size)], split.r)[0]
         ev["primes"] += [y for y in bev["primes"] if y not in ev["primes"]]
         rank += rk - int(ranks[chi])
         blocks.append((chi, cols, W))
