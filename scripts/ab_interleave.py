@@ -10,30 +10,31 @@ before the first round.  It runs under `tracemalloc`, and the script prints
 each side's peak of traced allocations in that call, in MB (2^20 bytes);
 the timed rounds are not traced.
 
-A call is `search:P:Q` (`analyze.assignment_search(P, Q)`),
-`verify:NAME` (`catalog.verify(NAME)`), `build:NAME`
-(`catalog.build(NAME)`), `defect:P:Q:K1,K2,..:L1,L2,..`
-(`analyze.defect(H, mode="exact")`, H the assignment with those K and L
-block labels, built and dephased once per side outside the timing) or
-`examine:P:Q:K1,K2,..:L1,L2,..` (`analyze._examine` of that assignment,
-the chunk of one of the stream `_examine_all` that the search runs over
-its representatives, with a fresh build cache every time; the assignment
-and its complete MUB set are made once per side outside the timing).  The script prints the seconds of every round, then
-per call each side's median, the ratio b/a and each side's wins out of the
-rounds.  The warm-up calls' results are compared: for a search its
-`examined`, `partial`, classes, the K and L labels of every orbit
-representative, and every finding (its labels, Butson root, fingerprint
-and full report: defect, rank, mode and evidence), and, from a run of
-`analyze._examine_all` over the representatives after the traced call,
-every representative's Butson root, fingerprint and full report, so
-that equal results mean an identical search; for a verify its verdict and defect, for a
-build the root and the sha256 of the exponent grid, for a defect the full
-report, for an examine the root, fingerprint and full report, for a
-certify the K and L labels and full report of every representative.  The number
-of orbit representatives each side analysed is printed for every search.
-With `--json PATH` the seconds of every round are also written to PATH,
-per call and side.  The exit status is 1 when some call's results differ,
-after the timed rounds, and 0 otherwise.
+A call is `search:P:Q` (`analyze.assignment_search(P, Q)`), `verify:NAME`
+(`catalog.verify(NAME)`), `build:NAME` (`catalog.build(NAME)`),
+`defect:P:Q:K1,K2,..:L1,L2,..` (`analyze.defect(H, mode="exact")`, H the
+assignment with those K and L block labels, built and dephased once per
+side outside the timing) or `examine:P:Q:K1,K2,..:L1,L2,..`
+(`analyze._examine` of that assignment, the chunk of one of the stream
+`_examine_all` that the search runs over its representatives; the
+assignment and its complete MUB set are made once per side outside the
+timing, so its pair blocks, which a process makes once, are warm after the
+warm-up call).  The script prints the seconds of every round, then per call
+each side's median, the ratio b/a and each side's wins out of the rounds.
+The warm-up calls' results are compared: for a search its `examined`,
+`partial`, classes, the K and L labels of every orbit representative, and
+every finding (its labels, Butson root, fingerprint and full report:
+defect, rank, mode and evidence), and, from a run of `analyze._examine_all`
+over the representatives after the traced call, every representative's
+Butson root, fingerprint and full report, so that equal results mean an
+identical search; for a verify its verdict and defect, for a build the root
+and the sha256 of the exponent grid, for a defect the full report, for an
+examine the root, fingerprint and full report, for a certify the K and L
+labels and full report of every representative.  The number of orbit
+representatives each side analysed is printed for every search.  With
+`--json PATH` the seconds of every round are also written to PATH, per call
+and side.  The exit status is 1 when some call's results differ, after the
+timed rounds, and 0 otherwise.
 
 Example:
     python3 scripts/ab_interleave.py --a ../parent/src --b src --rounds 7 \\
@@ -124,7 +125,7 @@ class Side:
             out = report(self.analyze.defect(x, mode="exact"))
             reps = None
         elif kind == "examine":
-            root, fp, rep = self.analyze._examine(x, {})
+            root, fp, rep = self.analyze._examine(x)
             out = (root, fp) + report(rep)
             reps = None
         elif kind == "certify":
@@ -157,7 +158,7 @@ class Side:
         if reps is not None:
             out += tuple(
                 (a.K_labels, a.L_labels, root, fp) + report(rep)
-                for a, root, fp, rep in self.analyze._examine_all(self.representatives, {})
+                for a, root, fp, rep in self.analyze._examine_all(self.representatives)
             )
         return out, reps, peak / 2**20
 

@@ -141,11 +141,13 @@ Read once, and checked on every grid.  What depends on one basis alone is
 read once per basis object (`_basis`): the permutations of X and Z, that
 they commute and have order q, the action of G on the first column and
 its stabiliser.  What depends on one side's bases alone, K_0 ... K_(p-1)
-or L_0 ... L_(p-1), is read once per tuple of basis objects, for as long
-as they live (`_side`): the side's permutations, the images of each block
-row's first row, the stabilisers, the trivial-character gauge, and the
-free and stabilised row-pair lists; so `weyl_split`, and with it each
-`catalog.verify`, reads a side again only when its bases are new.
+or L_0 ... L_(p-1), is read once per tuple of basis objects (`_side`):
+the side's permutations, the images of each block row's first row, the
+stabilisers, the trivial-character gauge, and the free and stabilised
+row-pair lists; so `weyl_split`, and with it each `catalog.verify`, reads
+a side again only when its bases are new.  Both are kept, read-only, for
+as long as their bases live, by the memo of `mub` (`mub._remembered`,
+`mub._frozen`) that also keeps the pair blocks of `construct`.
 Everything that involves the grid, or both sides, is
 checked on every grid, for a stack of grids at once (`weyl_splits`): (*)
 for X and Z, the freeness of G on the cells of every block, the group
@@ -156,7 +158,6 @@ keep it.  `weyl_split` is the stack of one grid.
 from __future__ import annotations
 
 import functools
-import weakref
 from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -165,7 +166,7 @@ import numpy as np
 from ._exactrank import System, is_null
 from .construct import BlockAssignment
 from .matrices import ExponentMatrix
-from .mub import IdentityBasis
+from .mub import IdentityBasis, _frozen, _remembered
 
 
 class WeylSplit(NamedTuple):
@@ -207,37 +208,16 @@ class _Basis(NamedTuple):
 
 
 # `_read_basis` of every basis read so far, by the basis object, and
-# `_read_side` of every side, by the tuple of its basis objects: the bases
-# of a search or a recipe are the q + 1 members of one cached MubSet, so
-# each basis and each side is read once, not once per build.  An entry
-# leaves with the first of its bases to go, so the ids of live bases are
-# never a stale key.
+# `_read_side` of every side, by the tuple of its basis objects, each kept
+# while its bases live (`mub._remembered`)
 _READ: Dict[int, Optional[_Basis]] = {}
 _SIDES: Dict[Tuple[int, ...], Optional["_Side"]] = {}
-
-
-def _remembered(table: dict, key, bases, read):
-    """table[key], made by `read()` on its first call; the entry leaves
-    the table when one of `bases` is collected."""
-    if key not in table:
-        for B in bases:
-            weakref.finalize(B, table.pop, key, None)
-        table[key] = read()
-    return table[key]
 
 
 def _basis(B) -> Optional[_Basis]:
     """`_read_basis(B)`, read once per basis object; the arrays are
     read-only, as every build of the basis shares them."""
-    return _remembered(_READ, id(B), (B,), lambda: _frozen(_read_basis(B)))
-
-
-def _frozen(read):
-    """`read` with its arrays made read-only, None as it is."""
-    for x in read if read is not None else ():
-        if isinstance(x, np.ndarray):
-            x.setflags(write=False)
-    return read
+    return _remembered(_READ, id(B), (B,), lambda: _read_basis(B))
 
 
 def _read_basis(B) -> Optional[_Basis]:
@@ -312,7 +292,7 @@ def _side(bases, q: int) -> Optional[_Side]:
     long as they live; the arrays are read-only, as every build of the
     side shares them."""
     key = tuple(map(id, bases))
-    return _remembered(_SIDES, key, bases, lambda: _frozen(_read_side(bases, q)))
+    return _remembered(_SIDES, key, bases, lambda: _read_side(bases, q))
 
 
 def _read_side(bases, q: int) -> Optional[_Side]:

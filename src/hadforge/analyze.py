@@ -356,13 +356,13 @@ def haagerup_set(H: Matrix) -> HaagerupSet:
         C = Hc[i][None, :] * np.conj(Hc)
         X = C[:, :, None] * np.conj(C[:, None, :])
         seen.update(np.unique(np.round(np.angle(X), 8)).tolist())
-    vals = sorted(seen)
+    # the cluster at -pi is the one at +pi: fold it there, so that the
+    # members lie in (-pi, pi]
+    vals = sorted(-a if a + np.pi < 1e-7 else a for a in seen)
     merged: List[float] = []
     for a in vals:
         if not merged or a - merged[-1] > 1e-7:
             merged.append(a)
-    if len(merged) > 1 and (np.pi - merged[-1]) + (merged[0] + np.pi) < 1e-7:
-        merged.pop()  # cluster straddling the +/-pi seam
     return HaagerupSet(members=tuple(merged), r=None)
 
 
@@ -577,20 +577,20 @@ def _chunks(assignments):
         yield chunk
 
 
-def _examine_all(assignments, cache: dict):
+def _examine_all(assignments):
     """(a, Butson root, Haagerup fingerprint, defect report) of every
     assignment a, in order.
 
     The assignments are taken in chunks (`_chunks`), and each layer runs
-    once per chunk on stacked arrays: the builds are gathered from the
-    cached pair blocks (`build_grids`), dephased and brought to their
-    minimal roots (`dephased_min_roots`), split (`weyl_splits`, which
-    checks (*), freeness and the group on every grid, and reads what
-    depends on one side's bases once per tuple of basis objects) and
-    digested (`_front`): a build whose split verified takes the
-    Haagerup quadruples of the first row of each block row only, which give
-    the whole set (see `assignment_search`), and one whose split is None
-    every row.  Then the chunk's defects are `_defects`' without the
+    once per chunk on stacked arrays: the builds are gathered from the pair
+    blocks, each made once per process (`build_grids`), dephased and
+    brought to their minimal roots (`dephased_min_roots`), split
+    (`weyl_splits`, which checks (*), freeness and the group on every grid,
+    and reads what depends on one side's bases once per tuple of basis
+    objects) and digested (`_front`): a build whose split verified takes
+    the Haagerup quadruples of the first row of each block row only, which
+    give the whole set (see `assignment_search`), and one whose split is
+    None every row.  Then the chunk's defects are `_defects`' without the
     certificate: the character blocks, one per conjugate pair, are imaged
     per root and ranked per (prime, block shape) in stacked eliminations.
     Every block at full gauge-free rank certifies isolation (mode "exact");
@@ -599,7 +599,7 @@ def _examine_all(assignments, cache: dict):
     chunk of one is `_examine`, with the same report, to its evidence.
     """
     for chunk in _chunks(assignments):
-        front = _front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
+        front = _front(chunk, *dephased_min_roots(*build_grids(chunk)))
         reports = _defects([(H, split) for H, split, _ in front], certify=False)
         for a, (H, _, hs), rep in zip(chunk, front, reports):
             yield a, H.r, hs.digest(), rep
@@ -626,11 +626,11 @@ def _front(assignments, E: np.ndarray, r: np.ndarray) -> list:
     ]
 
 
-def _examine(a: BlockAssignment, cache: dict):
+def _examine(a: BlockAssignment):
     """Butson root, Haagerup fingerprint and defect report of one
     assignment: the chunk of one of `_examine_all`, so the same report, to
     its evidence, that the search makes for a."""
-    return next(_examine_all([a], cache))[1:]
+    return next(_examine_all([a]))[1:]
 
 
 def assignment_search(
@@ -648,23 +648,24 @@ def assignment_search(
 
     Defects.  The representatives are examined in chunks of at most
     _CHUNK // (p d^3), and each layer runs once per chunk on stacked arrays
-    (`_examine_all`): the builds are gathered from the cached blocks of
-    their basis pairs, dephased and brought to their minimal roots, and
-    the defect system of each is split into q^2 Weyl-Heisenberg blocks of
-    p^2 columns (`_weyl`).  What depends on one side's bases alone is read
-    once per tuple of basis objects, so once per side for as long as the
-    cached complete set lives; (*), the freeness and the group table are
-    checked exactly on every grid.  Complex conjugation carries block chi
-    to block -chi, so the two have one rank, and only one block of each
-    pair {chi, -chi} is imaged and ranked, (q^2 + 1) / 2 of the q^2 for
-    odd q.  The blocks of a chunk are imaged mod one prime per split root,
-    and the images of each (prime, block shape) are ranked together in
-    one stacked elimination, cut only where the certificate's stacks are
-    cut (`_exactrank.stack_slices`).  Every report is the one `_examine`
-    gives the representative alone, evidence included.  Full rank
-    certifies an isolated class, and the ranks bound the defect of any
-    other from above.  The split uses the same covariance of the complete set under
-    X and Z that the orbits below use under the Clifford relabellings.
+    (`_examine_all`): the builds are gathered from the blocks of their
+    basis pairs, dephased and brought to their minimal roots, and the
+    defect system of each is split into q^2 Weyl-Heisenberg blocks of p^2
+    columns (`_weyl`).  The block of each basis pair, and what depends on
+    one side's bases alone, are read once per process, for as long as the
+    cached complete set lives, and so shared by every search over it; (*),
+    the freeness and the group table are checked exactly on every grid.
+    Complex conjugation carries block chi to block -chi, so the two have
+    one rank, and only one block of each pair {chi, -chi} is imaged and
+    ranked, (q^2 + 1) / 2 of the q^2 for odd q.  The blocks of a chunk are
+    imaged mod one prime per split root, and the images of each (prime,
+    block shape) are ranked together in one stacked elimination, cut only
+    where the certificate's stacks are cut (`_exactrank.stack_slices`).
+    Every report is the one `_examine` gives the representative alone,
+    evidence included.  Full rank certifies an isolated class, and the
+    ranks bound the defect of any other from above.  The split uses the
+    same covariance of the complete set under X and Z that the orbits below
+    use under the Clifford relabellings.
 
     Haagerup sets.  The set collects the quadruple phases
     Q(i, k, j, l) = E[i, j] - E[k, j] - E[i, l] + E[k, l] of the grid E
@@ -757,7 +758,7 @@ def assignment_search(
             yield a
 
     seen: set = set()
-    for a, root, fp, rep in _examine_all(representatives(), {}):
+    for a, root, fp, rep in _examine_all(representatives()):
         key = (fp, rep.defect)
         if key not in seen:
             seen.add(key)

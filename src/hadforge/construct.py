@@ -7,6 +7,9 @@ exact: each block entry is an unnormalized inner product z, a sum of q
 roots of unity.  Its float argument
 proposes the exponent e, and z - sqrt(q) w^e = 0 is then certified as a
 sum of 2q roots (sqrt(q) a Gauss sum, -1 a root), never by rounding alone.
+The block of each basis pair at each root is made and certified once per
+process and shared by every build over the same basis objects, for as
+long as they live, in the memo that `_weyl` also keeps its reads in.
 
 Also here: the exact certificate that B1^dagger B2 equals the built matrix,
 and the (p-1)(q-1)-parameter trivial family through the all-identity
@@ -24,7 +27,7 @@ import numpy as np
 
 from .cyclotomic import sums_vanish
 from .matrices import ComplexMatrix, ExponentMatrix, add_mod, to_complex
-from .mub import IdentityBasis, MubSet, complete_mub_set, fourier, is_mu_pair
+from .mub import IdentityBasis, MubSet, _remembered, complete_mub_set, fourier, is_mu_pair
 
 BasisLike = Union[ExponentMatrix, IdentityBasis]
 
@@ -114,9 +117,14 @@ class BlockAssignment:
 
     @staticmethod
     def from_json(obj: dict, mub: Optional[MubSet] = None) -> "BlockAssignment":
-        return BlockAssignment.from_labels(
-            operator.index(obj["p"]), operator.index(obj["q"]), obj["K"], obj["L"], mub
-        )
+        """Inverse of `to_json`: p and q must be integers, not booleans,
+        and K and L lists of basis labels, or TypeError is raised."""
+        p, q, K, L = obj["p"], obj["q"], obj["K"], obj["L"]
+        if isinstance(p, bool) or isinstance(q, bool):
+            raise TypeError("p and q must be integers, not booleans")
+        if not all(isinstance(s, list) and all(isinstance(x, str) for x in s) for s in (K, L)):
+            raise TypeError("K and L must be lists of basis labels")
+        return BlockAssignment.from_labels(operator.index(p), operator.index(q), K, L, mub)
 
     def to_json(self) -> dict:
         if self.K_labels is None or self.L_labels is None:
@@ -150,26 +158,23 @@ class BlockAssignment:
 # the block construction
 # ----------------------------------------------------------------------
 
-def theorem1_build(a: BlockAssignment, _cache: Optional[Dict] = None) -> ExponentMatrix:
+def theorem1_build(a: BlockAssignment) -> ExponentMatrix:
     """Assemble the order-pq Hadamard matrix from a block assignment, exactly.
 
-    The MU precondition is validated first.  _cache lets a caller share the
-    monomialization table across many builds over the same basis set (keys
-    are self-describing), and with it the block of each basis pair at each
-    root, so a search looks up every block of its builds once.  The chunk
-    of one of `build_grids`.
+    The MU precondition is validated first.  The chunk of one of
+    `build_grids`, so its blocks are the pair blocks that every build over
+    the same basis objects shares (`_pair_block`).
     """
-    E, R = build_grids([a], {} if _cache is None else _cache)
+    E, R = build_grids([a])
     return ExponentMatrix(a.d, int(R[0]), E[0])
 
 
-def build_grids(
-    assignments: Sequence[BlockAssignment], cache: Dict
-) -> Tuple[np.ndarray, np.ndarray]:
+def build_grids(assignments: Sequence[BlockAssignment]) -> Tuple[np.ndarray, np.ndarray]:
     """The exponent grids of the builds of assignments of one order, as a
     stack (N, pq, pq), and the root of each: block (i, j) of build n is the
-    cached block of its pair (K_i, L_j) at the build's root R plus the phase
-    (i j mod p) R / p, all in one gather and one sum."""
+    block of its pair (K_i, L_j) at the build's root R (`_pair_block`, made
+    once per process) plus the phase (i j mod p) R / p, all in one gather
+    and one sum."""
     p, q = assignments[0].p, assignments[0].q
     d = p * q
     roots, blocks = [], []
@@ -178,7 +183,7 @@ def build_grids(
         R = lcm(p, 4 * q, *(b.r for b in (*a.K, *a.L) if isinstance(b, ExponentMatrix)))
         roots.append(R)
         blocks += [
-            _pair_block(i, j, Ki, Lj, q, R, cache)
+            _pair_block(i, j, Ki, Lj, q, R)
             for i, Ki in enumerate(a.K)
             for j, Lj in enumerate(a.L)
         ]
@@ -189,21 +194,22 @@ def build_grids(
     return grid.transpose(0, 1, 3, 2, 4).reshape(-1, d, d), R.reshape(-1)
 
 
-def _pair_block(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
+# `_block_exponents` of every basis pair built so far, by (R, id(Ki),
+# id(Lj)), kept while both bases live (`mub._remembered`)
+_BLOCKS: Dict[Tuple[int, int, int], np.ndarray] = {}
+
+
+def _pair_block(i, j, Ki, Lj, q, R) -> np.ndarray:
     """`_block_exponents` of the pair (Ki, Lj) at root R, read-only, made
-    once per cache.  The entry holds the two bases, so their ids in its key
-    stay theirs while it lives."""
-    key = ("pair", R, id(Ki), id(Lj))
-    if key not in cache:
-        block = _block_exponents(i, j, Ki, Lj, q, R, cache)
-        block.setflags(write=False)
-        cache[key] = (Ki, Lj, block)
-    return cache[key][2]
+    once per process for as long as both bases live: every search, recipe
+    and build over the members of one cached complete set shares it."""
+    key = (R, id(Ki), id(Lj))
+    return _remembered(_BLOCKS, key, (Ki, Lj), lambda: _block_exponents(i, j, Ki, Lj, q, R))
 
 
-def _block_exponents(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
+def _block_exponents(i, j, Ki, Lj, q, R) -> np.ndarray:
     """Exponents at root R of the unimodular entries of sqrt(q) Ki^dagger Lj:
-    block (i, j) before its phase."""
+    block (i, j) before its phase.  Each distinct entry is certified once."""
     if isinstance(Ki, IdentityBasis) and isinstance(Lj, IdentityBasis):
         raise MUPreconditionError(i, j, "identity on both sides")
     if isinstance(Ki, IdentityBasis):
@@ -213,22 +219,22 @@ def _block_exponents(i, j, Ki, Lj, q, R, cache) -> np.ndarray:
         return -Ki.rescaled(R).exp.T % R
     rz = lcm(Ki.r, Lj.r)
     # entry (s, t) is sum_k omega_rz^(L[k, t] - K[k, s]); cell s * q + t
-    # lists those q exponents in increasing order, which keys the cache
+    # lists those q exponents in increasing order, an exact key of the
+    # entry, which np.unique reads as one byte string per cell
     terms = (Lj.rescaled(rz).exp[:, None, :] - Ki.rescaled(rz).exp[:, :, None]) % rz
     cells = np.sort(terms.reshape(q, q * q), axis=0).T
-    keys = [(R, rz, tuple(cell)) for cell in cells.tolist()]
-    missed = {key: n for n, key in enumerate(keys) if key not in cache}
-    if missed:
-        z = cells[list(missed.values())]
-        e = _candidate_exponents(z, rz, R)
-        # z - sqrt(q) * omega_R^e as 2q roots of order R: -1 = omega_R^(R/2)
-        # and sqrt(q) is a sum of q roots, both because 4q divides R
-        minus = (e + R // 2)[:, None] + _sqrt_exponents(q) * (R // (4 * q))
-        diff = np.hstack([z * (R // rz), minus])
-        if not sums_vanish(len(e), np.arange(len(e))[:, None], diff, R).all():
-            raise MonomializationError("a block entry is not sqrt(q) times a root of unity")
-        cache.update(zip(missed, e.tolist()))
-    return np.array([cache[key] for key in keys], dtype=np.int64).reshape(q, q)
+    packed = np.ascontiguousarray(cells, dtype=np.min_scalar_type(rz))
+    keys = packed.view(np.dtype((np.void, packed.itemsize * q))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    z = cells[first]
+    e = _candidate_exponents(z, rz, R)
+    # z - sqrt(q) * omega_R^e as 2q roots of order R: -1 = omega_R^(R/2)
+    # and sqrt(q) is a sum of q roots, both because 4q divides R
+    minus = (e + R // 2)[:, None] + _sqrt_exponents(q) * (R // (4 * q))
+    diff = np.hstack([z * (R // rz), minus])
+    if not sums_vanish(len(e), np.arange(len(e))[:, None], diff, R).all():
+        raise MonomializationError("a block entry is not sqrt(q) times a root of unity")
+    return e[inverse].reshape(q, q)
 
 
 def _candidate_exponents(z: np.ndarray, rz: int, R: int) -> np.ndarray:

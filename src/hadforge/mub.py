@@ -10,6 +10,7 @@ recipes are pinned to.  q = 2 appends diag(1, i) F as the third basis.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
@@ -119,6 +120,29 @@ class MubSet:
                 for l, b in zip(self.labels, self.bases)
             ],
         }
+
+
+def _remembered(table: dict, key, bases, read):
+    """table[key], made by `read()` on its first call, its arrays
+    read-only (`_frozen`); the entry leaves the table when one of `bases`
+    is collected, so the ids of live bases are never a stale key.  This is
+    the one memo of what is read off basis objects: a search or a recipe
+    uses the q + 1 members of one cached `MubSet`, so each read is made
+    once, not once per build."""
+    if key not in table:
+        table[key] = _frozen(read())
+        for B in bases:
+            weakref.finalize(B, table.pop, key, None)
+    return table[key]
+
+
+def _frozen(read):
+    """`read`, an array, a tuple that may hold arrays, or None, with its
+    arrays made read-only, as every build that reads them shares them."""
+    for x in read if isinstance(read, tuple) else (read,):
+        if isinstance(x, np.ndarray):
+            x.setflags(write=False)
+    return read
 
 
 # verified sets by (q, diagonal): a MubSet is frozen and its grids read-only

@@ -115,10 +115,9 @@ def test_criterion_4_random_assignments_build_exactly(criterion):
         checked = 0
         for p, q in [(2, 3), (2, 5), (3, 5), (2, 7), (3, 7)]:
             mub = complete_mub_set(q)
-            cache: dict = {}
             for _ in range(40):
                 a = _random_assignment(rng, p, q, mub)
-                H = theorem1_build(a, _cache=cache)
+                H = theorem1_build(a)
                 assert is_unitary(H), a.to_json()
                 assert exact_product_equals(a, H), a.to_json()
                 checked += 1

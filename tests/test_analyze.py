@@ -181,6 +181,16 @@ class TestHaagerup:
             with pytest.raises(ValueError):
                 approx.digest()
 
+    def test_float_set_lies_in_the_half_open_turn_and_matches_the_exact_turns(self):
+        # -1 = exp(i pi) is a member of all three; the float set holds it as
+        # pi, never as -pi
+        for H in (fourier(2), fourier(4), catalog.build("S6")):
+            approx = haagerup_set(to_complex(H)).members
+            assert all(-np.pi < a <= np.pi for a in approx)
+            exact = [Fraction(n, d) for n, d in haagerup_set(H).members]
+            turns = sorted(t - 1 if t > Fraction(1, 2) else t for t in exact)
+            assert np.allclose(approx, [2 * np.pi * float(t) for t in turns], atol=1e-7)
+
     def test_fingerprint_is_digest(self):
         assert fingerprint(S9) == haagerup_set(S9).digest()
         assert len(fingerprint(S9)) == 64
@@ -1422,9 +1432,8 @@ def test_examine_screen_matches_the_exact_defect(p, q):
     """The screen is one rank mod a prime of each Weyl-Heisenberg block of
     the build, so its evidence describes the split, not the unsplit
     certificate."""
-    cache: dict = {}
     for a in candidate_assignments(p, q):
-        root, _, rep = _examine(a, cache)
+        root, _, rep = _examine(a)
         exact = _defect_exact(reduced_grid(theorem1_build(a)))
         assert rep.defect == exact.defect
         l = find_embedding_prime(lcm(root, q), random.Random(_exactrank.SEED))[0]
@@ -1496,14 +1505,13 @@ class TestSearch:
 
 def reference_assignment_search(p, q, budget=None):
     """The full enumeration: every candidate analysed, in order."""
-    cache: dict = {}
     findings, classes, seen = [], [], set()
     examined, partial = 0, False
     for a in candidate_assignments(p, q):
         if budget is not None and examined >= budget:
             partial = True
             break
-        root, fp, rep = _examine(a, cache)
+        root, fp, rep = _examine(a)
         examined += 1
         key = (fp, rep.defect)
         if key not in seen:
@@ -1724,10 +1732,9 @@ def random_valid_indices(rng, p, q):
 def test_orbit_members_share_the_examined_key(p, q):
     mub = complete_mub_set(q)
     mult = _orbit_multipliers(q)
-    cache: dict = {}
     keys: dict = {}
     for kc, lc in _candidate_indices(p, q):
-        _, fp, rep = _examine(_assignment(p, kc, lc, mub), cache)
+        _, fp, rep = _examine(_assignment(p, kc, lc, mub))
         keys.setdefault(min(_orbit(kc, lc, q, mult)), set()).add((fp, rep.defect))
     assert any(len(_orbit(*c, q, mult)) > 1 for c in keys)
     assert all(len(k) == 1 for k in keys.values())
@@ -1775,12 +1782,11 @@ def one_at_a_time_search(p, q):
     """The search's result with every representative examined alone, by
     `_examine`, in enumeration order."""
     mub = complete_mub_set(q)
-    cache: dict = {}
     res = analyze.SearchResult([], [], 0, [])
     seen = set()
     for (kc, lc), size in orbits(p, q):
         a = _assignment(p, kc, lc, mub)
-        root, fp, rep = _examine(a, cache)
+        root, fp, rep = _examine(a)
         res.examined += size
         res.representatives.append(a)
         if (fp, rep.defect) not in seen:
@@ -1794,11 +1800,10 @@ def one_at_a_time_search(p, q):
 @pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
 def test_stacked_search_matches_each_representative_alone(p, q):
     res = assignment_search(p, q)
-    batched = list(_examine_all(res.representatives, {}))
+    batched = list(_examine_all(res.representatives))
     assert [x[0] for x in batched] == res.representatives
-    cache: dict = {}
     for a, root, fp, rep in batched:
-        root1, fp1, rep1 = _examine(a, cache)
+        root1, fp1, rep1 = _examine(a)
         assert (root, fp, rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
     assert full_summary(res) == full_summary(one_at_a_time_search(p, q))
 
@@ -1824,7 +1829,7 @@ def test_a_search_cut_by_its_budget_is_a_prefix_of_the_whole(p, q):
         assert res.classes == full.classes[: len(res.classes)]
         assert full_summary(res)[4] == full_summary(full)[4][: len(res.findings)]
         # the classes of the first k representatives, each at first sight
-        keys = [(fp, rep.defect) for _, _, fp, rep in _examine_all(full.representatives[:k], {})]
+        keys = [(fp, rep.defect) for _, _, fp, rep in _examine_all(full.representatives[:k])]
         assert res.classes == list(dict.fromkeys(keys))
 
 
@@ -1864,7 +1869,7 @@ def test_a_mixed_chunk_keeps_its_order_and_each_member_its_report(name):
     exact = _defect_exact(G)
     assert rep == exact and rep.mode == "exact" and rep.evidence == exact.evidence
     for b, (H, _, hs), rep in zip((first, last), members[::2], reports[::2]):
-        root1, fp1, rep1 = _examine(b, {})
+        root1, fp1, rep1 = _examine(b)
         assert (H.r, hs.digest(), rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
 
 
@@ -1881,11 +1886,10 @@ def test_a_chunk_ranks_its_blocks_in_one_stack_per_prime_and_block_shape(monkeyp
     rank = analyze.rank_mod
     spy = lambda M, l: (sent.append((l, M.shape)), rank(M, l))[1]  # noqa: E731
     monkeypatch.setattr(analyze, "rank_mod", spy)
-    cache: dict = {}
     merged = roots_mixed = 0
     for chunk in analyze._chunks(reps):
         assert len(chunk) <= 4
-        front = analyze._front(chunk, *dephased_min_roots(*build_grids(chunk, cache)))
+        front = analyze._front(chunk, *dephased_min_roots(*build_grids(chunk)))
         assert all(split is not None for _, split, _ in front)
         sent.clear()
         reports = analyze._defects([(H, split) for H, split, _ in front], certify=False)
@@ -1911,18 +1915,17 @@ def test_stacked_search_matches_each_representative_alone_across_roots(chunk, mo
     if chunk is not None:
         monkeypatch.setattr(analyze, "_CHUNK", chunk * p * (p * q) ** 3)
     res = assignment_search(p, q)
-    batched = list(_examine_all(res.representatives, {}))
+    batched = list(_examine_all(res.representatives))
     assert [x[0] for x in batched] == res.representatives
     roots = {lcm(root, q) for _, root, _, _ in batched}
     assert len(roots) == 2 and len({analyze._block_prime(r)[0] for r in roots}) == 2
     if chunk is not None:
         assert any(
-            len({lcm(root, q) for _, root, _, _ in _examine_all(c, {})}) == 2
+            len({lcm(root, q) for _, root, _, _ in _examine_all(c)}) == 2
             for c in analyze._chunks(res.representatives)
         )
-    cache: dict = {}
     for a, root, fp, rep in batched:
-        root1, fp1, rep1 = _examine(a, cache)
+        root1, fp1, rep1 = _examine(a)
         assert (root, fp, rep, rep.evidence) == (root1, fp1, rep1, rep1.evidence)
     assert full_summary(res) == full_summary(one_at_a_time_search(p, q))
 

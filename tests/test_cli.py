@@ -80,11 +80,13 @@ class TestGen:
     @pytest.mark.parametrize(
         "spec,message",
         [
-            ('{"p": 2, "q": 3, "K": 5, "L": 7}', "'int' object is not iterable"),
+            ('{"p": 2, "q": 3, "K": 5, "L": 7}', "K and L must be lists of basis labels"),
             ('{"p": 0, "q": 3, "K": [], "L": []}', "p must be at least 1, got 0"),
             ('{"p": 2.5, "q": 3, "K": ["I", "I"], "L": ["F", "F"]}', "cannot be interpreted"),
+            ('{"p": 2, "q": 3, "K": "II", "L": ["F", "H1"]}', "K and L must be lists of basis labels"),
+            ('{"p": true, "q": 3, "K": ["I"], "L": ["F"]}', "p and q must be integers, not booleans"),
         ],
-        ids=["int-labels", "p-0", "fractional-p"],
+        ids=["int-labels", "p-0", "fractional-p", "string-labels", "boolean-p"],
     )
     def test_malformed_assignment_is_usage_error(self, capsys, spec, message):
         code, out, err = run(capsys, "gen", spec)

@@ -1,6 +1,8 @@
 import cmath
+import gc
 import json
 import random
+from collections import Counter
 from math import lcm, sqrt
 
 import numpy as np
@@ -26,7 +28,7 @@ from hadforge.matrices import (
     is_unitary,
     to_complex,
 )
-from hadforge.mub import IdentityBasis, complete_mub_set, fourier
+from hadforge.mub import IdentityBasis, _build_set, complete_mub_set, fourier
 
 
 def asn(p, q, K, L):
@@ -48,6 +50,25 @@ class TestBlockAssignment:
         a = asn(3, 5, ("I", "H1", "H2"), ("F", "H3", "H4"))
         assert BlockAssignment.from_json(a.to_json()).K_labels == a.K_labels
         assert a.d == 15
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"p": 2, "q": 3, "K": "II", "L": ["F", "H1"]},
+            {"p": 2, "q": 3, "K": ["I", "I"], "L": ("F", "H1")},
+            {"p": 2, "q": 3, "K": ["I", 1], "L": ["F", "H1"]},
+        ],
+        ids=["string-K", "tuple-L", "int-label"],
+    )
+    def test_from_json_refuses_sides_that_are_not_lists_of_labels(self, obj):
+        with pytest.raises(TypeError, match="lists of basis labels"):
+            BlockAssignment.from_json(obj)
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_from_json_refuses_a_boolean_order(self, key):
+        obj = {"p": 1, "q": 3, "K": ["I"], "L": ["F"], key: True}
+        with pytest.raises(TypeError, match="not booleans"):
+            BlockAssignment.from_json(obj)
 
     def test_shared_hadamard_label_rejected(self):
         a = asn(2, 5, ("I", "H2"), ("F", "H2"))
@@ -306,13 +327,12 @@ RECIPES = [n for n in catalog.names() if catalog.entry(n).recipe is not None]
 @pytest.mark.parametrize("name", RECIPES)
 def test_block_exponents_match_reference_on_catalog_recipes(name):
     a = catalog.assignment(name)
-    R, cache, ref_cache = build_root(a), {}, {}
+    R, ref_cache = build_root(a), {}
     for i, Ki in enumerate(a.K):
         for j, Lj in enumerate(a.L):
-            got = construct._block_exponents(i, j, Ki, Lj, a.q, R, cache)
+            got = construct._block_exponents(i, j, Ki, Lj, a.q, R)
             ref = reference_block_exponents(Ki, Lj, a.q, R, ref_cache)
             assert got.dtype == np.int64 and np.array_equal(got, ref), (i, j)
-    assert cache == ref_cache
     assert exact_product_equals(a, theorem1_build(a))
 
 
@@ -344,10 +364,10 @@ def random_assignment(rng, p, q, mub):
 def test_build_and_product_match_references_on_random_assignments(p, q):
     rng = random.Random(p * 100 + q)
     mub = complete_mub_set(q)
-    cache, ref_cache = {}, {}
+    ref_cache = {}
     for _ in range(8):
         a = random_assignment(rng, p, q, mub)
-        H = theorem1_build(a, _cache=cache)
+        H = theorem1_build(a)
         R = build_root(a)
         ref = np.vstack([
             np.hstack([
@@ -363,26 +383,54 @@ def test_build_and_product_match_references_on_random_assignments(p, q):
 
 
 @pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3), (2, 7), (3, 7)])
-def test_search_builds_with_the_pair_cache_match_builds_block_by_block(p, q):
-    # one cache for the whole search, as `assignment_search` keeps it,
-    # against a grid whose blocks each come from a cache of their own
-    cache = {}
+def test_search_builds_with_the_pair_cache_match_builds_block_by_block(p, q, monkeypatch):
+    # the pair table that every build shares, filled by one search from
+    # empty, against a grid whose blocks are each made afresh
+    monkeypatch.setattr(construct, "_BLOCKS", {})
     reps = assignment_search(p, q).representatives
     for a in reps:
-        H = theorem1_build(a, _cache=cache)
+        H = theorem1_build(a)
         R = build_root(a)
         ref = np.vstack([
             np.hstack([
-                add_mod(construct._block_exponents(i, j, Ki, Lj, q, R, {}), (i * j) % p * (R // p), R)
+                add_mod(construct._block_exponents(i, j, Ki, Lj, q, R), (i * j) % p * (R // p), R)
                 for j, Lj in enumerate(a.L)
             ])
             for i, Ki in enumerate(a.K)
         ])
         assert H.r == R and np.array_equal(H.exp, ref)
     met = {(build_root(a), id(Ki), id(Lj)) for a in reps for Ki in a.K for Lj in a.L}
-    blocks = [v for k, v in cache.items() if k[0] == "pair"]
-    assert len(blocks) == len(met)  # each basis pair looked up once per root
-    assert all(not block.flags.writeable for _, _, block in blocks)
+    assert construct._BLOCKS.keys() == met  # each basis pair made once per root
+    assert all(not block.flags.writeable for block in construct._BLOCKS.values())
+
+
+def test_a_pair_block_is_made_once_per_process_and_leaves_with_its_bases(monkeypatch):
+    monkeypatch.setattr(construct, "_BLOCKS", {})
+    made = Counter()
+    block_exponents = construct._block_exponents
+
+    def counted(i, j, Ki, Lj, q, R):
+        made[R, id(Ki), id(Lj)] += 1
+        return block_exponents(i, j, Ki, Lj, q, R)
+
+    monkeypatch.setattr(construct, "_block_exponents", counted)
+    reps = assignment_search(3, 5).representatives + assignment_search(3, 5).representatives
+    for a in reps:
+        theorem1_build(a)
+    assert made.keys() == construct._BLOCKS.keys() and set(made.values()) == {1}
+    a = asn(3, 5, ("I", "H1", "H2"), ("F", "H3", "H4"))
+    H = theorem1_build(a)
+    kept = set(construct._BLOCKS)
+    # the bases of a fresh set are other objects: their blocks are made
+    # once more, and leave the table with them
+    fresh = _build_set(5, "standard")
+    b = BlockAssignment.from_labels(3, 5, a.K_labels, a.L_labels, mub=fresh)
+    assert np.array_equal(theorem1_build(b).exp, H.exp)
+    theorem1_build(b)
+    assert len(construct._BLOCKS) == len(kept) + 9 and set(made.values()) == {1}
+    del fresh, b
+    gc.collect()
+    assert construct._BLOCKS.keys() == kept
 
 
 def test_product_certificate_refuses_a_negated_entry():
@@ -416,6 +464,7 @@ def test_product_certificate_with_identity_on_both_sides():
 
 
 def test_build_refuses_a_candidate_off_by_a_sign(monkeypatch):
+    monkeypatch.setattr(construct, "_BLOCKS", {})  # no warm block skips the candidate
     candidate = construct._candidate_exponents
     monkeypatch.setattr(
         construct, "_candidate_exponents", lambda z, rz, R: (candidate(z, rz, R) + R // 2) % R
@@ -428,4 +477,4 @@ def test_build_refuses_a_non_monomial_entry():
     # H1^dagger H1 = 3 I: its entries are 3 and 0, not sqrt(3) times a root
     H1 = complete_mub_set(3)["H1"]
     with pytest.raises(MonomializationError):
-        construct._block_exponents(1, 1, H1, H1, 3, 12, {})
+        construct._block_exponents(1, 1, H1, H1, 3, 12)

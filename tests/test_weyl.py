@@ -256,7 +256,7 @@ def reference_defect(a, H):
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 3), (2, 7), (3, 7), (3, 2)])
 def test_defects_match_every_block_ranked_alone(p, q):
     reps = assignment_search(p, q).representatives
-    searched = [rep for _, _, _, rep in _examine_all(reps, {})]
+    searched = [rep for _, _, _, rep in _examine_all(reps)]
     for a, rep in zip(reps, searched):
         H = reduced_build(a)
         ref = reference_defect(a, H)
