@@ -71,27 +71,33 @@ def entry(name: str) -> CatalogEntry:
     )
 
 
-def assignment(name: str) -> BlockAssignment:
-    e = entry(name)
+def _assignment(e: CatalogEntry) -> BlockAssignment:
     if e.recipe is None:
-        raise ValueError(f"{name} is stored as a literal grid only")
+        raise ValueError(f"{e.name} is stored as a literal grid only")
     r = e.recipe
     return BlockAssignment.from_labels(
         r["p"], r["q"], tuple(r["K"]), tuple(r["L"])
     )
 
 
+def _build(a: BlockAssignment) -> ExponentMatrix:
+    return butson_min_root(dephase(theorem1_build(a))[0])[1]
+
+
+def assignment(name: str) -> BlockAssignment:
+    return _assignment(entry(name))
+
+
 def build(name: str) -> ExponentMatrix:
     """Dephased exact build from the entry's recipe, at its minimal root."""
-    H = theorem1_build(assignment(name))
-    return butson_min_root(dephase(H)[0])[1]
+    return _build(assignment(name))
 
 
 def load(name: str) -> ExponentMatrix:
     """The entry's representative matrix: the literal grid when one is
     stored, otherwise the dephased recipe build."""
     e = entry(name)
-    return e.literal if e.literal is not None else build(name)
+    return e.literal if e.literal is not None else _build(_assignment(e))
 
 
 def verify(name: str) -> dict:
@@ -102,13 +108,17 @@ def verify(name: str) -> dict:
     tested is that build and unitary, and through `defect` otherwise.  When
     the recomputed minimal root is a proper divisor of the stored one, both
     are reported and the root check is flagged refined rather than failed.
+    The entry is read, its recipe built and the literal compared with the
+    build once each.
     """
     e = entry(name)
     t_start = time.perf_counter()
     checks: Dict[str, dict] = {}
 
-    built = build(name) if e.recipe is not None else None
+    a = _assignment(e) if e.recipe is not None else None
+    built = _build(a) if a is not None else None
     H = e.literal if e.literal is not None else built
+    is_built = built is not None and (e.literal is None or built == e.literal)
 
     t = time.perf_counter()
     unitary = is_unitary(H)
@@ -124,8 +134,8 @@ def verify(name: str) -> dict:
     }
 
     t = time.perf_counter()
-    if unitary and built is not None and H == built:
-        rep = _build_defect(assignment(name), built, certify=True)
+    if unitary and is_built:
+        rep = _build_defect(a, built, certify=True)
     else:
         rep = defect(H, mode="exact")
     checks["defect"] = {
@@ -140,7 +150,7 @@ def verify(name: str) -> dict:
         if e.literal_check == "equivalence":
             ok = equivalence_search_small(built, e.literal) is not None
         else:
-            ok = built == e.literal
+            ok = is_built
         checks["literal_matches_recipe"] = {
             "pass": ok,
             "method": e.literal_check or "equal",

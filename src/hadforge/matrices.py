@@ -9,6 +9,15 @@ through `add_mod`, which stays inside int64 for every such r.  JSON holds
 the same grid as plain integers.  Equivalence moves H -> D1 P1 H P2 D2 act
 on both kinds; dephasing, unitarity checks and minimal Butson-root
 detection live here too.
+
+A move is a (permutation, phases) pair per side, rows and columns, and
+every move operation applies one rule to both sides: the composite of
+(perm1, phase1) then (perm2, phase2) has permutation perm1[perm2[i]] and
+phase phase2[i] + phase1[perm2[i]], and the inverse of (perm, phase) has
+permutation inv = perm^-1 and phase -phase[inv[i]].  An exact move holds
+integer exponents of omega_r, lifted to a common root and reduced mod it;
+a float move (r None) holds angles in radians, summed and negated as they
+are.  The JSON readers refuse true/false wherever they read a number.
 """
 
 from __future__ import annotations
@@ -175,11 +184,27 @@ class EquivalenceMove:
     def exact(self) -> bool:
         return self.r is not None
 
+    @property
+    def sides(self) -> tuple:
+        """(permutation, phases) of the rows, then of the columns."""
+        return (self.row_perm, self.row_phases), (self.col_perm, self.col_phases)
+
+    @staticmethod
+    def from_sides(sides, r: Optional[int]) -> "EquivalenceMove":
+        """Inverse of `sides`: the move with these two sides at root r."""
+        (row_perm, row_phases), (col_perm, col_phases) = sides
+        return EquivalenceMove(row_perm, col_perm, row_phases, col_phases, r)
+
     @staticmethod
     def identity(d: int, r: Optional[int] = 1) -> "EquivalenceMove":
         idp = tuple(range(d))
         zeros = (0,) * d if r is not None else (0.0,) * d
         return EquivalenceMove(idp, idp, zeros, zeros, r)
+
+
+def _phases(xs, r: Optional[int]) -> tuple:
+    """Exact phases reduced mod r; float angles (r None) as they are."""
+    return tuple(xs) if r is None else tuple(x % r for x in xs)
 
 
 def apply_equivalence(H: Matrix, m: EquivalenceMove) -> Matrix:
@@ -191,84 +216,63 @@ def apply_equivalence(H: Matrix, m: EquivalenceMove) -> Matrix:
         r = lcm(H.r, m.r)
         E = H.rescaled(r).exp[np.ix_(m.row_perm, m.col_perm)]
         lift = r // m.r
-        rp = _residues((p * lift for p in m.row_phases), r)
-        cp = _residues((p * lift for p in m.col_phases), r)
+        rp, cp = (_residues((p * lift for p in ph), r) for ph in (m.row_phases, m.col_phases))
         return ExponentMatrix(H.d, r, add_mod(add_mod(E, rp[:, None], r), cp, r))
-    rp = (
-        [cmath.exp(2j * cmath.pi * p / m.r) for p in m.row_phases]
-        if m.exact
-        else [cmath.exp(1j * p) for p in m.row_phases]
-    )
-    cp = (
-        [cmath.exp(2j * cmath.pi * p / m.r) for p in m.col_phases]
-        if m.exact
-        else [cmath.exp(1j * p) for p in m.col_phases]
-    )
+
+    def unit(p):  # an exact phase is 2 pi p / r radians, a float phase p radians
+        return cmath.exp(2j * cmath.pi * p / m.r) if m.exact else cmath.exp(1j * p)
+
+    rp, cp = (np.array([unit(p) for p in ph]) for ph in (m.row_phases, m.col_phases))
     A = H.entries[np.ix_(m.row_perm, m.col_perm)]
-    return ComplexMatrix(H.d, np.array(rp)[:, None] * A * np.array(cp)[None, :])
+    return ComplexMatrix(H.d, rp[:, None] * A * cp[None, :])
 
 
 def compose_moves(first: EquivalenceMove, second: EquivalenceMove) -> EquivalenceMove:
-    """The single move equivalent to applying `first`, then `second`."""
+    """The single move equivalent to applying `first`, then `second`.
+
+    Rows and columns follow one rule.  On a side where `first` has
+    (perm1, phase1) and `second` (perm2, phase2), the composite's
+    permutation is perm1 after perm2, perm1[perm2[i]], and its phase i is
+    phase2[i] + phase1[perm2[i]]: for an exact move both lifted to the lcm
+    of the two roots and reduced mod it, for a float move a sum of angles.
+    """
     if first.d != second.d:
         raise DimensionMismatchError("move orders differ")
     if first.exact != second.exact:
         raise ValueError("cannot mix exact and float moves")
-    d = first.d
-    row_perm = tuple(first.row_perm[second.row_perm[i]] for i in range(d))
-    col_perm = tuple(first.col_perm[second.col_perm[j]] for j in range(d))
-    if first.exact:
-        r = lcm(first.r, second.r)
-        l1, l2 = r // first.r, r // second.r
-        rp = tuple(
-            (second.row_phases[i] * l2 + first.row_phases[second.row_perm[i]] * l1) % r
-            for i in range(d)
-        )
-        cp = tuple(
-            (first.col_phases[second.col_perm[j]] * l1 + second.col_phases[j] * l2) % r
-            for j in range(d)
-        )
-        return EquivalenceMove(row_perm, col_perm, rp, cp, r)
-    rp = tuple(
-        second.row_phases[i] + first.row_phases[second.row_perm[i]] for i in range(d)
-    )
-    cp = tuple(
-        first.col_phases[second.col_perm[j]] + second.col_phases[j] for j in range(d)
-    )
-    return EquivalenceMove(row_perm, col_perm, rp, cp, None)
+    r = lcm(first.r, second.r) if first.exact else None
+    l1, l2 = (r // first.r, r // second.r) if first.exact else (1, 1)
+
+    def side(perm1, phase1, perm2, phase2):
+        perm = tuple(perm1[k] for k in perm2)
+        return perm, _phases((p * l2 + phase1[k] * l1 for k, p in zip(perm2, phase2)), r)
+
+    return EquivalenceMove.from_sides([side(*a, *b) for a, b in zip(first.sides, second.sides)], r)
 
 
 def invert_move(m: EquivalenceMove) -> EquivalenceMove:
-    d = m.d
-    inv_rp = [0] * d
-    inv_cp = [0] * d
-    for i in range(d):
-        inv_rp[m.row_perm[i]] = i
-        inv_cp[m.col_perm[i]] = i
-    row_perm = tuple(inv_rp)
-    col_perm = tuple(inv_cp)
-    if m.exact:
-        rph = tuple((-m.row_phases[row_perm[i]]) % m.r for i in range(d))
-        cph = tuple((-m.col_phases[col_perm[j]]) % m.r for j in range(d))
-        return EquivalenceMove(row_perm, col_perm, rph, cph, m.r)
-    rph = tuple(-m.row_phases[row_perm[i]] for i in range(d))
-    cph = tuple(-m.col_phases[col_perm[j]] for j in range(d))
-    return EquivalenceMove(row_perm, col_perm, rph, cph, None)
+    """The move that undoes `m`.  On each side the permutation is the
+    inverse of m's, inv, and phase i is -phase[inv[i]], reduced mod r for
+    an exact move."""
+    sides = []
+    for perm, phases in m.sides:
+        inv = tuple(sorted(range(m.d), key=perm.__getitem__))
+        sides.append((inv, _phases((-phases[k] for k in inv), m.r)))
+    return EquivalenceMove.from_sides(sides, m.r)
 
 
 def random_move(d: int, r: Optional[int], rng: random.Random) -> EquivalenceMove:
     """Uniformly random equivalence move: two permutations plus diagonal
-    phases (exponents mod r, or angles when r is None)."""
-    rp = list(range(d))
-    cp = list(range(d))
+    phases (exponents mod r, or angles when r is None).  Draws the row
+    order, the column order, the row phases, then the column phases."""
+    rp, cp = list(range(d)), list(range(d))
     rng.shuffle(rp)
     rng.shuffle(cp)
-    if r is not None:
-        rph = tuple(rng.randrange(r) for _ in range(d))
-        cph = tuple(rng.randrange(r) for _ in range(d))
-    else:
-        rph = tuple(rng.uniform(0.0, 2.0 * cmath.pi) for _ in range(d))
-        cph = tuple(rng.uniform(0.0, 2.0 * cmath.pi) for _ in range(d))
+
+    def draw():
+        return rng.randrange(r) if r is not None else rng.uniform(0.0, 2.0 * cmath.pi)
+
+    rph, cph = (tuple(draw() for _ in range(d)) for _ in range(2))
     return EquivalenceMove(tuple(rp), tuple(cp), rph, cph, r)
 
 
@@ -286,11 +290,10 @@ def dephase(H: Matrix) -> Tuple[Matrix, EquivalenceMove]:
     d = H.d
     idp = tuple(range(d))
     if isinstance(H, ExponentMatrix):
-        E = H.exp
-        rp = tuple((-E[:, 0] % H.r).tolist())
-        cp = tuple((-(E[0] - E[0, 0]) % H.r).tolist())
-        move = EquivalenceMove(idp, idp, rp, cp, H.r)
-        return apply_equivalence(H, move), move
+        E, r = H.exp, H.r
+        rp, cp = -E[:, 0] % r, -(E[0] - E[0, 0]) % r
+        move = EquivalenceMove(idp, idp, tuple(rp.tolist()), tuple(cp.tolist()), r)
+        return ExponentMatrix(d, r, add_mod(add_mod(E, rp[:, None], r), cp, r)), move
     A = H.entries
     mags = np.abs(A)
     if np.max(np.abs(mags - 1 / sqrt(d))) > ENTRY_TOL:
@@ -302,13 +305,14 @@ def dephase(H: Matrix) -> Tuple[Matrix, EquivalenceMove]:
     return apply_equivalence(H, move), move
 
 
-def is_dephased(H: Matrix, tol: float = ENTRY_TOL) -> bool:
+def is_dephased(H: Matrix) -> bool:
     if isinstance(H, ExponentMatrix):
         return not (H.exp[0].any() or H.exp[:, 0].any())
     A = H.entries
     target = 1 / sqrt(H.d)
     return bool(
-        np.max(np.abs(A[0, :] - target)) <= tol and np.max(np.abs(A[:, 0] - target)) <= tol
+        np.max(np.abs(A[0, :] - target)) <= ENTRY_TOL
+        and np.max(np.abs(A[:, 0] - target)) <= ENTRY_TOL
     )
 
 
@@ -473,7 +477,15 @@ def matrix_to_json(H: Matrix, raw: bool = False) -> dict:
     }
 
 
+def _holds_bool(x) -> bool:
+    """Whether x is, or a list holds at any depth, a JSON true/false, which
+    Python would otherwise read as the integer 1 or 0."""
+    return isinstance(x, bool) or (isinstance(x, list) and any(map(_holds_bool, x)))
+
+
 def matrix_from_json(obj: dict) -> Matrix:
+    if _holds_bool([obj[k] for k in ("d", "root", "exponents", "re", "im") if k in obj]):
+        raise ValueError("matrix order, root order and entries must be numbers, not booleans")
     if "exponents" in obj:
         return ExponentMatrix(obj["d"], obj["root"], obj["exponents"])
     if "re" in obj and "im" in obj:
@@ -507,8 +519,11 @@ def move_to_json(m: EquivalenceMove) -> dict:
 def move_from_json(obj: dict) -> EquivalenceMove:
     """Inverse of `move_to_json`.  Permutations, exact phases and the root
     are read with operator.index, as `matrix_from_json` reads exponents, so
-    a fractional or text value raises ValueError instead of being cut; the
-    phases of a float move must be JSON numbers."""
+    a fractional, text or boolean value raises ValueError instead of being
+    cut; the phases of a float move must be JSON numbers."""
+    fields = ("row_perm", "col_perm", "row_phases", "col_phases", "root")
+    if _holds_bool([obj[k] for k in fields if k in obj]):
+        raise ValueError("move permutations, phases and root must be numbers, not booleans")
 
     def ints(xs) -> tuple:
         return tuple(operator.index(x) for x in xs)

@@ -326,8 +326,9 @@ class TestDefect:
             '{"d":2,"root":0,"exponents":[[0,0],[0,1]]}',
             '{"d":2,"root":2.5,"exponents":[[0,0],[0,1]]}',
             '{"d":2,"root":4,"exponents":[[0,0],[0,1.5]]}',
+            '{"d":2,"root":2,"exponents":[[false,false],[false,true]]}',
         ],
-        ids=["root-0", "fractional-root", "fractional-exponent"],
+        ids=["root-0", "fractional-root", "fractional-exponent", "boolean-exponents"],
     )
     def test_malformed_grid_is_usage_error(self, capsys, tmp_path, grid):
         path = tmp_path / "bad.json"

@@ -160,6 +160,40 @@ def test_move_roundtrip_and_composition(data):
 
 @given(data=st.data())
 @settings(max_examples=40)
+def test_float_move_roundtrip_and_composition(data):
+    H = to_complex(data.draw(exp_matrices()))
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    m1, m2 = random_move(H.d, None, rng), random_move(H.d, None, rng)
+    moved = apply_equivalence(H, m1)
+    assert np.allclose(apply_equivalence(moved, invert_move(m1)).entries, H.entries)
+    two_step = apply_equivalence(moved, m2).entries
+    assert np.allclose(apply_equivalence(H, compose_moves(m1, m2)).entries, two_step)
+
+
+def test_random_move_draws_are_frozen():
+    # a seed fixes the move: row order, column order, row phases, then
+    # column phases are drawn in that order
+    assert random_move(5, 12, random.Random(2026)) == EquivalenceMove(
+        (1, 4, 3, 2, 0), (0, 4, 2, 3, 1), (9, 7, 3, 0, 9), (1, 1, 4, 1, 7), 12
+    )
+    assert random_move(3, None, random.Random(2026)) == EquivalenceMove(
+        (2, 1, 0),
+        (1, 0, 2),
+        (5.555088508471962, 5.622239040729716, 3.9048997969637655),
+        (2.6428017127472625, 3.5975559224482567, 5.292966194525043),
+        None,
+    )
+    assert random_move(3, 2**63 - 1, random.Random(7)) == EquivalenceMove(
+        (2, 0, 1),
+        (2, 0, 1),
+        (7574918311415852851, 868196408185819179, 5375270654777870840),
+        (8390539026135319669, 1980241222855773941, 792723338049442008),
+        2**63 - 1,
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=40)
 def test_dephase_returns_matrix_and_move(data):
     H = data.draw(exp_matrices())
     Hd, move = dephase(H)
@@ -190,7 +224,15 @@ def test_move_json_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("row_phases", [0, 1.5, 2]), ("col_phases", [0, "3", 2]), ("root", 6.5)]
+    "field,value",
+    [
+        ("row_phases", [0, 1.5, 2]),
+        ("col_phases", [0, "3", 2]),
+        ("root", 6.5),
+        ("row_perm", [False, True, 2]),
+        ("col_phases", [3, True, 5]),
+        ("root", True),
+    ],
 )
 def test_move_json_refuses_non_integers(field, value):
     m = EquivalenceMove((0, 1, 2), (2, 0, 1), (0, 1, 2), (3, 4, 5), 6)
@@ -281,6 +323,25 @@ def test_matrix_json_roundtrip_exact():
 def test_matrix_json_marks_raw_grids():
     H = ExponentMatrix(2, 4, ((1, 0), (0, 3)))
     assert matrix_to_json(H)["raw"] is True
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"d": 2, "root": 2, "exponents": [[False, False], [False, True]]},
+        {"d": 2, "root": True, "exponents": [[0, 0], [0, 0]]},
+        {"d": True, "root": 2, "exponents": [[1]]},
+        {"d": True, "re": [[1.0]], "im": [[0.0]]},
+        {"d": 1, "re": [[True]], "im": [[0.0]]},
+    ],
+    ids=["exponents", "root", "exact-order", "float-order", "float-entry"],
+)
+def test_matrix_json_refuses_booleans(obj):
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
+    # the same numbers as integers are read
+    ints = json.loads(json.dumps(obj).replace("false", "0").replace("true", "1"))
+    assert matrix_from_json(ints).d == ints["d"]
 
 
 def test_matrix_json_roundtrip_float():
